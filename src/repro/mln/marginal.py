@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import SolverError
+from ..errors import InfeasibleProgramError, SolverError
 from ..kg import TemporalFact
 from ..logic.ground import GroundProgram
 
@@ -124,21 +124,17 @@ class GibbsSampler:
         state[index] = rng.random() < probability_true
 
     def _make_feasible(self, program: GroundProgram, state: list[bool]) -> list[bool]:
-        for _ in range(program.num_clauses + 1):
-            violations = program.hard_violations(state)
-            if not violations:
-                return state
-            clause = violations[0]
-            best_index, best_cost = None, math.inf
-            for index, positive in clause.literals:
-                cost = abs(program.atoms[index].fact.log_weight)
-                if cost < best_cost:
-                    best_index, best_cost = index, cost
-            for index, positive in clause.literals:
-                if index == best_index:
-                    state[index] = positive
-                    break
-        return state
+        """Repair ``state`` into a feasible start for the chain.
+
+        Raises :class:`InfeasibleProgramError` rather than start the chain
+        from a state that violates a hard clause.
+        """
+        repaired = program.repair_hard_violations(state)
+        if repaired is None:
+            raise InfeasibleProgramError(
+                "Gibbs sampling found no assignment satisfying the hard constraints to start from"
+            )
+        return repaired
 
 
 def marginals(

@@ -51,7 +51,8 @@ class BranchAndBoundSolver(MAPSolver):
         ``"object"`` evaluates candidate assignments through the
         :class:`GroundProgram` object graph; ``"array"`` routes every
         objective / feasibility evaluation (incumbent checks, leaf
-        completions, greedy repair) through :class:`GroundProgramArrays`.
+        completions, the greedy incumbent's score) through
+        :class:`GroundProgramArrays`.
         The two are bit-identical — the array objective sums the same
         weights in the same order — so the search explores the same tree
         and returns the same assignment either way.
@@ -214,41 +215,16 @@ class BranchAndBoundSolver(MAPSolver):
     ) -> tuple[Optional[tuple[bool, ...]], float]:
         """A quick feasible starting point: keep everything, then repair.
 
-        Greedily falsify the cheapest atom of each violated hard clause until
-        feasible; gives branch & bound an incumbent to prune against.  With
-        ``arrays``, the violated clause comes from the vectorized evaluation:
-        ``hard_violation_indices`` lists violated clauses in the same (clause)
-        order ``hard_violations`` returns them in, so both kernels repair the
-        same clause each round.
+        Starts from the all-true assignment and runs
+        :meth:`GroundProgram.repair_hard_violations`, which flips, for the
+        first violated hard clause, the atom leaving the fewest hard clauses
+        violated (ties: smallest absolute evidence weight).  Gives branch &
+        bound an incumbent to prune against, or ``(None, -inf)`` when the
+        repair fails.  Both kernels share the repair; ``arrays`` only scores
+        the result.
         """
-        assignment = [True] * program.num_atoms
-        for _ in range(program.num_clauses + 1):
-            if arrays is not None:
-                violated = arrays.hard_violation_indices(assignment)
-                if violated.size == 0:
-                    return tuple(assignment), arrays.objective(assignment)
-                atoms, signs = arrays.clause_literals(int(violated[0]))
-                literals = list(zip(atoms.tolist(), signs.tolist()))
-            else:
-                violations = program.hard_violations(assignment)
-                if not violations:
-                    return tuple(assignment), program.objective(assignment)
-                literals = list(violations[0].literals)
-            # All literals are false; flip the atom whose flip costs least.
-            best_index, best_cost = None, math.inf
-            for index, positive in literals:
-                cost = abs(program.atoms[index].fact.log_weight)
-                if cost < best_cost:
-                    best_index, best_cost = index, cost
-            for index, positive in literals:
-                if index == best_index:
-                    assignment[index] = positive
-                    break
-        if arrays is not None:
-            if arrays.is_feasible(assignment):
-                return tuple(assignment), arrays.objective(assignment)
+        assignment = program.repair_hard_violations([True] * program.num_atoms)
+        if assignment is None:
             return None, -math.inf
-        violations = program.hard_violations(assignment)
-        if violations:
-            return None, -math.inf
-        return tuple(assignment), program.objective(assignment)
+        objective = arrays.objective if arrays is not None else program.objective
+        return tuple(assignment), objective(assignment)

@@ -217,7 +217,7 @@ class MaxWalkSATSolver(MAPSolver):
                     best_assignment, best_penalty = list(state.assignment), state.penalty
 
         assert best_assignment is not None
-        repaired = self._repair_hard(program, best_assignment)
+        repaired = program.repair_hard_violations(best_assignment)
         if repaired is None:
             raise InfeasibleProgramError(
                 "MaxWalkSAT could not find an assignment satisfying all hard constraints"
@@ -255,25 +255,3 @@ class MaxWalkSATSolver(MAPSolver):
             # Informed start: believe all evidence, accept all derivations.
             return [True] * program.num_atoms
         return [rng.random() < 0.5 for _ in range(program.num_atoms)]
-
-    def _repair_hard(self, program: GroundProgram, assignment: list[bool]) -> Optional[list[bool]]:
-        """Greedy repair of any remaining hard violations (conflict clauses are
-        all-negative, so falsifying one member always works)."""
-        assignment = list(assignment)
-        for _ in range(program.num_clauses + 1):
-            violations = program.hard_violations(assignment)
-            if not violations:
-                return assignment
-            clause = violations[0]
-            best_index, best_cost = None, float("inf")
-            for index, positive in clause.literals:
-                cost = abs(program.atoms[index].fact.log_weight)
-                if cost < best_cost:
-                    best_index, best_cost = index, cost
-            if best_index is None:
-                return None
-            for index, positive in clause.literals:
-                if index == best_index:
-                    assignment[index] = positive
-                    break
-        return assignment if not program.hard_violations(assignment) else None

@@ -186,7 +186,7 @@ class ArrayMaxWalkSATSolver(MaxWalkSATSolver):
                 fold_best(state)
 
         assert best_assignment is not None
-        repaired = self._repair_hard(program, [bool(v) for v in best_assignment])
+        repaired = program.repair_hard_violations([bool(v) for v in best_assignment])
         if repaired is None:
             raise InfeasibleProgramError(
                 "MaxWalkSAT could not find an assignment satisfying all hard constraints"

@@ -6,11 +6,14 @@ must turn back into a conflict-free KG.  The procedure here is the standard
 one:
 
 1. threshold the soft values at 0.5;
-2. repair any hard clause still violated by greedily flipping, inside each
-   violated clause, the literal whose flip sacrifices the least evidence
-   weight (for conflict clauses this means dropping the least confident
-   fact — exactly the behaviour of the running example, where the weaker
-   Napoli fact is removed).
+2. repair any hard clause still violated with
+   :meth:`GroundProgram.repair_hard_violations`: take the first violated hard
+   clause in clause order and flip the atom that leaves the fewest hard
+   clauses violated, breaking ties toward the smallest absolute evidence
+   weight (for conflict clauses this drops the least confident fact, as in
+   the running example, where the weaker Napoli fact is removed).  The
+   violated set is maintained across flips, so a repair costs one pass over
+   the hard clauses plus the degrees of the atoms it considers.
 """
 
 from __future__ import annotations
@@ -29,51 +32,16 @@ def threshold(truth_values: Sequence[float], cutoff: float = 0.5) -> list[bool]:
 def repair_hard(program: GroundProgram, assignment: list[bool]) -> list[bool]:
     """Greedily repair hard-clause violations in ``assignment``.
 
-    For each violated hard clause (taken in order), flip the literal that
-    leaves the fewest hard clauses violated afterwards, breaking ties toward
-    the atom carrying the smallest absolute evidence weight (for conflict
-    clauses this means dropping the least confident fact — exactly the
-    behaviour of the running example, where the weaker Napoli fact is
-    removed).  A violated clause has every literal falsified, so any flip
-    satisfies it; minimising the *resulting* violation count is what keeps
-    two hard clauses that share an atom with opposite satisfying polarities
-    from ping-ponging that atom until the iteration bound.
+    See :meth:`GroundProgram.repair_hard_violations` for the flip rule.
+    Raises :class:`InfeasibleProgramError` when the repair leaves a hard
+    clause violated.
     """
-    state = list(assignment)
-    # Atom → hard clauses containing it: a candidate flip only changes the
-    # satisfaction of these, so the resulting violation count is evaluated
-    # as a delta instead of rescanning the whole clause table per literal.
-    touching: dict[int, list] = {}
-    for clause in program.clauses:
-        if clause.is_hard:
-            for index, _ in clause.literals:
-                touching.setdefault(index, []).append(clause)
-    for _ in range(program.num_clauses + 1):
-        violations = program.hard_violations(state)
-        if not violations:
-            return state
-        total = len(violations)
-        clause = violations[0]
-        best = None
-        best_key = None
-        for index, positive in clause.literals:
-            neighbours = touching.get(index, ())
-            before = sum(1 for other in neighbours if not other.satisfied_by(state))
-            state[index] = positive
-            after = sum(1 for other in neighbours if not other.satisfied_by(state))
-            state[index] = not positive
-            cost = abs(program.atoms[index].fact.log_weight)
-            key = (total - before + after, cost, index)
-            if best_key is None or key < best_key:
-                best, best_key = (index, positive), key
-        if best is None:  # pragma: no cover - clauses are never empty
-            break
-        state[best[0]] = best[1]
-    if program.hard_violations(state):
+    repaired = program.repair_hard_violations(assignment)
+    if repaired is None:
         raise InfeasibleProgramError(
             "rounding could not produce an assignment satisfying the hard constraints"
         )
-    return state
+    return repaired
 
 
 def round_solution(

@@ -20,8 +20,14 @@ from repro.datasets import (
     ranieri_extended_graph,
     ranieri_graph,
 )
-from repro.kg import TemporalKnowledgeGraph
-from repro.logic import ground, running_example_constraints, running_example_rules
+from repro.kg import TemporalKnowledgeGraph, make_fact
+from repro.logic import (
+    ClauseKind,
+    GroundProgram,
+    ground,
+    running_example_constraints,
+    running_example_rules,
+)
 
 
 @pytest.fixture
@@ -57,3 +63,25 @@ def small_noisy_footballdb():
 @pytest.fixture
 def empty_graph():
     return TemporalKnowledgeGraph(name="empty")
+
+
+@pytest.fixture
+def coupled_hard_program():
+    """Two hard clauses sharing an atom with opposite satisfying polarities.
+
+    A conflict clause wants ``shared`` or ``other`` false and a keeper clause
+    wants ``shared`` true, so only ``[True, False]`` is feasible.  Repairing
+    from all-true by dropping the cheapest atom first flips the low-weight
+    ``shared`` atom back and forth forever.  Returns ``(program, shared,
+    other)``.
+    """
+    program = GroundProgram()
+    shared = program.add_atom(make_fact("x", "coach", "A", (1, 5), 0.55), is_evidence=True)
+    other = program.add_atom(make_fact("x", "coach", "B", (2, 4), 0.9), is_evidence=True)
+    for atom in (shared, other):
+        program.add_clause([(atom.index, True)], atom.fact.log_weight, ClauseKind.EVIDENCE, "e")
+    program.add_clause(
+        [(shared.index, False), (other.index, False)], None, ClauseKind.CONSTRAINT, "c2"
+    )
+    program.add_clause([(shared.index, True)], None, ClauseKind.CONSTRAINT, "keep-shared")
+    return program, shared, other

@@ -9,8 +9,9 @@ import pytest
 
 from repro.errors import InfeasibleProgramError, SolverNotAvailableError
 from repro.kg import make_fact
-from repro.logic import ClauseKind, GroundProgram, ground
+from repro.logic import ClauseKind, GroundProgram, GroundProgramArrays, ground
 from repro.mln import (
+    ArrayMaxWalkSATSolver,
     BranchAndBoundSolver,
     CuttingPlaneSolver,
     ILPMapSolver,
@@ -124,6 +125,30 @@ class TestMaxWalkSAT:
     def test_not_marked_optimal(self, running_example_grounding):
         solution = MaxWalkSATSolver().solve(running_example_grounding.program)
         assert solution.stats.optimal is False
+
+
+class TestCoupledHardRepair:
+    """Regression: a greedy hard repair that flips the cheapest atom of the
+    first violated clause ping-pongs on the coupled-hard-clause program until
+    its iteration bound runs out, although the program is feasible."""
+
+    @pytest.mark.parametrize("solver_class", [MaxWalkSATSolver, ArrayMaxWalkSATSolver])
+    def test_maxwalksat_repairs_search_leftover(self, solver_class, coupled_hard_program):
+        program, shared, other = coupled_hard_program
+        # No flips: the all-true start, which violates the conflict clause,
+        # goes straight to the repair.
+        solution = solver_class(max_flips=0, max_restarts=1).solve(program)
+        assert solution.assignment[shared.index] is True
+        assert solution.assignment[other.index] is False
+
+    @pytest.mark.parametrize("kernel", ["object", "array"])
+    def test_branch_and_bound_greedy_incumbent(self, kernel, coupled_hard_program):
+        program, _, _ = coupled_hard_program
+        solver = BranchAndBoundSolver(kernel=kernel)
+        arrays = GroundProgramArrays.from_program(program) if kernel == "array" else None
+        incumbent, value = solver._greedy_incumbent(program, arrays)
+        assert incumbent == (True, False)
+        assert value == program.objective(incumbent)
 
 
 class TestCuttingPlane:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import InfeasibleProgramError, SolverError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundProgram, constraint_c2, rule_f1
 from repro.mln import GibbsSampler, MarkovLogicNetwork, marginals
@@ -93,3 +93,17 @@ class TestGibbsSampler:
         program, _, _ = self._program()
         with pytest.raises(SolverError):
             GibbsSampler(samples=10, burn_in=0).run(program, initial=[True])
+
+    def test_feasible_start_does_not_ping_pong(self, coupled_hard_program):
+        # Regression: the cheapest-atom repair ping-ponged the shared atom
+        # and started the chain from the infeasible [False, True].
+        program, _, _ = coupled_hard_program
+        assert GibbsSampler()._make_feasible(program, [True, True]) == [True, False]
+
+    def test_infeasible_program_raises(self):
+        program = GroundProgram()
+        atom = program.add_atom(make_fact("x", "p", "A", (1, 5), 0.9), is_evidence=True)
+        program.add_clause([(atom.index, True)], None, ClauseKind.CONSTRAINT, "must-be-true")
+        program.add_clause([(atom.index, False)], None, ClauseKind.CONSTRAINT, "must-be-false")
+        with pytest.raises(InfeasibleProgramError):
+            GibbsSampler(samples=10, burn_in=0).run(program)

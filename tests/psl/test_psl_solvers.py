@@ -123,23 +123,11 @@ class TestRounding:
         assignment = round_solution(program, [0.9, 0.8, 0.7])
         assert assignment == (True, False, True)
 
-    def test_repair_coupled_hard_clauses_does_not_ping_pong(self):
-        # Regression: two hard clauses sharing an atom with opposite
-        # satisfying polarities.  The old greedy (cheapest atom first) kept
-        # flipping the low-weight shared atom back and forth until the
-        # iteration bound and raised InfeasibleProgramError on this
-        # perfectly feasible program.
-        program = GroundProgram()
-        shared = program.add_atom(make_fact("x", "coach", "A", (1, 5), 0.55), is_evidence=True)
-        other = program.add_atom(make_fact("x", "coach", "B", (2, 4), 0.9), is_evidence=True)
-        for atom in (shared, other):
-            program.add_clause([(atom.index, True)], atom.fact.log_weight, ClauseKind.EVIDENCE, "e")
-        # Conflict clause wants shared=False or other=False; keeper clause
-        # wants shared=True.  Only flipping `other` satisfies both.
-        program.add_clause(
-            [(shared.index, False), (other.index, False)], None, ClauseKind.CONSTRAINT, "c2"
-        )
-        program.add_clause([(shared.index, True)], None, ClauseKind.CONSTRAINT, "keep-shared")
+    def test_repair_coupled_hard_clauses_does_not_ping_pong(self, coupled_hard_program):
+        # Regression: the old greedy (cheapest atom first) kept flipping the
+        # low-weight shared atom back and forth until the iteration bound
+        # and raised InfeasibleProgramError on this feasible program.
+        program, _, _ = coupled_hard_program
         repaired = repair_hard(program, [True, True])
         assert repaired == [True, False]
         assert program.is_feasible(repaired)
