@@ -25,7 +25,7 @@ import pytest
 from _report import write_bench_json
 from conftest import format_rows, record_report
 from repro.datasets import FootballDBConfig, generate_footballdb
-from repro.logic import Grounder, decompose, sports_pack
+from repro.logic import decompose, ground, sports_pack
 from repro.mln import map_inference as mln_map
 from repro.solvers import DecomposedSolver
 
@@ -49,9 +49,7 @@ def workload():
     """Noisy multi-entity FootballDB ground program plus its decomposition."""
     dataset = generate_footballdb(FootballDBConfig(scale=SCALE, noise_ratio=0.5, seed=2017))
     pack = sports_pack()
-    program = (
-        Grounder(dataset.graph, rules=pack.rules, constraints=pack.constraints).ground().program
-    )
+    program = ground(dataset.graph, pack.rules, pack.constraints).program
     return program, decompose(program)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import format_rows, record_report
 from repro.datasets import FootballDBConfig, generate_footballdb
-from repro.logic import Grounder, sports_pack
+from repro.logic import ground, sports_pack
 from repro.mln import make_solver as make_mln_solver
 
 BACKENDS = ["ilp", "cutting-plane", "branch-and-bound", "maxwalksat"]
@@ -23,9 +23,7 @@ def backend_workload():
     """A small-but-non-trivial noisy FootballDB ground program."""
     dataset = generate_footballdb(FootballDBConfig(scale=0.02, noise_ratio=0.5, seed=99))
     pack = sports_pack()
-    program = (
-        Grounder(dataset.graph, rules=pack.rules, constraints=pack.constraints).ground().program
-    )
+    program = ground(dataset.graph, pack.rules, pack.constraints).program
     return program
 
 

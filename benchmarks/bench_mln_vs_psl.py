@@ -20,7 +20,7 @@ import pytest
 
 from conftest import format_rows, record_report
 from repro.core import make_solver
-from repro.logic import Grounder, sports_pack
+from repro.logic import ground, sports_pack
 
 #: The paper's reported runtimes (milliseconds, average of 10 runs).
 PAPER_MS = {"nrockit": 12_181.0, "npsl": 6_129.0}
@@ -35,8 +35,7 @@ _RESULTS: dict[str, dict[str, float]] = {}
 def footballdb_program(footballdb_noisy):
     """Ground the FootballDB workload once; both solvers consume the result."""
     pack = sports_pack()
-    grounder = Grounder(footballdb_noisy.graph, rules=pack.rules, constraints=pack.constraints)
-    return grounder.ground().program
+    return ground(footballdb_noisy.graph, pack.rules, pack.constraints).program
 
 
 @pytest.mark.parametrize("solver_name", ["nrockit", "npsl"])

@@ -14,7 +14,7 @@ import pytest
 from conftest import format_rows, record_report
 from repro.core import make_solver
 from repro.datasets import FootballDBConfig, generate_footballdb
-from repro.logic import Grounder, sports_pack
+from repro.logic import ground, sports_pack
 
 #: FootballDB scales swept (≈ facts: 290, 580, 1.4k, 2.9k).
 SCALES = [0.01, 0.02, 0.05, 0.1]
@@ -26,8 +26,7 @@ _SERIES: dict[float, dict[str, float]] = {}
 def _workload(scale: float):
     dataset = generate_footballdb(FootballDBConfig(scale=scale, noise_ratio=0.5, seed=2017))
     pack = sports_pack()
-    grounder = Grounder(dataset.graph, rules=pack.rules, constraints=pack.constraints)
-    return dataset, grounder.ground().program
+    return dataset, ground(dataset.graph, pack.rules, pack.constraints).program
 
 
 @pytest.fixture(scope="module")

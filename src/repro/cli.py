@@ -39,7 +39,7 @@ from .datasets import available_datasets, load_dataset
 from .errors import TecoreError
 from .kg import TemporalKnowledgeGraph
 from .kg.io import load_change_stream, load_graph
-from .logic import available_packs, load_pack, parse_program
+from .logic import DEFAULT_ENGINE, available_packs, load_pack, parse_program
 
 #: Grounding engines selectable from the command line.
 ENGINE_CHOICES = ("indexed", "naive", "incremental", "vectorized")
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     detect = subparsers.add_parser("detect", help="detect temporal conflicts")
     add_input_arguments(detect)
     detect.add_argument(
-        "--engine", default="indexed", choices=ENGINE_CHOICES, help="grounding engine"
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
     )
     detect.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_solver_arguments(resolve)
     resolve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
     resolve.add_argument(
-        "--engine", default="indexed", choices=ENGINE_CHOICES, help="grounding engine"
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
     )
     add_decomposition_arguments(resolve)
     resolve.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_solver_arguments(batch)
     batch.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
     batch.add_argument(
-        "--engine", default="indexed", choices=ENGINE_CHOICES, help="grounding engine"
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
     )
     add_decomposition_arguments(batch)
     batch.add_argument(
@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_solver_arguments(serve)
     serve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
     serve.add_argument(
-        "--engine", default="indexed", choices=ENGINE_CHOICES, help="grounding engine"
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
     )
     add_decomposition_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")

@@ -31,12 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import ProgramLintError
 from ..kg import TemporalKnowledgeGraph
-from ..logic import (
-    TemporalConstraint,
-    TemporalRule,
-    load_pack,
-    parse_program,
-)
+from ..logic import DEFAULT_ENGINE, TemporalConstraint, TemporalRule, load_pack, parse_program
 from ..solvers import MAPSolution, MAPSolver, wrap_decomposed
 from .registry import available_solvers, make_solver, resolve_kernel
 from .result import BatchResolution, ResolutionResult, ResolutionStatistics
@@ -64,10 +59,10 @@ class TeCoRe:
     solver_options:
         Extra keyword arguments for the solver factory (e.g. ``time_limit``).
     engine:
-        Grounding engine: ``"indexed"`` (semi-naive, the default),
-        ``"vectorized"`` (columnar numpy joins, the fastest), ``"naive"``
-        (the reference implementation), or ``"incremental"``.  All produce
-        identical ground programs.
+        Grounding engine: ``"vectorized"`` (columnar numpy joins, the
+        default — :data:`~repro.logic.DEFAULT_ENGINE`), ``"indexed"``
+        (semi-naive, the differential reference), ``"naive"`` or
+        ``"incremental"``.  All produce identical ground programs.
     decompose:
         Solve the connected components of the ground program's interaction
         graph independently and merge (exact for exact back-ends; see
@@ -96,7 +91,7 @@ class TeCoRe:
     threshold: float | None = None
     max_rounds: int = 5
     solver_options: dict = field(default_factory=dict)
-    engine: str = "indexed"
+    engine: str = DEFAULT_ENGINE
     decompose: bool = False
     jobs: int = 1
     kernel: str = "object"
@@ -291,7 +286,7 @@ class TeCoRe:
         This is the heavy-traffic serving shape: the rule/constraint program,
         the translator (with its cached expressivity probe), and the solver
         back-end are constructed once (one :class:`SharedResolver`), and each
-        incoming graph only pays for its own (indexed) grounding and MAP
+        incoming graph only pays for its own (columnar) grounding and MAP
         solve.  Results come back in input order as a
         :class:`~repro.core.result.BatchResolution`.
 

@@ -22,6 +22,7 @@ from typing import Iterable
 
 from ..kg import TemporalKnowledgeGraph
 from ..logic import (
+    DEFAULT_ENGINE,
     GroundingResult,
     TemporalConstraint,
     TemporalRule,
@@ -88,17 +89,16 @@ class TranslatedProgram:
 class TecoreTranslator:
     """Grounds and validates inputs for a chosen solver.
 
-    ``engine`` selects the grounding engine ("indexed" — the semi-naive
-    default — "vectorized" (columnar numpy joins), "naive" (the reference
-    rescan-everything implementation), or "incremental"; all emit identical
-    programs).  A translator instance is reusable across
+    ``engine`` selects the grounding engine (a :data:`GROUNDING_ENGINES`
+    name, default :data:`DEFAULT_ENGINE`: the columnar "vectorized" engine;
+    all emit identical programs).  A translator instance is reusable across
     graphs: solver capabilities are resolved through the registry's cached
     probes, which is what makes :meth:`repro.core.TeCoRe.resolve_batch`
     cheap per graph.
     """
 
     def __init__(
-        self, max_rounds: int = 5, keep_bias: float = 1e-3, engine: str = "indexed"
+        self, max_rounds: int = 5, keep_bias: float = 1e-3, engine: str = DEFAULT_ENGINE
     ) -> None:
         self.max_rounds = max_rounds
         self.keep_bias = keep_bias

@@ -11,23 +11,26 @@ into a :class:`~repro.logic.ground.GroundProgram`:
 3. constraints are grounded against evidence *and* derived facts; every
    violated instantiation adds a conflict clause ``¬f₁ ∨ … ∨ ¬fₖ``.
 
-Two interchangeable engines implement this pipeline:
+This module holds the two row-oriented engines and the engine registry:
 
-* :class:`IndexedGrounder` (the default, aliased as :class:`Grounder`) —
-  semi-naive forward chaining.  Each round joins rule bodies only against the
-  *delta* of facts derived in the previous round (via the graph's insertion
-  ticks and hash indexes), skips the per-lookup sorting and term coercion of
-  the public :meth:`~repro.kg.graph.TemporalKnowledgeGraph.find` API, and
-  deduplicates ground clauses by firing/violation signature against a cached
-  atom table.  Within every round the collected matches are re-ordered into
-  the naive enumeration order, so the emitted program is bit-for-bit
-  identical to the naive one.
+* :class:`IndexedGrounder` — semi-naive forward chaining.  Each round joins
+  rule bodies only against the *delta* of facts derived in the previous round
+  (via the graph's insertion ticks and hash indexes), skips the per-lookup
+  sorting and term coercion of the public
+  :meth:`~repro.kg.graph.TemporalKnowledgeGraph.find` API, and deduplicates
+  ground clauses by firing/violation signature against a cached atom table.
+  Within every round the collected matches are re-ordered into the naive
+  enumeration order, so the emitted program is bit-for-bit identical to the
+  naive one.  It is the differential reference for the faster engines, the
+  incremental engine's from-scratch fallback, and the matcher the columnar
+  engine uses for bodies with variable predicates.
 * :class:`NaiveGrounder` — the original rescan-everything engine, kept as the
   reference implementation for the differential tests and benchmarks.
 
-The same engines also power pure conflict *detection* (the Figure 8
-statistics) via :func:`find_conflicts`, which skips step 1 and 2 bookkeeping
-and simply reports the violated constraint instances.
+One-shot grounding, including the pure conflict *detection* of
+:func:`find_conflicts` (the Figure 8 statistics), uses :data:`DEFAULT_ENGINE`:
+the columnar ``"vectorized"`` engine (:mod:`repro.logic.vectorized`), which
+emits the same program faster.  Sessions ground with ``"incremental"``.
 """
 
 from __future__ import annotations
@@ -380,7 +383,7 @@ class _GrounderBase:
         survives actually supports it.
     """
 
-    #: Registry name of the engine ("indexed" / "naive").
+    #: Registry name of the engine (a key of :data:`GROUNDING_ENGINES`).
     engine: str = "abstract"
 
     def __init__(
@@ -711,14 +714,15 @@ class IndexedGrounder(_GrounderBase):
                 )
 
 
-#: The default grounding engine.
-Grounder = IndexedGrounder
-
 #: Engine registry used by :func:`make_grounder`, the translator, and the CLI.
+#: ``"vectorized"`` and ``"incremental"`` register themselves on import.
 GROUNDING_ENGINES: dict[str, type[_GrounderBase]] = {
     "indexed": IndexedGrounder,
     "naive": NaiveGrounder,
 }
+
+#: The engine one-shot grounding uses unless told otherwise.
+DEFAULT_ENGINE = "vectorized"
 
 
 def make_grounder(
@@ -728,7 +732,7 @@ def make_grounder(
     constraints: Iterable[TemporalConstraint] = (),
     **kwargs,
 ) -> _GrounderBase:
-    """Instantiate a grounding engine by name ("indexed" or "naive")."""
+    """Instantiate a grounding engine by its :data:`GROUNDING_ENGINES` name."""
     grounder_class = GROUNDING_ENGINES.get(engine)
     if grounder_class is None:
         raise GroundingError(
@@ -745,7 +749,7 @@ def ground(
     rules: Iterable[TemporalRule] = (),
     constraints: Iterable[TemporalConstraint] = (),
     max_rounds: int = 5,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
 ) -> GroundingResult:
     """Ground ``graph`` with ``rules`` and ``constraints`` (full pipeline)."""
     return make_grounder(
@@ -756,7 +760,7 @@ def ground(
 def find_conflicts(
     graph: TemporalKnowledgeGraph,
     constraints: Iterable[TemporalConstraint],
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
 ) -> list[ConstraintViolation]:
     """Detect conflicts only (no rule chaining, no MAP).
 

@@ -23,11 +23,12 @@ from typing import Iterable, Optional, Sequence
 
 from ..kg import TemporalKnowledgeGraph
 from ..logic import (
+    DEFAULT_ENGINE,
     GroundProgram,
-    Grounder,
     GroundingResult,
     TemporalConstraint,
     TemporalRule,
+    make_grounder,
 )
 
 
@@ -107,10 +108,9 @@ class MarkovLogicNetwork:
     # ------------------------------------------------------------------ #
     def ground(self, graph: TemporalKnowledgeGraph) -> GroundingResult:
         """Ground this MLN against the evidence UTKG."""
-        grounder = Grounder(
-            graph, rules=self.rules, constraints=self.constraints, max_rounds=self.max_rounds
-        )
-        return grounder.ground()
+        return make_grounder(
+            DEFAULT_ENGINE, graph, self.rules, self.constraints, max_rounds=self.max_rounds
+        ).ground()
 
     def log_potential(self, program: GroundProgram, assignment: Sequence[bool]) -> float:
         """The unnormalised log-probability ``Σᵢ wᵢ nᵢ(x)`` of a world.

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ..errors import ExpressivityError
 from ..kg import TemporalKnowledgeGraph
-from ..logic import Grounder, GroundingResult, TemporalConstraint, TemporalRule
+from ..logic import DEFAULT_ENGINE, GroundingResult, TemporalConstraint, TemporalRule, make_grounder
 from ..solvers import PSL_CAPABILITIES, check_expressivity
 
 
@@ -69,10 +69,9 @@ class PSLProgram:
 
     def ground(self, graph: TemporalKnowledgeGraph) -> GroundingResult:
         """Ground against the evidence UTKG and verify PSL expressivity."""
-        grounder = Grounder(
-            graph, rules=self.rules, constraints=self.constraints, max_rounds=self.max_rounds
-        )
-        result = grounder.ground()
+        result = make_grounder(
+            DEFAULT_ENGINE, graph, self.rules, self.constraints, max_rounds=self.max_rounds
+        ).ground()
         check_expressivity(result.program, PSL_CAPABILITIES)
         return result
 

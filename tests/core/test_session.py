@@ -5,7 +5,7 @@ import pytest
 from repro import TeCoRe
 from repro.core.session import ComponentSolutionCache, component_content_key
 from repro.datasets import ranieri_graph
-from repro.logic import Grounder, running_example_constraints, running_example_rules
+from repro.logic import ground, running_example_constraints, running_example_rules
 
 NAPOLI = ("CR", "coach", "Napoli", (2001, 2003), 0.6)
 LEICESTER = ("CR", "coach", "Leicester", (2015, 2016), 0.97)
@@ -128,11 +128,8 @@ class TestWarmStarts:
         session = system.session(ranieri_graph(), warm_start=True)
         result = session.apply(adds=[LEICESTER])
         assert result.delta.warm_started > 0
-        program = Grounder(
-            session.graph,
-            rules=running_example_rules(),
-            constraints=running_example_constraints(),
-        ).ground().program
+        rules, constraints = running_example_rules(), running_example_constraints()
+        program = ground(session.graph, rules, constraints).program
         assert program.canonical_signature()  # grounding sane
         assert result.solution.assignment  # solved
 
@@ -183,19 +180,11 @@ class TestComponentSolutionCache:
     def test_component_key_tracks_weight_changes(self, system):
         """Bumping a confidence must dirty the containing component."""
         graph = ranieri_graph()
-        program = Grounder(
-            graph,
-            rules=running_example_rules(),
-            constraints=running_example_constraints(),
-        ).ground().program
-        key_before = component_content_key(program)
+        rules, constraints = running_example_rules(), running_example_constraints()
+        key_before = component_content_key(ground(graph, rules, constraints).program)
         bumped = graph.copy()
         bumped.add(("CR", "coach", "Napoli", (2001, 2003), 0.8))  # max-confidence merge
-        program_after = Grounder(
-            bumped,
-            rules=running_example_rules(),
-            constraints=running_example_constraints(),
-        ).ground().program
+        program_after = ground(bumped, rules, constraints).program
         assert component_content_key(program_after) != key_before
 
 

@@ -5,11 +5,12 @@ import pytest
 from repro.errors import GroundingError
 from repro.kg import TemporalKnowledgeGraph, make_fact
 from repro.logic import (
+    DEFAULT_ENGINE,
     ClauseKind,
     GroundProgram,
-    Grounder,
     find_conflicts,
     ground,
+    make_grounder,
     running_example_constraints,
     running_example_rules,
 )
@@ -139,7 +140,8 @@ class TestGrounderChaining:
         assert palermo_home[0].interval.end == 1986
 
     def test_max_rounds_limits_chaining(self, ranieri_extended):
-        grounder = Grounder(
+        grounder = make_grounder(
+            DEFAULT_ENGINE,
             ranieri_extended,
             rules=running_example_rules(),
             constraints=(),
@@ -152,7 +154,7 @@ class TestGrounderChaining:
 
     def test_invalid_max_rounds(self, ranieri):
         with pytest.raises(GroundingError):
-            Grounder(ranieri, max_rounds=0)
+            make_grounder(DEFAULT_ENGINE, ranieri, max_rounds=0)
 
     def test_no_duplicate_firings(self, ranieri):
         result = ground(ranieri, [rule_f1(), rule_f1()], [])

@@ -92,7 +92,7 @@ class TestResolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["statistics"]["removed_facts"] == 1
 
-    @pytest.mark.parametrize("engine", ["vectorized", "incremental", "naive"])
+    @pytest.mark.parametrize("engine", ["indexed", "incremental", "naive"])
     def test_resolve_engine_selection_matches_default(self, capsys, engine):
         baseline_code = main(
             ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--json"]

@@ -22,11 +22,12 @@ from repro.datasets import (
 from repro.errors import GroundingError
 from repro.kg import TemporalKnowledgeGraph
 from repro.logic import (
+    DEFAULT_ENGINE,
     GROUNDING_ENGINES,
-    Grounder,
     IndexedGrounder,
     NaiveGrounder,
     RuleBuilder,
+    VectorizedGrounder,
     find_conflicts,
     ground,
     make_grounder,
@@ -191,8 +192,8 @@ class TestRandomizedEquivalence:
 # Engine selection API
 # --------------------------------------------------------------------------- #
 class TestEngineSelection:
-    def test_default_grounder_is_indexed(self):
-        assert Grounder is IndexedGrounder
+    def test_default_engine_is_vectorized(self):
+        assert GROUNDING_ENGINES[DEFAULT_ENGINE] is VectorizedGrounder
         assert set(GROUNDING_ENGINES) == {"indexed", "naive", "incremental", "vectorized"}
 
     def test_make_grounder_dispatch(self):

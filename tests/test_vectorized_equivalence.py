@@ -18,7 +18,9 @@ import pytest
 from repro import TeCoRe
 from repro.datasets import (
     FootballDBConfig,
+    WikidataConfig,
     generate_footballdb,
+    generate_wikidata,
     ranieri_extended_graph,
     ranieri_graph,
 )
@@ -31,6 +33,7 @@ from repro.logic import (
     RuleBuilder,
     VectorizedGrounder,
     allen,
+    biography_pack,
     compare,
     equal,
     find_conflicts,
@@ -172,6 +175,28 @@ class TestFootballDBEquivalence:
         )
         indexed, _ = assert_equivalent(dataset.graph, (), [audit])
         assert indexed.violations
+
+
+class TestWikidataEquivalence:
+    """The biography pack over the Wikidata relation mix (the ``npsl`` workload)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("noise_ratio", [0.0, 0.5])
+    def test_biography_pack(self, noise_ratio, seed):
+        dataset = generate_wikidata(WikidataConfig(scale=1e-4, noise_ratio=noise_ratio, seed=seed))
+        pack = biography_pack()
+        indexed, _ = assert_equivalent(dataset.graph, pack.rules, pack.constraints)
+        assert indexed.firings
+        assert bool(indexed.violations) == bool(noise_ratio)
+
+    @pytest.mark.parametrize("solver", ["npsl", "nrockit"])
+    def test_resolution_matches_indexed(self, solver):
+        graph = generate_wikidata(WikidataConfig(scale=1e-4, noise_ratio=0.5, seed=3)).graph
+        indexed = TeCoRe.from_pack("biography", solver=solver, engine="indexed").resolve(graph)
+        default = TeCoRe.from_pack("biography", solver=solver).resolve(graph)
+        assert default.solution.assignment == indexed.solution.assignment
+        assert default.removed_facts == indexed.removed_facts
+        assert indexed.removed_facts
 
 
 # --------------------------------------------------------------------------- #
