@@ -24,9 +24,9 @@ import pytest
 
 from _report import write_bench_json
 from conftest import format_rows, record_report
+from repro.core import make_solver, solve_map
 from repro.datasets import FootballDBConfig, generate_footballdb
 from repro.logic import decompose, ground, sports_pack
-from repro.mln import map_inference as mln_map
 from repro.solvers import DecomposedSolver
 
 #: The acceptance floor for the decomposed solve on the headline back-end.
@@ -40,7 +40,7 @@ JOBS = 4
 
 #: The headline back-end: pure-Python branch & bound, whose cost grows
 #: steeply with program size — exactly the regime decomposition targets.
-BACKEND = "branch-and-bound"
+BACKEND = "nrockit-bnb"
 BACKEND_OPTIONS = {"time_limit": 300.0}
 
 
@@ -80,13 +80,13 @@ def test_decomposed_speedup(benchmark, workload):
     """The tentpole claim: ≥2× with jobs=4, bit-identical MAP objective."""
     program, decomposition = workload
 
-    monolithic_solver = mln_map.make_solver(BACKEND, **BACKEND_OPTIONS)
+    monolithic_solver = make_solver(BACKEND, **BACKEND_OPTIONS)
     started = time.perf_counter()
     monolithic = monolithic_solver.solve(program)
     monolithic_seconds = time.perf_counter() - started
 
     decomposed_solver = DecomposedSolver(
-        partial(mln_map.make_solver, BACKEND, **BACKEND_OPTIONS), jobs=JOBS
+        partial(make_solver, BACKEND, **BACKEND_OPTIONS), jobs=JOBS
     )
     decomposed = benchmark.pedantic(
         decomposed_solver.solve, args=(program,), rounds=1, iterations=1
@@ -105,10 +105,10 @@ def test_decomposed_speedup(benchmark, workload):
     # Context: the exact ILP back-end both ways (report only — HiGHS is fast
     # enough here that per-component call overhead eats the algorithmic win).
     started = time.perf_counter()
-    ilp_monolithic = mln_map.solve_map(program, "ilp")
+    ilp_monolithic = solve_map(program, "nrockit")
     ilp_monolithic_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    ilp_decomposed = mln_map.solve_map(program, "ilp", decompose=True, jobs=JOBS)
+    ilp_decomposed = solve_map(program, "nrockit", decompose=True, jobs=JOBS)
     ilp_decomposed_seconds = time.perf_counter() - started
     assert ilp_decomposed.objective == ilp_monolithic.objective
 
@@ -121,7 +121,7 @@ def test_decomposed_speedup(benchmark, workload):
             f"{decomposed.objective:.2f}",
         ],
         [
-            "ilp",
+            "nrockit",
             f"{ilp_monolithic_seconds:.2f}",
             f"{ilp_decomposed_seconds:.2f}",
             f"{ilp_monolithic_seconds / ilp_decomposed_seconds:.2f}x",

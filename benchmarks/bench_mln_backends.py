@@ -9,11 +9,11 @@ objective, the approximate one may fall short but must stay feasible.
 import pytest
 
 from conftest import format_rows, record_report
+from repro.core import make_solver
 from repro.datasets import FootballDBConfig, generate_footballdb
 from repro.logic import ground, sports_pack
-from repro.mln import make_solver as make_mln_solver
 
-BACKENDS = ["ilp", "cutting-plane", "branch-and-bound", "maxwalksat"]
+BACKENDS = ["nrockit", "nrockit-cpa", "nrockit-bnb", "maxwalksat"]
 
 _RESULTS: dict[str, dict[str, float]] = {}
 
@@ -30,15 +30,15 @@ def backend_workload():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mln_backend(benchmark, backend_workload, backend):
     program = backend_workload
-    kwargs = {"time_limit": 120.0} if backend in ("ilp",) else {}
-    if backend == "branch-and-bound":
+    kwargs = {"time_limit": 120.0} if backend == "nrockit" else {}
+    if backend == "nrockit-bnb":
         # The pure-Python branch & bound is the slowest back-end by far; cap
         # its budget so the ablation stays quick (it reports a feasible
         # incumbent and "proven optimal: no" when the cap bites).
         kwargs = {"time_limit": 10.0, "max_nodes": 5_000}
-    solver = make_mln_solver(backend, **kwargs)
+    solver = make_solver(backend, **kwargs)
 
-    if backend == "branch-and-bound":
+    if backend == "nrockit-bnb":
         solution = benchmark.pedantic(solver.solve, args=(program,), rounds=1, iterations=1)
     else:
         solution = benchmark(solver.solve, program)
@@ -52,8 +52,8 @@ def test_mln_backend(benchmark, backend_workload, backend):
     }
     benchmark.extra_info["objective"] = solution.objective
 
-    exact_reference = _RESULTS.get("ilp")
-    if exact_reference is not None and backend == "cutting-plane":
+    exact_reference = _RESULTS.get("nrockit")
+    if exact_reference is not None and backend == "nrockit-cpa":
         assert solution.objective == pytest.approx(exact_reference["objective"], rel=1e-6)
     if exact_reference is not None and backend == "maxwalksat":
         assert solution.objective >= 0.95 * exact_reference["objective"]

@@ -1,17 +1,16 @@
-"""A13 — array-native solver kernels vs the object solvers.
+"""A13 — array-native solvers vs the object constructions.
 
 The columnar :class:`~repro.logic.GroundProgramArrays` lowering carries the
 interned-id/numpy-block layout of the vectorized grounder through clause
-construction into the MAP solvers.  This benchmark pins the three kernel
-contracts on the noisy FootballDB workload (the same ground program the
-decomposition benchmark uses):
+construction into the MAP solvers.  This benchmark pins two contracts on the
+noisy FootballDB workload (the same ground program the decomposition
+benchmark uses):
 
-* the batched array MaxWalkSAT kernel beats the object local search by at
-  least ``MIN_SPEEDUP`` (3×) while matching its solution quality;
-* the array ADMM runs the identical iteration over a matrix lowered from the
-  arrays — bit-identical truth values, objective, and iteration count;
-* branch & bound with array bounding returns bit-identical assignments on
-  the workload's components (the exact kernels are drop-in replacements).
+* the batched ``maxwalksat-array`` search beats ``maxwalksat`` by at least
+  ``MIN_SPEEDUP`` (3×) while matching its solution quality;
+* ``npsl`` (ADMM over a potential matrix lowered from the arrays) runs the
+  identical iteration as the object construction from ``HingeLossMRF``
+  potentials — bit-identical truth values, objective, and iteration count.
 """
 
 import time
@@ -20,10 +19,10 @@ import pytest
 
 from _report import write_bench_json
 from conftest import format_rows, record_report
+from repro.core import make_solver
 from repro.datasets import FootballDBConfig, generate_footballdb
 from repro.logic import GroundProgramArrays, decompose, ground, sports_pack
-from repro.mln import map_inference as mln_map
-from repro.psl import map_inference as psl_map
+from repro.psl import ADMMSolver, HingeLossMRF, PotentialMatrix, round_solution
 
 #: Acceptance floor: array MaxWalkSAT vs object MaxWalkSAT wall clock.
 MIN_SPEEDUP = 3.0
@@ -34,9 +33,18 @@ SCALE = 0.02
 #: Shared local-search budget (object and array kernels get the same one).
 SEARCH_OPTIONS = {"max_flips": 20_000, "max_restarts": 3, "seed": 2017}
 
-#: Components checked for branch & bound bit-identity (largest first; the
-#: monolithic exact solve is the decomposition benchmark's job).
-BNB_COMPONENTS = 25
+
+def object_admm(program):
+    """``npsl`` built the object way: ``HingeLossMRF`` potentials → matrix →
+    the same ADMM loop and rounding.  Returns truth values, objective and
+    iteration count."""
+    solver = ADMMSolver()
+    mrf = HingeLossMRF.from_program(program, hard_weight=solver.hard_weight, squared=solver.squared)
+    matrix = PotentialMatrix(mrf.potentials, mrf.num_variables)
+    truth_values, iterations = solver._admm(matrix, mrf.initial_state())
+    assignment = round_solution(program, truth_values)
+    truth_values = tuple(float(value) for value in truth_values)
+    return truth_values, program.objective(assignment), iterations
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +60,12 @@ def test_maxwalksat_kernel_speedup(benchmark, workload):
     """The tentpole claim: batched array WalkSAT ≥3× the object solver."""
     program, arrays = workload
 
-    object_solver = mln_map.make_solver("maxwalksat", **SEARCH_OPTIONS)
+    object_solver = make_solver("maxwalksat", **SEARCH_OPTIONS)
     started = time.perf_counter()
     object_solution = object_solver.solve(program)
     object_seconds = time.perf_counter() - started
 
-    array_solver = mln_map.make_solver("maxwalksat-array", **SEARCH_OPTIONS)
+    array_solver = make_solver("maxwalksat-array", **SEARCH_OPTIONS)
     array_solution = benchmark.pedantic(array_solver.solve, args=(program,), rounds=1, iterations=1)
     array_seconds = array_solution.stats.runtime_seconds
 
@@ -75,14 +83,14 @@ def test_maxwalksat_kernel_speedup(benchmark, workload):
     # ADMM both ways — the lowered potential matrix must reproduce the object
     # iterates bit-for-bit, so the timing comparison is apples-to-apples.
     started = time.perf_counter()
-    admm_object = psl_map.solve_map(program, "admm")
+    object_truth, object_objective, object_iterations = object_admm(program)
     admm_object_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    admm_array = psl_map.solve_map(program, "admm-array")
+    admm_array = make_solver("npsl").solve(program)
     admm_array_seconds = time.perf_counter() - started
-    assert admm_array.truth_values == admm_object.truth_values
-    assert admm_array.objective == admm_object.objective
-    assert admm_array.stats.iterations == admm_object.stats.iterations
+    assert admm_array.truth_values == object_truth
+    assert admm_array.objective == object_objective
+    assert admm_array.stats.iterations == object_iterations
 
     decomposition = decompose(program)
     rows = [
@@ -142,20 +150,3 @@ def test_maxwalksat_kernel_speedup(benchmark, workload):
     benchmark.extra_info["quality_ratio"] = round(
         array_solution.objective / object_solution.objective, 4
     )
-
-
-def test_branch_and_bound_kernel_is_bit_identical(workload):
-    """Exact kernel contract on real components: same assignment, objective,
-    and explored-node count as the object branch & bound."""
-    program, _ = workload
-    decomposition = decompose(program)
-    components = sorted(
-        decomposition.components, key=lambda component: -component.num_atoms
-    )[:BNB_COMPONENTS]
-    assert components, "decomposition produced no components"
-    for component in components:
-        object_solution = mln_map.solve_map(component.program, "branch-and-bound")
-        array_solution = mln_map.solve_map(component.program, "branch-and-bound-array")
-        assert array_solution.assignment == object_solution.assignment
-        assert array_solution.objective == object_solution.objective
-        assert array_solution.stats.iterations == object_solution.stats.iterations

@@ -39,15 +39,7 @@ from .datasets import available_datasets, load_dataset
 from .errors import TecoreError
 from .kg import TemporalKnowledgeGraph
 from .kg.io import load_change_stream, load_graph
-from .logic import DEFAULT_ENGINE, available_packs, load_pack, parse_program
-
-#: Grounding engines selectable from the command line.
-ENGINE_CHOICES = ("indexed", "naive", "incremental", "vectorized")
-
-#: Solver kernels selectable from the command line: ``object`` walks the
-#: per-clause object graph, ``array`` substitutes the array-native variant
-#: of the chosen solver when one exists (see ``repro.core.ARRAY_VARIANTS``).
-KERNEL_CHOICES = ("object", "array")
+from .logic import available_packs, load_pack, parse_program
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,12 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--solver", default="nrockit", choices=available_solvers(), help="MAP back-end"
         )
-        sub.add_argument(
-            "--kernel",
-            default="object",
-            choices=KERNEL_CHOICES,
-            help="solver kernel: per-clause objects or array-native (columnar) variants",
-        )
 
     def add_decomposition_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -104,18 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     detect = subparsers.add_parser("detect", help="detect temporal conflicts")
     add_input_arguments(detect)
-    detect.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
-    )
     detect.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     resolve = subparsers.add_parser("resolve", help="compute the conflict-free MAP state")
     add_input_arguments(resolve)
     add_solver_arguments(resolve)
     resolve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    resolve.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
-    )
     add_decomposition_arguments(resolve)
     resolve.add_argument("--json", action="store_true", help="emit JSON instead of text")
     resolve.add_argument("--limit", type=int, default=20, help="statements shown per section")
@@ -131,9 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--program", help="path to a Datalog-style rule/constraint file")
     add_solver_arguments(batch)
     batch.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    batch.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
-    )
     add_decomposition_arguments(batch)
     batch.add_argument(
         "--incremental",
@@ -168,9 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--program", help="path to a Datalog-style rule/constraint file")
     add_solver_arguments(serve)
     serve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    serve.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES, help="grounding engine"
-    )
     add_decomposition_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8799, help="TCP port (0 picks a free port)")
@@ -517,7 +491,7 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_detect(args: argparse.Namespace) -> int:
     graph = _load_graph_from_args(args)
     _, constraints = _load_program_from_args(args)
-    system = TeCoRe(constraints=constraints, engine=args.engine)
+    system = TeCoRe(constraints=constraints)
     violations = system.detect_conflicts(graph)
     conflicting = {fact.statement_key for violation in violations for fact in violation.facts}
     if args.json:
@@ -546,9 +520,7 @@ def _command_resolve(args: argparse.Namespace) -> int:
         rules=rules,
         constraints=constraints,
         solver=args.solver,
-        kernel=args.kernel,
         threshold=args.threshold,
-        engine=args.engine,
         decompose=args.decompose,
         jobs=args.jobs,
     )
@@ -567,9 +539,7 @@ def _command_resolve_batch(args: argparse.Namespace) -> int:
         rules=rules,
         constraints=constraints,
         solver=args.solver,
-        kernel=args.kernel,
         threshold=args.threshold,
-        engine=args.engine,
         decompose=args.decompose,
         jobs=args.jobs,
     )
@@ -616,7 +586,6 @@ def _command_watch(args: argparse.Namespace) -> int:
         rules=rules,
         constraints=constraints,
         solver=args.solver,
-        kernel=args.kernel,
         threshold=args.threshold,
     )
     session = system.session(graph, warm_start=args.warm_start)
@@ -650,9 +619,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         rules=rules,
         constraints=constraints,
         solver=args.solver,
-        kernel=args.kernel,
         threshold=args.threshold,
-        engine=args.engine,
         decompose=args.decompose,
         jobs=args.jobs,
     )
@@ -821,7 +788,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         rules=rules,
         constraints=constraints,
         solver=args.solver,
-        kernel=args.kernel,
         threshold=args.threshold,
     )
     checker = SerializabilityChecker(system)

@@ -1,13 +1,12 @@
 """TeCoRe core: translator, solver registry, resolution facade, reports."""
 
 from .registry import (
-    ARRAY_VARIANTS,
     SolverEntry,
     available_solvers,
     describe_solvers,
     make_solver,
     register_solver,
-    resolve_kernel,
+    solve_map,
     solver_capabilities,
     solver_family,
 )
@@ -24,7 +23,6 @@ from .threshold import ThresholdFilter, sweep_thresholds
 from .translator import TecoreTranslator, TranslatedProgram
 
 __all__ = [
-    "ARRAY_VARIANTS",
     "BatchResolution",
     "ComponentSolutionCache",
     "DeltaStatistics",
@@ -47,7 +45,7 @@ __all__ = [
     "render_report",
     "resolve",
     "resolve_batch",
-    "resolve_kernel",
+    "solve_map",
     "solver_capabilities",
     "solver_family",
     "sweep_thresholds",

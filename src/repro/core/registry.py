@@ -10,11 +10,11 @@ back-end has to be registered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from functools import partial
-
 from ..errors import SolverNotAvailableError
+from ..logic.ground import GroundProgram
 from ..mln import (
     ArrayMaxWalkSATSolver,
     BranchAndBoundSolver,
@@ -22,8 +22,14 @@ from ..mln import (
     ILPMapSolver,
     MaxWalkSATSolver,
 )
-from ..psl import ADMMSolver, ArrayADMMSolver, ProjectedGradientSolver
-from ..solvers import MAPSolver, instantiate_solver
+from ..psl import ADMMSolver, ProjectedGradientSolver
+from ..solvers import (
+    MAPSolution,
+    MAPSolver,
+    check_expressivity,
+    instantiate_solver,
+    wrap_decomposed,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +99,29 @@ def solver_capabilities(name: str):
     return probe.capabilities
 
 
+def solve_map(
+    program: GroundProgram,
+    solver: str,
+    *,
+    validate: bool = True,
+    decompose: bool = False,
+    jobs: int = 1,
+    **options,
+) -> MAPSolution:
+    """Run MAP inference on ``program`` with the registered solver ``solver``.
+
+    ``validate`` applies the solver's expressivity check first (the paper's
+    translator behaviour); disable it only in controlled experiments.
+    ``decompose`` solves the connected components of the program's
+    interaction graph independently (exact for exact back-ends) with ``jobs``
+    worker processes (1 = sequential).  ``options`` go to the solver factory.
+    """
+    backend = wrap_decomposed(partial(make_solver, solver, **options), decompose, jobs)
+    if validate:
+        check_expressivity(program, backend.capabilities)
+    return backend.solve(program)
+
+
 # --------------------------------------------------------------------------- #
 # Built-in registrations.  "nrockit" and "npsl" are the two reasoners the demo
 # runs on; the rest are the ablation back-ends.
@@ -116,43 +145,8 @@ register_solver(
     "npsl-pgd", "psl", "PSL/nPSL MAP via projected subgradient descent", ProjectedGradientSolver
 )
 register_solver(
-    "nrockit-bnb-array",
-    "mln",
-    "branch & bound with array-native objective/feasibility evaluation (bit-identical)",
-    partial(BranchAndBoundSolver, kernel="array"),
-)
-register_solver(
     "maxwalksat-array",
     "mln",
-    "batched array-kernel MaxWalkSAT over the columnar ground program",
+    "approximate MLN MAP via batched local search, one move per component per step",
     ArrayMaxWalkSATSolver,
 )
-register_solver(
-    "npsl-array",
-    "psl",
-    "consensus ADMM over a potential matrix lowered from the columnar arrays (bit-identical)",
-    ArrayADMMSolver,
-)
-
-#: Object solver → its array-kernel counterpart.  Exact variants are
-#: bit-identical; ``maxwalksat-array`` is tolerance-pinned (stochastic).
-ARRAY_VARIANTS: dict[str, str] = {
-    "nrockit-bnb": "nrockit-bnb-array",
-    "maxwalksat": "maxwalksat-array",
-    "npsl": "npsl-array",
-}
-
-
-def resolve_kernel(name: str, kernel: str = "object") -> str:
-    """Map a solver name to the requested kernel's registry name.
-
-    ``"object"`` returns ``name`` unchanged.  ``"array"`` substitutes the
-    array-native variant when one exists and otherwise falls back to the
-    object solver (ILP and cutting-plane already run on compiled encodings,
-    so an array request is not an error for them).
-    """
-    if kernel == "object":
-        return name
-    if kernel == "array":
-        return ARRAY_VARIANTS.get(name, name)
-    raise SolverNotAvailableError(f"unknown solver kernel {kernel!r}; expected 'object' or 'array'")

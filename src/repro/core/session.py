@@ -44,13 +44,12 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..kg import TemporalKnowledgeGraph
 from ..kg.triple import FactLike
-from ..logic.arrays import soft_objective
 from ..logic.decompose import _UnionFind
 from ..logic.ground import ClauseKind, GroundProgram, nonzero_weight
 from ..logic.grounding import ConstraintViolation
 from ..logic.incremental import EmissionPlan, GroundingDelta, IncrementalGrounder
 from ..solvers import MAPSolution, SolverStats
-from .registry import make_solver, resolve_kernel, solver_capabilities, solver_family
+from .registry import make_solver, solver_capabilities, solver_family
 from .result import DeltaStatistics, ResolutionResult, ResolutionStatistics
 from .threshold import ThresholdFilter
 
@@ -179,9 +178,7 @@ class ResolutionSession:
             constraints=tuple(system.constraints),
             max_rounds=system.max_rounds,
         )
-        self._solver = make_solver(
-            resolve_kernel(system.solver, system.kernel), **system.solver_options
-        )
+        self._solver = make_solver(system.solver, **system.solver_options)
         # Resolving the capability probe keeps parity with the translator's
         # expressivity verification.  The grounding engines only ever emit
         # clauses with at most one positive literal (evidence/prior units,
@@ -446,14 +443,8 @@ class ResolutionSession:
         float-for-float: same clause order, same left-to-right summation,
         same weight normalisation (negative unit clauses flip their literal,
         zero weights get :data:`~repro.logic.ground.ZERO_WEIGHT_EPSILON` via
-        :func:`~repro.logic.ground.nonzero_weight`).  Under the array kernel
-        the walk lowers the plan's soft clauses to flat literal columns and
-        evaluates them with the same masked-dot-product kernel the array
-        solvers use (:func:`repro.logic.arrays.soft_objective`) — the ordered
-        final sum keeps the result bit-identical to this object walk.
+        :func:`~repro.logic.ground.nonzero_weight`).
         """
-        if self._system.kernel == "array":
-            return self._objective_arrays(plan, assignment)
         grounder = self._grounder
         atom_index = plan.atom_index
         atoms = plan.atoms
@@ -483,59 +474,6 @@ class ResolutionSession:
             if any(not assignment[atom_index[key]] for key in record.fact_keys):
                 total += nonzero_weight(weight)
         return total
-
-    def _objective_arrays(self, plan: EmissionPlan, assignment: list[bool]) -> float:
-        """Array-kernel variant of :meth:`_objective`.
-
-        Builds the plan's soft clauses as flat literal columns in the exact
-        emission order (evidence units, firing prior/rule clauses,
-        violations — hard clauses skipped, negative evidence units flipped,
-        the same normalisation as the object walk) and hands them to one
-        vectorized satisfied-mask evaluation.
-        """
-        grounder = self._grounder
-        atom_index = plan.atom_index
-        atoms = plan.atoms
-        keep_bias = grounder.keep_bias
-        derived_prior = grounder.derived_prior
-        literal_atoms: list[int] = []
-        literal_signs: list[bool] = []
-        literal_clauses: list[int] = []
-        weights: list[float] = []
-
-        def emit(literals: list[tuple[int, bool]], weight: float) -> None:
-            clause = len(weights)
-            weights.append(weight)
-            for atom, sign in literals:
-                literal_atoms.append(atom)
-                literal_signs.append(sign)
-                literal_clauses.append(clause)
-
-        for index in range(plan.evidence_count):
-            weight = atoms[index].fact.log_weight + keep_bias
-            if weight < 0:
-                emit([(index, False)], -weight)
-            else:
-                emit([(index, True)], nonzero_weight(weight))
-        for record, emit_prior in plan.firings:
-            head = atom_index[record.head_key]
-            if emit_prior:
-                emit([(head, False)], derived_prior)  # the prior unit, flipped
-            weight = grounder.rules[record.rule_index].weight
-            if weight is None:
-                continue
-            literals = [(atom_index[key], False) for key in record.body_keys]
-            literals.append((head, True))
-            emit(literals, nonzero_weight(weight))
-        for record in plan.violations:
-            weight = grounder.constraints[record.constraint_index].weight
-            if weight is None:
-                continue
-            emit(
-                [(atom_index[key], False) for key in record.fact_keys],
-                nonzero_weight(weight),
-            )
-        return soft_objective(literal_atoms, literal_signs, literal_clauses, weights, assignment)
 
     def _clause_identities(self, plan: EmissionPlan) -> set:
         """Content identities of the emitted clauses (for delta statistics)."""

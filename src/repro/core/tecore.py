@@ -33,7 +33,7 @@ from ..errors import ProgramLintError
 from ..kg import TemporalKnowledgeGraph
 from ..logic import DEFAULT_ENGINE, TemporalConstraint, TemporalRule, load_pack, parse_program
 from ..solvers import MAPSolution, MAPSolver, wrap_decomposed
-from .registry import available_solvers, make_solver, resolve_kernel
+from .registry import available_solvers, make_solver
 from .result import BatchResolution, ResolutionResult, ResolutionStatistics
 from .threshold import ThresholdFilter
 from .translator import TecoreTranslator, TranslatedProgram
@@ -70,12 +70,6 @@ class TeCoRe:
     jobs:
         Worker processes for the decomposed solve (1 = sequential; only
         meaningful with ``decompose=True``).
-    kernel:
-        Solver kernel: ``"object"`` (the default back-ends) or ``"array"``
-        (the columnar kernels over :class:`~repro.logic.GroundProgramArrays`
-        — see :func:`repro.core.registry.resolve_kernel`).  Exact solvers
-        return bit-identical results either way; solvers without an array
-        variant (ILP, cutting-plane) fall back to their object form.
     lint:
         Static-analysis mode for the rule program (see
         :mod:`repro.analysis`): ``"off"`` (default) skips analysis,
@@ -94,7 +88,6 @@ class TeCoRe:
     engine: str = DEFAULT_ENGINE
     decompose: bool = False
     jobs: int = 1
-    kernel: str = "object"
     lint: str = "off"
     _lint_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -146,18 +139,13 @@ class TeCoRe:
             engine=self.engine,
             decompose=self.decompose,
             jobs=self.jobs,
-            kernel=self.kernel,
             lint=self.lint,
         )
 
     def _make_backend(self) -> MAPSolver:
         """The configured MAP back-end, optionally decomposition-wrapped."""
         return wrap_decomposed(
-            partial(
-                make_solver,
-                resolve_kernel(self.solver, self.kernel),
-                **self.solver_options,
-            ),
+            partial(make_solver, self.solver, **self.solver_options),
             self.decompose,
             self.jobs,
         )
@@ -455,7 +443,6 @@ def resolve(
     threshold: float | None = None,
     decompose: bool = False,
     jobs: int = 1,
-    kernel: str = "object",
     **solver_options,
 ) -> ResolutionResult:
     """One-shot conflict resolution without building a :class:`TeCoRe` object."""
@@ -467,7 +454,6 @@ def resolve(
         solver_options=solver_options,
         decompose=decompose,
         jobs=jobs,
-        kernel=kernel,
     )
     return system.resolve(graph)
 
@@ -481,7 +467,6 @@ def resolve_batch(
     decompose: bool = False,
     jobs: int = 1,
     incremental: bool = False,
-    kernel: str = "object",
     **solver_options,
 ) -> BatchResolution:
     """One-shot batched conflict resolution over many graphs."""
@@ -493,7 +478,6 @@ def resolve_batch(
         solver_options=solver_options,
         decompose=decompose,
         jobs=jobs,
-        kernel=kernel,
     )
     return system.resolve_batch(graphs, incremental=incremental)
 

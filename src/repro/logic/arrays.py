@@ -18,7 +18,7 @@ but the selected soft weights are summed left-to-right in clause order over
 the original Python floats — numpy's pairwise summation would produce a
 different (better-conditioned, but unequal) float, and the exact solvers,
 the decomposition equivalence suite, and the session cache all compare
-objectives for equality across kernels.
+objectives for equality with the object path's.
 """
 
 from __future__ import annotations
@@ -57,33 +57,6 @@ def ordered_weight_sum(weights: Sequence[Optional[float]], indices: np.ndarray) 
     float-for-float; do not replace with ``np.sum`` (pairwise summation).
     """
     return float(sum(weights[int(i)] for i in indices))
-
-
-def soft_objective(
-    literal_atoms: Sequence[int],
-    literal_signs: Sequence[bool],
-    literal_clauses: Sequence[int],
-    weights: Sequence[float],
-    assignment: Sequence[bool],
-) -> float:
-    """Satisfied-weight sum over flat soft-clause literal blocks.
-
-    The masked-dot-product evaluation of :meth:`GroundProgramArrays.objective`
-    for callers that already hold flat literal columns (the session cache's
-    objective walk) without a materialised program: one vectorized satisfied
-    mask, then the ordered left-to-right weight sum that keeps the result
-    bit-identical to the per-clause object walk.
-    """
-    num_clauses = len(weights)
-    if num_clauses == 0:
-        return 0.0
-    values = np.asarray(assignment, dtype=bool)
-    atoms = np.asarray(literal_atoms, dtype=np.int64)
-    signs = np.asarray(literal_signs, dtype=bool)
-    clauses = np.asarray(literal_clauses, dtype=np.int64)
-    true_literals = values[atoms] == signs
-    counts = np.bincount(clauses, weights=true_literals.astype(np.float64), minlength=num_clauses)
-    return ordered_weight_sum(weights, np.flatnonzero(counts > 0))
 
 
 @dataclass
@@ -270,28 +243,6 @@ class GroundProgramArrays:
         mask = self.satisfied_mask(assignment)
         soft_satisfied = np.flatnonzero(mask & ~self.is_hard)
         return ordered_weight_sum(self.weight_list, soft_satisfied)
-
-    def hard_violation_indices(self, assignment: Sequence[bool]) -> np.ndarray:
-        """Indices of violated hard clauses, ascending (= clause order, the
-        same order :meth:`GroundProgram.hard_violations` returns them in)."""
-        mask = self.satisfied_mask(assignment)
-        return np.flatnonzero(self.is_hard & ~mask)
-
-    def is_feasible(self, assignment: Sequence[bool]) -> bool:
-        return self.hard_violation_indices(assignment).size == 0
-
-    def evaluate(self, assignment: Sequence[bool]) -> tuple[float, int]:
-        """One-shot ``(objective, #hard violations)`` from a single pass."""
-        mask = self.satisfied_mask(assignment)
-        soft_satisfied = np.flatnonzero(mask & ~self.is_hard)
-        violations = int(np.count_nonzero(self.is_hard & ~mask))
-        return ordered_weight_sum(self.weight_list, soft_satisfied), violations
-
-    def clause_literals(self, clause_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(atoms, signs)`` of one clause, as array slices (no copies)."""
-        start = int(self.clause_offsets[clause_index])
-        stop = int(self.clause_offsets[clause_index + 1])
-        return self.literal_atoms[start:stop], self.literal_signs[start:stop]
 
     def __repr__(self) -> str:
         return (

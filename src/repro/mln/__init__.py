@@ -1,13 +1,6 @@
 """Markov Logic Network engine with numerical constraints (the nRockIt path)."""
 
 from .ilp import ILPEncoding, encode
-from .map_inference import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    available_backends,
-    make_solver,
-    solve_map,
-)
 from .marginal import GibbsSampler, MarginalResult, marginals
 from .model import MarkovLogicNetwork, WeightedFormula
 from .solvers import (
@@ -19,11 +12,9 @@ from .solvers import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ArrayMaxWalkSATSolver",
     "BranchAndBoundSolver",
     "CuttingPlaneSolver",
-    "DEFAULT_BACKEND",
     "GibbsSampler",
     "ILPEncoding",
     "ILPMapSolver",
@@ -31,9 +22,6 @@ __all__ = [
     "MarkovLogicNetwork",
     "MaxWalkSATSolver",
     "WeightedFormula",
-    "available_backends",
     "encode",
-    "make_solver",
     "marginals",
-    "solve_map",
 ]

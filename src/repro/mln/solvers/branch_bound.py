@@ -20,7 +20,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ...errors import InfeasibleProgramError
-from ...logic.arrays import GroundProgramArrays
 from ...logic.ground import GroundProgram
 from ...solvers import MAPSolution, MAPSolver, MLN_CAPABILITIES, SolverCapabilities, SolverStats
 from ..ilp import ILPEncoding, encode
@@ -47,15 +46,6 @@ class BranchAndBoundSolver(MAPSolver):
         Hard cap on explored nodes (safety valve for large programs).
     use_lp_bound:
         When False, use the cheaper (weaker) additive bound instead of LP.
-    kernel:
-        ``"object"`` evaluates candidate assignments through the
-        :class:`GroundProgram` object graph; ``"array"`` routes every
-        objective / feasibility evaluation (incumbent checks, leaf
-        completions, the greedy incumbent's score) through
-        :class:`GroundProgramArrays`.
-        The two are bit-identical — the array objective sums the same
-        weights in the same order — so the search explores the same tree
-        and returns the same assignment either way.
     """
 
     name = "nrockit-bnb"
@@ -66,16 +56,10 @@ class BranchAndBoundSolver(MAPSolver):
         time_limit: float = 60.0,
         max_nodes: int = 200_000,
         use_lp_bound: bool = True,
-        kernel: str = "object",
     ) -> None:
-        if kernel not in ("object", "array"):
-            raise ValueError(f"unknown branch-and-bound kernel {kernel!r}")
         self.time_limit = time_limit
         self.max_nodes = max_nodes
         self.use_lp_bound = use_lp_bound
-        self.kernel = kernel
-        if kernel == "array":
-            self.name = "nrockit-bnb-array"
 
     @property
     def capabilities(self) -> SolverCapabilities:
@@ -87,18 +71,13 @@ class BranchAndBoundSolver(MAPSolver):
     ) -> MAPSolution:
         started = time.perf_counter()
         encoding = encode(program)
-        arrays = GroundProgramArrays.from_program(program) if self.kernel == "array" else None
-        incumbent, incumbent_value = self._greedy_incumbent(program, arrays)
+        incumbent, incumbent_value = self._greedy_incumbent(program)
         if warm_start is not None and len(warm_start) == program.num_atoms:
             # Warm start: the previous MAP state, if feasible and better than
             # the greedy incumbent, prunes the tree from the first node.
             candidate = tuple(value >= 0.5 for value in warm_start)
-            if arrays is not None:
-                value, num_violations = arrays.evaluate(candidate)
-                feasible = num_violations == 0
-            else:
-                feasible = program.is_feasible(candidate)
-                value = program.objective(candidate) if feasible else -math.inf
+            feasible = program.is_feasible(candidate)
+            value = program.objective(candidate) if feasible else -math.inf
             if feasible and (incumbent is None or value > incumbent_value):
                 incumbent, incumbent_value = candidate, value
         counter = itertools.count()
@@ -126,16 +105,9 @@ class BranchAndBoundSolver(MAPSolver):
                 assignment = self._complete(program, node.fixed)
                 if assignment is None:
                     continue
-                if arrays is not None:
-                    # One-shot masked evaluation: objective and hard
-                    # violations from a single pass over the CSR blocks.
-                    value, num_violations = arrays.evaluate(assignment)
-                    if value > incumbent_value and num_violations == 0:
-                        incumbent, incumbent_value = assignment, value
-                else:
-                    value = program.objective(assignment)
-                    if value > incumbent_value and program.is_feasible(assignment):
-                        incumbent, incumbent_value = assignment, value
+                value = program.objective(assignment)
+                if value > incumbent_value and program.is_feasible(assignment):
+                    incumbent, incumbent_value = assignment, value
                 continue
             for value in (1, 0):
                 fixed = dict(node.fixed)
@@ -210,9 +182,7 @@ class BranchAndBoundSolver(MAPSolver):
     ) -> Optional[tuple[bool, ...]]:
         return tuple(bool(fixed.get(index, 0)) for index in range(program.num_atoms))
 
-    def _greedy_incumbent(
-        self, program: GroundProgram, arrays: Optional[GroundProgramArrays] = None
-    ) -> tuple[Optional[tuple[bool, ...]], float]:
+    def _greedy_incumbent(self, program: GroundProgram) -> tuple[Optional[tuple[bool, ...]], float]:
         """A quick feasible starting point: keep everything, then repair.
 
         Starts from the all-true assignment and runs
@@ -220,11 +190,9 @@ class BranchAndBoundSolver(MAPSolver):
         first violated hard clause, the atom leaving the fewest hard clauses
         violated (ties: smallest absolute evidence weight).  Gives branch &
         bound an incumbent to prune against, or ``(None, -inf)`` when the
-        repair fails.  Both kernels share the repair; ``arrays`` only scores
-        the result.
+        repair fails.
         """
         assignment = program.repair_hard_violations([True] * program.num_atoms)
         if assignment is None:
             return None, -math.inf
-        objective = arrays.objective if arrays is not None else program.objective
-        return tuple(assignment), objective(assignment)
+        return tuple(assignment), program.objective(assignment)

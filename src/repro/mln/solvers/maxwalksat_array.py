@@ -19,6 +19,14 @@ move up to RNG streams.  Ground programs here shatter into hundreds of
 components (see BENCH_decomposition), which is what makes the batches wide;
 solution quality is tolerance-pinned against the object solver in the
 equivalence suite, not bit-matched flip-for-flip.
+
+The batching is also the limit: on a program with one component each step
+pays the numpy call overhead to flip a single atom.  On a 2-vCPU machine
+pinned to one CPU, the 1,090-atom, 299-component FootballDB 0.02 program
+takes 119 ms here against 829 ms with :mod:`.maxwalksat`, but the 11-atom
+running example takes 4.4 s against 174 ms, and a 17-atom component 8.9 s
+against 306 ms.  So the two stay separate registered back-ends
+(``maxwalksat-array`` and ``maxwalksat``), not interchangeable kernels.
 """
 
 from __future__ import annotations

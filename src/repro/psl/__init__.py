@@ -1,6 +1,6 @@
 """Probabilistic Soft Logic engine over hinge-loss MRFs (the nPSL path)."""
 
-from .admm import ADMMSolver, ArrayADMMSolver
+from .admm import ADMMSolver
 from .hlmrf import HingeLossMRF
 from .lukasiewicz import (
     HingePotential,
@@ -9,34 +9,21 @@ from .lukasiewicz import (
     program_to_potentials,
     total_penalty,
 )
-from .map_inference import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    available_backends,
-    make_solver,
-    solve_map,
-)
 from .model import PSLProgram
 from .projected_gradient import ProjectedGradientSolver
 from .rounding import repair_hard, round_solution, threshold
 
 __all__ = [
     "ADMMSolver",
-    "ArrayADMMSolver",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "HingeLossMRF",
     "HingePotential",
     "PSLProgram",
     "PotentialMatrix",
     "ProjectedGradientSolver",
-    "available_backends",
     "clause_to_potential",
-    "make_solver",
     "program_to_potentials",
     "repair_hard",
     "round_solution",
-    "solve_map",
     "threshold",
     "total_penalty",
 ]

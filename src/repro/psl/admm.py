@@ -22,9 +22,10 @@ import time
 
 import numpy as np
 
+from ..logic.arrays import GroundProgramArrays
 from ..logic.ground import GroundProgram
 from ..solvers import MAPSolution, MAPSolver, PSL_CAPABILITIES, SolverCapabilities, SolverStats
-from .hlmrf import HingeLossMRF
+from .lukasiewicz import PotentialMatrix
 from .rounding import round_solution
 
 
@@ -68,16 +69,29 @@ class ADMMSolver(MAPSolver):
 
     # ------------------------------------------------------------------ #
     def solve(self, program: GroundProgram, warm_start=None) -> MAPSolution:
+        """Lower ``program`` to a :class:`PotentialMatrix` through the
+        columnar arrays, run ADMM from all-ones (or the warm start) and round.
+
+        The matrix holds the same values in the same order as one built from
+        :meth:`HingeLossMRF.from_program`'s potentials (see
+        :meth:`PotentialMatrix.from_arrays`), without materialising a
+        per-clause :class:`HingePotential`.
+        """
         started = time.perf_counter()
-        mrf = HingeLossMRF.from_program(program, hard_weight=self.hard_weight, squared=self.squared)
-        initial = None
+        arrays = GroundProgramArrays.from_program(program)
+        matrix = PotentialMatrix.from_arrays(
+            arrays, hard_weight=self.hard_weight, squared=self.squared
+        )
         if warm_start is not None and len(warm_start) == program.num_atoms:
             # Warm start: seed the consensus vector with the previous soft
             # truth values so ADMM begins near the old optimum.
-            initial = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
-        truth_values, iterations = self._optimise(mrf, initial=initial)
+            consensus = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
+        else:
+            consensus = np.ones(program.num_atoms, dtype=float)
+        truth_values, iterations = self._admm(matrix, consensus)
         assignment = round_solution(program, truth_values)
         elapsed = time.perf_counter() - started
+        soft_energy = float(matrix.penalties(truth_values)[~matrix.hard].sum())
         stats = SolverStats(
             solver=self.name,
             runtime_seconds=elapsed,
@@ -85,11 +99,11 @@ class ADMMSolver(MAPSolver):
             atoms=program.num_atoms,
             clauses=program.num_clauses,
             optimal=False,
-            objective_bound=float(program.max_soft_weight() - mrf.soft_energy(truth_values)),
+            objective_bound=float(program.max_soft_weight() - soft_energy),
         )
         return MAPSolution(
             assignment=assignment,
-            objective=program.objective(assignment),
+            objective=arrays.objective(assignment),
             stats=stats,
             truth_values=tuple(float(value) for value in truth_values),
         )
@@ -97,24 +111,13 @@ class ADMMSolver(MAPSolver):
     # ------------------------------------------------------------------ #
     # ADMM machinery (vectorised across potentials)
     # ------------------------------------------------------------------ #
-    def _optimise(
-        self, mrf: HingeLossMRF, initial: np.ndarray | None = None
-    ) -> tuple[np.ndarray, int]:
-        from .lukasiewicz import PotentialMatrix
-
-        consensus = initial.copy() if initial is not None else mrf.initial_state()
-        if not mrf.potentials:
-            return consensus, 0
-        matrix = PotentialMatrix(mrf.potentials, mrf.num_variables)
-        return self._admm(matrix, consensus)
-
-    def _admm(self, matrix: "PotentialMatrix", consensus: np.ndarray) -> tuple[np.ndarray, int]:
+    def _admm(self, matrix: PotentialMatrix, consensus: np.ndarray) -> tuple[np.ndarray, int]:
         """Run the ADMM iterations over a prebuilt :class:`PotentialMatrix`.
 
         The loop touches only the matrix's flat arrays, so object-built and
         array-lowered matrices with equal contents produce bit-identical
-        iterates (the array solver relies on this for its differential
-        guarantee).
+        iterates (the differential tests build the matrix from
+        :class:`HingeLossMRF` potentials and compare).
         """
         if matrix.num_potentials == 0:
             return consensus, 0
@@ -178,52 +181,3 @@ class ADMMSolver(MAPSolver):
             if primal_residual < primal_epsilon and dual_residual < dual_epsilon:
                 break
         return consensus, iterations_run
-
-
-class ArrayADMMSolver(ADMMSolver):
-    """ADMM over a :class:`PotentialMatrix` lowered directly from the
-    columnar ground-program arrays.
-
-    Identical optimisation to :class:`ADMMSolver` — the matrix holds the
-    same values in the same order (see :meth:`PotentialMatrix.from_arrays`),
-    and the shared :meth:`_admm` loop only reads those arrays — so the
-    consensus iterates, final truth values, and rounded assignment are
-    bit-identical to the object path.  What changes is construction cost:
-    no per-clause ``HingePotential`` objects, no Python flattening loops.
-    """
-
-    name = "npsl-admm-array"
-    supports_warm_start = True
-
-    def solve(self, program: GroundProgram, warm_start=None) -> MAPSolution:
-        from ..logic.arrays import GroundProgramArrays
-        from .lukasiewicz import PotentialMatrix
-
-        started = time.perf_counter()
-        arrays = GroundProgramArrays.from_program(program)
-        matrix = PotentialMatrix.from_arrays(
-            arrays, hard_weight=self.hard_weight, squared=self.squared
-        )
-        if warm_start is not None and len(warm_start) == program.num_atoms:
-            consensus = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
-        else:
-            consensus = np.ones(program.num_atoms, dtype=float)
-        truth_values, iterations = self._admm(matrix, consensus)
-        assignment = round_solution(program, truth_values)
-        elapsed = time.perf_counter() - started
-        soft_energy = float(matrix.penalties(truth_values)[~matrix.hard].sum())
-        stats = SolverStats(
-            solver=self.name,
-            runtime_seconds=elapsed,
-            iterations=iterations,
-            atoms=program.num_atoms,
-            clauses=program.num_clauses,
-            optimal=False,
-            objective_bound=float(program.max_soft_weight() - soft_energy),
-        )
-        return MAPSolution(
-            assignment=assignment,
-            objective=arrays.objective(assignment),
-            stats=stats,
-            truth_values=tuple(float(value) for value in truth_values),
-        )

@@ -41,7 +41,7 @@ def wrap_decomposed(
     """``DecomposedSolver`` over ``factory`` when ``decompose``, else ``factory()``.
 
     The single place the decompose/jobs configuration turns into a back-end —
-    shared by the MLN and PSL ``solve_map`` drivers and the TeCoRe facade.
+    shared by :func:`repro.core.solve_map` and the TeCoRe facade.
     """
     if decompose:
         return DecomposedSolver(factory, jobs=jobs)

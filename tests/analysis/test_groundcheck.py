@@ -11,12 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import check_ground_program, propagate_hard_clauses
+from repro.core import solve_map
 from repro.errors import InfeasibleProgramError
 from repro.kg.triple import make_fact
 from repro.logic.ground import ClauseKind, GroundProgram
-from repro.mln import solve_map
 
-SOLVERS = ("branch-and-bound", "maxwalksat")
+#: Registered solvers, keyed by the algorithm each runs (the test ids).
+SOLVERS = {"branch-and-bound": "nrockit-bnb", "maxwalksat": "maxwalksat"}
 
 
 def _atom(program: GroundProgram, name: str):
@@ -84,7 +85,7 @@ class TestPropagation:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("backend", SOLVERS)
+    @pytest.mark.parametrize("backend", list(SOLVERS.values()), ids=list(SOLVERS))
     @pytest.mark.parametrize(
         "build", (_direct_contradiction, _chain_contradiction), ids=("direct", "chain")
     )
@@ -92,12 +93,12 @@ class TestDifferential:
         program = build()
         assert check_ground_program(program).codes() == ["E403"]
         with pytest.raises(InfeasibleProgramError):
-            solve_map(program, backend=backend)
+            solve_map(program, backend)
 
-    @pytest.mark.parametrize("backend", SOLVERS)
+    @pytest.mark.parametrize("backend", list(SOLVERS.values()), ids=list(SOLVERS))
     def test_clean_feasible_program_solves(self, backend):
         program = _feasible()
         assert len(check_ground_program(program)) == 0
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert solution.assignment[0] is True
         assert solution.assignment[1] is True

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.registry as registry
 import repro.logic.vectorized as vectorized
-import repro.mln as mln
 
 from analysis_helpers import codes_of, lint
 
@@ -27,7 +27,7 @@ def no_grounder_no_solver(monkeypatch):
         raise AssertionError("static analysis must not ground or solve")
 
     monkeypatch.setattr(vectorized.VectorizedGrounder, "__init__", _poisoned)
-    monkeypatch.setattr(mln, "solve_map", _poisoned)
+    monkeypatch.setattr(registry, "solve_map", _poisoned)
 
 
 class TestInfeasibleHardCore:

@@ -7,22 +7,25 @@ approximate ones must produce feasible states that are not wildly worse.
 
 import pytest
 
+from repro.core import describe_solvers, make_solver, solve_map
 from repro.errors import InfeasibleProgramError, SolverNotAvailableError
 from repro.kg import make_fact
-from repro.logic import ClauseKind, GroundProgram, GroundProgramArrays, ground
+from repro.logic import ClauseKind, GroundProgram, ground
 from repro.mln import (
     ArrayMaxWalkSATSolver,
     BranchAndBoundSolver,
     CuttingPlaneSolver,
     ILPMapSolver,
     MaxWalkSATSolver,
-    available_backends,
-    make_solver,
-    solve_map,
 )
 
-EXACT_BACKENDS = ["ilp", "cutting-plane", "branch-and-bound"]
-ALL_BACKENDS = EXACT_BACKENDS + ["maxwalksat"]
+#: Registered MLN solvers, keyed by the algorithm each runs (the test ids).
+EXACT_BACKENDS = {
+    "ilp": "nrockit",
+    "cutting-plane": "nrockit-cpa",
+    "branch-and-bound": "nrockit-bnb",
+}
+ALL_BACKENDS = {**EXACT_BACKENDS, "maxwalksat": "maxwalksat"}
 
 
 def _conflict_program():
@@ -50,11 +53,10 @@ def _infeasible_program():
 
 class TestRegistry:
     def test_available_backends(self):
-        assert set(available_backends()) == {
-            "ilp",
-            "cutting-plane",
-            "branch-and-bound",
-            "branch-and-bound-array",
+        assert {entry.name for entry in describe_solvers() if entry.family == "mln"} == {
+            "nrockit",
+            "nrockit-cpa",
+            "nrockit-bnb",
             "maxwalksat",
             "maxwalksat-array",
         }
@@ -68,45 +70,45 @@ class TestRegistry:
         assert solver.max_flips == 10
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", list(ALL_BACKENDS.values()), ids=list(ALL_BACKENDS))
 class TestAllBackendsOnConflict:
     def test_resolves_conflict_keeping_stronger_fact(self, backend):
         program, strong, weak, free = _conflict_program()
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert solution.assignment[strong.index] is True
         assert solution.assignment[weak.index] is False
         assert solution.assignment[free.index] is True
 
     def test_solution_is_feasible(self, backend):
         program, *_ = _conflict_program()
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert program.is_feasible(solution.assignment)
 
     def test_stats_populated(self, backend):
         program, *_ = _conflict_program()
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert solution.stats.atoms == program.num_atoms
         assert solution.stats.clauses == program.num_clauses
         assert solution.stats.runtime_seconds >= 0.0
 
 
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+@pytest.mark.parametrize("backend", list(EXACT_BACKENDS.values()), ids=list(EXACT_BACKENDS))
 class TestExactBackends:
     def test_optimal_objective_agrees(self, backend, running_example_grounding):
         program = running_example_grounding.program
-        reference = solve_map(program, backend="ilp").objective
-        solution = solve_map(program, backend=backend)
+        reference = solve_map(program, "nrockit").objective
+        solution = solve_map(program, backend)
         assert solution.objective == pytest.approx(reference, abs=1e-6)
 
     def test_running_example_removes_napoli(self, backend, running_example_grounding):
         program = running_example_grounding.program
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         removed = {str(fact.object) for fact in solution.removed_facts(program)}
         assert removed == {"Napoli"}
 
     def test_infeasible_program_raises(self, backend):
         with pytest.raises(InfeasibleProgramError):
-            solve_map(_infeasible_program(), backend=backend)
+            solve_map(_infeasible_program(), backend)
 
 
 class TestMaxWalkSAT:
@@ -141,12 +143,9 @@ class TestCoupledHardRepair:
         assert solution.assignment[shared.index] is True
         assert solution.assignment[other.index] is False
 
-    @pytest.mark.parametrize("kernel", ["object", "array"])
-    def test_branch_and_bound_greedy_incumbent(self, kernel, coupled_hard_program):
+    def test_branch_and_bound_greedy_incumbent(self, coupled_hard_program):
         program, _, _ = coupled_hard_program
-        solver = BranchAndBoundSolver(kernel=kernel)
-        arrays = GroundProgramArrays.from_program(program) if kernel == "array" else None
-        incumbent, value = solver._greedy_incumbent(program, arrays)
+        incumbent, value = BranchAndBoundSolver()._greedy_incumbent(program)
         assert incumbent == (True, False)
         assert value == program.objective(incumbent)
 
@@ -185,13 +184,13 @@ class TestBranchAndBound:
 class TestDerivedFactsInSolution:
     def test_derived_kept_facts_listed(self, running_example_grounding):
         program = running_example_grounding.program
-        solution = solve_map(program, backend="ilp")
+        solution = solve_map(program, "nrockit")
         derived = {str(fact.predicate) for fact in solution.derived_kept_facts(program)}
         assert "worksFor" in derived
 
     def test_kept_plus_removed_covers_evidence(self, running_example_grounding):
         program = running_example_grounding.program
-        solution = solve_map(program, backend="ilp")
+        solution = solve_map(program, "nrockit")
         kept_keys = {fact.statement_key for fact in solution.kept_facts(program)}
         removed_keys = {fact.statement_key for fact in solution.removed_facts(program)}
         evidence_keys = {atom.fact.statement_key for atom in program.evidence_atoms()}

@@ -139,4 +139,5 @@ class TestArraySearchState:
                 if clause.is_hard
                 and not any(values[i] == positive for i, positive in clause.literals)
             ]
-            assert list(arrays.hard_violation_indices(values)) == expected_violations
+            unsatisfied = arrays.satisfied_counts(values) == 0
+            assert np.flatnonzero(arrays.is_hard & unsatisfied).tolist() == expected_violations

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import describe_solvers, make_solver, solve_map
 from repro.errors import InfeasibleProgramError, SolverNotAvailableError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundProgram
@@ -9,15 +10,14 @@ from repro.mln import ILPMapSolver
 from repro.psl import (
     ADMMSolver,
     HingeLossMRF,
-    available_backends,
-    make_solver,
+    PotentialMatrix,
     repair_hard,
     round_solution,
-    solve_map,
     threshold,
 )
 
-PSL_BACKENDS = ["admm", "projected-gradient"]
+#: Registered PSL solvers, keyed by the algorithm each runs (the test ids).
+PSL_BACKENDS = {"admm": "npsl", "projected-gradient": "npsl-pgd"}
 
 
 def _conflict_program():
@@ -35,18 +35,19 @@ def _conflict_program():
 
 class TestRegistry:
     def test_backends(self):
-        assert set(available_backends()) == {"admm", "admm-array", "projected-gradient"}
+        psl = {entry.name for entry in describe_solvers() if entry.family == "psl"}
+        assert psl == {"npsl", "npsl-pgd"}
 
     def test_unknown_backend(self):
         with pytest.raises(SolverNotAvailableError):
             make_solver("exact")
 
 
-@pytest.mark.parametrize("backend", PSL_BACKENDS)
+@pytest.mark.parametrize("backend", list(PSL_BACKENDS.values()), ids=list(PSL_BACKENDS))
 class TestPSLBackends:
     def test_conflict_resolution(self, backend):
         program, strong, weak, free = _conflict_program()
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert solution.assignment[strong.index] is True
         assert solution.assignment[weak.index] is False
         assert solution.assignment[free.index] is True
@@ -54,20 +55,20 @@ class TestPSLBackends:
 
     def test_truth_values_in_unit_interval(self, backend):
         program, *_ = _conflict_program()
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         assert all(0.0 <= value <= 1.0 for value in solution.truth_values)
         assert len(solution.truth_values) == program.num_atoms
 
     def test_running_example_matches_exact_repair(self, backend, running_example_grounding):
         program = running_example_grounding.program
-        solution = solve_map(program, backend=backend)
+        solution = solve_map(program, backend)
         removed = {str(fact.object) for fact in solution.removed_facts(program)}
         assert removed == {"Napoli"}
 
     def test_objective_close_to_exact(self, backend, running_example_grounding):
         program = running_example_grounding.program
         exact = ILPMapSolver().solve(program).objective
-        approximate = solve_map(program, backend=backend).objective
+        approximate = solve_map(program, backend).objective
         assert approximate >= exact - 0.5
 
 
@@ -87,10 +88,13 @@ class TestADMMInternals:
         program.add_atom(make_fact("a", "p", "b", (1, 2), 0.9), is_evidence=True)
         mrf = HingeLossMRF.from_program(program)
         # No clauses: the solver should return without iterating.
-        solver = ADMMSolver()
-        truth_values, iterations = solver._optimise(mrf)
+        matrix = PotentialMatrix(mrf.potentials, mrf.num_variables)
+        truth_values, iterations = ADMMSolver()._admm(matrix, mrf.initial_state())
         assert iterations == 0
         assert len(truth_values) == 1
+        solution = ADMMSolver().solve(program)
+        assert solution.stats.iterations == 0
+        assert solution.truth_values == (1.0,)
 
 
 class TestHingeLossMRF:

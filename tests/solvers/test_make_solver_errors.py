@@ -2,25 +2,24 @@
 
 import pytest
 
+from repro.core import solve_map
 from repro.core.registry import make_solver as registry_make_solver
 from repro.errors import SolverNotAvailableError
-from repro.mln import map_inference as mln_map
-from repro.psl import map_inference as psl_map
 
 
 class TestRejectedKwargs:
     def test_mln_factory_names_backend_and_kwargs(self):
         with pytest.raises(SolverNotAvailableError) as excinfo:
-            mln_map.make_solver("ilp", time_limit=5, frobnicate=True)
+            registry_make_solver("nrockit-bnb", time_limit=5, frobnicate=True)
         message = str(excinfo.value)
-        assert "'ilp'" in message
+        assert "'nrockit-bnb'" in message
         assert "frobnicate" in message
 
     def test_psl_factory_names_backend_and_kwargs(self):
         with pytest.raises(SolverNotAvailableError) as excinfo:
-            psl_map.make_solver("admm", bogus_option=1)
+            registry_make_solver("npsl", bogus_option=1)
         message = str(excinfo.value)
-        assert "'admm'" in message
+        assert "'npsl'" in message
         assert "bogus_option" in message
 
     def test_registry_factory_names_solver_and_kwargs(self):
@@ -31,19 +30,19 @@ class TestRejectedKwargs:
         assert "not_an_option" in message
 
     def test_valid_kwargs_still_pass_through(self):
-        solver = mln_map.make_solver("ilp", time_limit=7.5)
+        solver = registry_make_solver("nrockit", time_limit=7.5)
         assert solver.time_limit == 7.5
 
     def test_unknown_backend_still_reported(self):
-        with pytest.raises(SolverNotAvailableError, match="unknown MLN back-end"):
-            mln_map.make_solver("gurobi")
+        with pytest.raises(SolverNotAvailableError, match="unknown solver 'gurobi'"):
+            registry_make_solver("gurobi")
 
     def test_solve_map_surfaces_rejected_kwargs(self):
         from program_generators import random_ground_program
 
         program = random_ground_program(0, entities=1, isolated_atoms=0)
         with pytest.raises(SolverNotAvailableError, match="frobnicate"):
-            mln_map.solve_map(program, "ilp", frobnicate=1)
+            solve_map(program, "nrockit", frobnicate=1)
 
     def test_internal_constructor_typeerror_is_not_masked(self):
         from repro.core import registry

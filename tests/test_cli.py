@@ -92,27 +92,6 @@ class TestResolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["statistics"]["removed_facts"] == 1
 
-    @pytest.mark.parametrize("engine", ["indexed", "incremental", "naive"])
-    def test_resolve_engine_selection_matches_default(self, capsys, engine):
-        baseline_code = main(
-            ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--json"]
-        )
-        baseline = json.loads(capsys.readouterr().out)
-        exit_code = main(
-            [
-                "resolve", "--dataset", "ranieri", "--pack", "running-example",
-                "--engine", engine, "--json",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert baseline_code == exit_code == 0
-
-        def stable(stats):
-            return {key: value for key, value in stats.items() if key != "runtime_seconds"}
-
-        assert stable(payload["statistics"]) == stable(baseline["statistics"])
-        assert payload["removed_facts"] == baseline["removed_facts"]
-
     def test_resolve_from_files(self, capsys, ranieri_file, program_file):
         exit_code = main(
             [

@@ -17,14 +17,20 @@ from functools import partial
 import pytest
 from program_generators import random_ground_program
 
+from repro.core import make_solver, solve_map
 from repro.logic import decompose
-from repro.mln import map_inference as mln_map
-from repro.psl import map_inference as psl_map
 from repro.solvers import DecomposedSolver
 
 SEEDS = range(10)
 
-EXACT_MLN_BACKENDS = ["ilp", "cutting-plane", "branch-and-bound", "branch-and-bound-array"]
+#: Registered exact MLN solvers, keyed by the algorithm each runs (the test ids).
+EXACT_MLN_BACKENDS = {
+    "ilp": "nrockit",
+    "cutting-plane": "nrockit-cpa",
+    "branch-and-bound": "nrockit-bnb",
+}
+#: Registered PSL solvers, keyed the same way.
+PSL_BACKENDS = {"admm": "npsl", "projected-gradient": "npsl-pgd"}
 
 
 def programs():
@@ -35,35 +41,37 @@ def programs():
 def suite_fixture():
     """Generated programs plus their exact (ILP) monolithic optima."""
     generated = programs()
-    optima = [mln_map.solve_map(program, "ilp").objective for program in generated]
+    optima = [solve_map(program, "nrockit").objective for program in generated]
     return list(zip(generated, optima))
 
 
 class TestExactBackends:
-    @pytest.mark.parametrize("backend", EXACT_MLN_BACKENDS)
+    @pytest.mark.parametrize(
+        "backend", list(EXACT_MLN_BACKENDS.values()), ids=list(EXACT_MLN_BACKENDS)
+    )
     def test_decomposed_objective_is_bit_identical(self, backend, suite):
         for program, _ in suite:
-            monolithic = mln_map.solve_map(program, backend)
-            decomposed = mln_map.solve_map(program, backend, decompose=True)
+            monolithic = solve_map(program, backend)
+            decomposed = solve_map(program, backend, decompose=True)
             assert decomposed.objective == monolithic.objective
             assert program.is_feasible(decomposed.assignment)
             assert len(decomposed.assignment) == program.num_atoms
 
     def test_decomposed_matches_across_exact_backends(self, suite):
         for program, optimum in suite:
-            for backend in EXACT_MLN_BACKENDS:
-                decomposed = mln_map.solve_map(program, backend, decompose=True)
+            for backend in EXACT_MLN_BACKENDS.values():
+                decomposed = solve_map(program, backend, decompose=True)
                 assert decomposed.objective == pytest.approx(optimum, abs=1e-9)
 
     def test_parallel_jobs_match_sequential(self, suite):
         for program, _ in suite[:3]:
-            sequential = mln_map.solve_map(program, "ilp", decompose=True, jobs=1)
-            parallel = mln_map.solve_map(program, "ilp", decompose=True, jobs=2)
+            sequential = solve_map(program, "nrockit", decompose=True, jobs=1)
+            parallel = solve_map(program, "nrockit", decompose=True, jobs=2)
             assert parallel.objective == sequential.objective
             assert parallel.assignment == sequential.assignment
 
     def test_worker_pool_is_reused_across_solves(self, suite):
-        with DecomposedSolver(partial(mln_map.make_solver, "ilp"), jobs=2) as solver:
+        with DecomposedSolver(partial(make_solver, "nrockit"), jobs=2) as solver:
             first = solver.solve(suite[0][0])
             pool = solver._pool
             assert pool is not None
@@ -76,7 +84,7 @@ class TestExactBackends:
     def test_merged_stats_report_components(self, suite):
         program, _ = suite[0]
         decomposition = decompose(program)
-        solution = mln_map.solve_map(program, "ilp", decompose=True)
+        solution = solve_map(program, "nrockit", decompose=True)
         extra = dict(solution.stats.extra)
         assert extra["components"] == decomposition.num_components
         assert extra["unconstrained_atoms"] == len(decomposition.unconstrained)
@@ -87,19 +95,19 @@ class TestApproximateBackends:
     @pytest.mark.parametrize("backend", ["maxwalksat", "maxwalksat-array"])
     def test_maxwalksat_within_tolerance(self, backend, suite):
         for program, optimum in suite:
-            monolithic = mln_map.solve_map(program, backend, seed=0)
-            decomposed = mln_map.solve_map(program, backend, decompose=True, seed=0)
+            monolithic = solve_map(program, backend, seed=0)
+            decomposed = solve_map(program, backend, decompose=True, seed=0)
             assert program.is_feasible(decomposed.assignment)
             # Local search on these programs reaches the optimum; keep a thin
             # tolerance so the assertion survives flip-order changes.
             assert decomposed.objective >= optimum * (1 - 1e-3)
             assert abs(decomposed.objective - monolithic.objective) <= optimum * 1e-3
 
-    @pytest.mark.parametrize("backend", ["admm", "admm-array", "projected-gradient"])
+    @pytest.mark.parametrize("backend", list(PSL_BACKENDS.values()), ids=list(PSL_BACKENDS))
     def test_psl_path_within_tolerance(self, backend, suite):
         for program, optimum in suite:
-            monolithic = psl_map.solve_map(program, backend)
-            decomposed = psl_map.solve_map(program, backend, decompose=True)
+            monolithic = solve_map(program, backend)
+            decomposed = solve_map(program, backend, decompose=True)
             assert program.is_feasible(decomposed.assignment)
             # The relaxation rounds per component; empirically that lands at
             # or above the monolithic rounding, so the bound is one-sided.

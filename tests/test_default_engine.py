@@ -8,7 +8,7 @@ the CLI and the template-level MLN/PSL programs must reach
 import pytest
 
 from repro import TeCoRe
-from repro.cli import _build_parser
+from repro.cli import _build_parser, main
 from repro.core.translator import TecoreTranslator
 from repro.datasets import ranieri_graph
 from repro.logic import (
@@ -32,7 +32,9 @@ def test_default_engine_is_vectorized():
     "argv", [["detect"], ["resolve"], ["resolve-batch", "graph.csv"], ["serve"]]
 )
 def test_cli_engine_default(argv):
-    assert _build_parser().parse_args(argv).engine == DEFAULT_ENGINE
+    # No command takes an engine option: each builds its TeCoRe with the
+    # default (the "tecore resolve" entry point below runs one).
+    assert not hasattr(_build_parser().parse_args(argv), "engine")
 
 
 @pytest.fixture
@@ -64,6 +66,10 @@ ENTRY_POINTS = {
     "PSLProgram.ground": lambda graph: PSLProgram(
         rules=running_example_rules(), constraints=running_example_constraints()
     ).ground(graph),
+    # Loads the same graph itself (--dataset ranieri).
+    "tecore resolve": lambda _graph: main(
+        ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--json"]
+    ),
 }
 
 

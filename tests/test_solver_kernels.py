@@ -1,14 +1,14 @@
-"""Differential suite for the array-native solver kernels.
+"""Differential suite for the columnar lowering and the solvers that use it.
 
-``GroundProgramArrays`` lowers the object ground program into CSR blocks, and
-three solver kernels run on it: batched array MaxWalkSAT, ADMM over a matrix
-lowered with ``PotentialMatrix.from_arrays``, and branch & bound with array
-bounding.  The exact kernels must be **bit-identical** to their object
-counterparts (assignment, objective, iteration counts); the stochastic one is
-tolerance-pinned.  Alongside the kernels this file pins the solver-layer
-bugfix sweep: the ``derived_by`` evidence-upgrade fix, the shared zero-weight
-epsilon, the search-state double-subtract guard, and the ``kernel=`` plumbing
-through the registry, TeCoRe, and sessions.
+``GroundProgramArrays`` lowers the object ground program into CSR blocks.
+``npsl`` (:class:`~repro.psl.ADMMSolver`) builds its potential matrix from
+them with ``PotentialMatrix.from_arrays``; it must stay **bit-identical** to
+the object construction (a matrix built from ``HingeLossMRF`` potentials,
+kept here as the oracle): truth values, assignment, objective and iteration
+counts.  The batched ``maxwalksat-array`` search is tolerance-pinned against
+``maxwalksat``.  Alongside, this file pins the solver-layer bugfix sweep (the
+``derived_by`` evidence-upgrade fix, the shared zero-weight epsilon) and that
+no layer offers a solver kernel choice.
 """
 
 import random
@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 from program_generators import random_ground_program
 
-from repro.core import (
-    ARRAY_VARIANTS,
-    TeCoRe,
-    make_solver,
-    resolve_kernel,
-    solver_capabilities,
-)
-from repro.datasets import ranieri_extended_graph
-from repro.errors import SolverNotAvailableError
+import repro.mln
+import repro.psl
+from repro.cli import _build_parser
+from repro.core import TeCoRe, available_solvers, make_solver, solve_map, solver_capabilities
+from repro.datasets import WikidataConfig, generate_wikidata, ranieri_extended_graph
 from repro.kg import make_fact
 from repro.logic import (
     GROUNDING_ENGINES,
@@ -33,14 +29,16 @@ from repro.logic import (
     ClauseKind,
     GroundProgram,
     GroundProgramArrays,
+    biography_pack,
     decompose,
+    ground,
     make_grounder,
     nonzero_weight,
     running_example_constraints,
     running_example_rules,
 )
-from repro.mln import map_inference as mln_map
-from repro.psl import map_inference as psl_map
+from repro.mln import BranchAndBoundSolver
+from repro.psl import ADMMSolver, HingeLossMRF, PotentialMatrix, round_solution
 
 SEEDS = range(8)
 
@@ -61,7 +59,8 @@ class TestLowering:
         assert arrays.num_atoms == program.num_atoms
         assert arrays.num_clauses == program.num_clauses
         for index, clause in enumerate(program.clauses):
-            atoms, signs = arrays.clause_literals(index)
+            start, stop = arrays.clause_offsets[index], arrays.clause_offsets[index + 1]
+            atoms, signs = arrays.literal_atoms[start:stop], arrays.literal_signs[start:stop]
             assert list(zip(atoms.tolist(), signs.tolist())) == [
                 (atom, bool(sign)) for atom, sign in clause.literals
             ]
@@ -86,11 +85,10 @@ class TestLowering:
                 if clause.is_hard
                 and not any(assignment[i] == positive for i, positive in clause.literals)
             ]
-            assert list(arrays.hard_violation_indices(assignment)) == expected
-            assert arrays.is_feasible(assignment) == program.is_feasible(assignment)
-            objective, violations = arrays.evaluate(assignment)
-            assert objective == program.objective(assignment)
-            assert violations == len(expected)
+            unsatisfied = arrays.satisfied_counts(assignment) == 0
+            violated = np.flatnonzero(arrays.is_hard & unsatisfied).tolist()
+            assert violated == expected
+            assert (not violated) == program.is_feasible(assignment)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_component_labels_match_object_decomposition(self, seed):
@@ -121,95 +119,118 @@ class TestLowering:
 # --------------------------------------------------------------------------- #
 # Kernel equivalence
 # --------------------------------------------------------------------------- #
-class TestKernelEquivalence:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_branch_and_bound_array_is_bit_identical(self, seed):
-        program = random_ground_program(seed)
-        object_solution = mln_map.solve_map(program, "branch-and-bound")
-        array_solution = mln_map.solve_map(program, "branch-and-bound-array")
-        assert array_solution.assignment == object_solution.assignment
-        assert array_solution.objective == object_solution.objective
-        assert array_solution.stats.iterations == object_solution.stats.iterations
+def object_admm(program, warm_start=None, **options):
+    """The object construction ``ADMMSolver.solve`` must reproduce.
 
+    ``HingeLossMRF`` potentials → ``PotentialMatrix`` → the same ADMM loop,
+    from all-ones or the clipped warm start, then the same rounding.
+    """
+    solver = ADMMSolver(**options)
+    mrf = HingeLossMRF.from_program(program, hard_weight=solver.hard_weight, squared=solver.squared)
+    matrix = PotentialMatrix(mrf.potentials, mrf.num_variables)
+    if warm_start is None:
+        consensus = mrf.initial_state()
+    else:
+        consensus = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
+    truth_values, iterations = solver._admm(matrix, consensus)
+    assignment = round_solution(program, truth_values)
+    truth_values = tuple(float(value) for value in truth_values)
+    return truth_values, assignment, program.objective(assignment), iterations
+
+
+def assert_admm_matches_object_construction(program, **options):
+    rng = random.Random(program.num_clauses)
+    warm = [rng.uniform(-0.2, 1.2) for _ in range(program.num_atoms)]
+    for warm_start in (None, warm):
+        solution = ADMMSolver(**options).solve(program, warm_start=warm_start)
+        truth_values, assignment, objective, iterations = object_admm(
+            program, warm_start, **options
+        )
+        assert solution.truth_values == truth_values
+        assert solution.assignment == assignment
+        assert solution.objective == objective
+        assert solution.stats.iterations == iterations
+
+
+class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("squared", [False, True])
     def test_admm_array_is_bit_identical(self, seed, squared):
-        program = random_ground_program(seed)
-        object_solution = psl_map.solve_map(program, "admm", squared=squared)
-        array_solution = psl_map.solve_map(program, "admm-array", squared=squared)
-        assert array_solution.truth_values == object_solution.truth_values
-        assert array_solution.assignment == object_solution.assignment
-        assert array_solution.objective == object_solution.objective
-        assert array_solution.stats.iterations == object_solution.stats.iterations
+        assert_admm_matches_object_construction(random_ground_program(seed), squared=squared)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_admm_array_is_bit_identical_on_wikidata(self, seed):
+        graph = generate_wikidata(WikidataConfig(scale=1e-4, noise_ratio=0.5, seed=seed)).graph
+        pack = biography_pack()
+        program = ground(graph, pack.rules, pack.constraints).program
+        assert program.num_clauses > 1000
+        assert_admm_matches_object_construction(program)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_maxwalksat_array_reaches_object_quality(self, seed):
         program = random_ground_program(seed)
-        object_solution = mln_map.solve_map(program, "maxwalksat", seed=0, debug=True)
-        array_solution = mln_map.solve_map(program, "maxwalksat-array", seed=0, debug=True)
+        object_solution = solve_map(program, "maxwalksat", seed=0, debug=True)
+        array_solution = solve_map(program, "maxwalksat-array", seed=0, debug=True)
         assert program.is_feasible(array_solution.assignment)
-        # Stochastic kernels share the search, not the RNG stream: pin the
+        # The two searches differ in move order and RNG stream: pin the
         # achieved objective, not the assignment.
         assert array_solution.objective >= object_solution.objective * (1 - 1e-3)
 
     def test_array_solvers_report_array_names(self):
-        assert make_solver("nrockit-bnb-array").name == "nrockit-bnb-array"
         assert make_solver("maxwalksat-array").name == "maxwalksat-array"
-        assert make_solver("npsl-array").name == "npsl-admm-array"
 
     def test_capabilities_match_object_variants(self):
-        for object_name, array_name in ARRAY_VARIANTS.items():
-            assert solver_capabilities(array_name) == solver_capabilities(object_name)
+        assert solver_capabilities("maxwalksat-array") == solver_capabilities("maxwalksat")
 
 
 # --------------------------------------------------------------------------- #
-# Kernel selection plumbing
+# Kernel selection: none.  One implementation per registered name, and no
+# layer takes a kernel (or, on the command line, a grounding engine) option.
 # --------------------------------------------------------------------------- #
+REMOVED_OPTIONS = [
+    ["resolve", "--kernel", "array"],
+    ["resolve-batch", "graph.csv", "--kernel", "array"],
+    ["watch", "edits.stream", "--kernel", "array"],
+    ["serve", "--kernel", "array"],
+    ["chaos", "--kernel", "array"],
+    ["verify", "--kernel", "array"],
+    ["detect", "--engine", "indexed"],
+    ["resolve", "--engine", "indexed"],
+    ["resolve-batch", "graph.csv", "--engine", "indexed"],
+    ["serve", "--engine", "indexed"],
+]
+
+
 class TestKernelSelection:
-    def test_resolve_kernel_mapping(self):
-        assert resolve_kernel("nrockit-bnb") == "nrockit-bnb"
-        assert resolve_kernel("nrockit-bnb", "array") == "nrockit-bnb-array"
-        assert resolve_kernel("maxwalksat", "array") == "maxwalksat-array"
-        assert resolve_kernel("npsl", "array") == "npsl-array"
-        # Solvers without an array variant fall back to the object path.
-        assert resolve_kernel("nrockit", "array") == "nrockit"
-        with pytest.raises(SolverNotAvailableError):
-            resolve_kernel("nrockit", "simd")
-
     def test_branch_and_bound_rejects_unknown_kernel(self):
-        from repro.mln import BranchAndBoundSolver
+        with pytest.raises(TypeError):
+            BranchAndBoundSolver(kernel="array")
 
-        with pytest.raises(ValueError):
-            BranchAndBoundSolver(kernel="simd")
+    def test_tecore_rejects_kernel(self):
+        with pytest.raises(TypeError):
+            TeCoRe(kernel="array")
 
-    def test_tecore_array_kernel_matches_object(self):
-        graph = ranieri_extended_graph()
-        rules = running_example_rules()
-        constraints = running_example_constraints()
-        object_system = TeCoRe(rules=rules, constraints=constraints, solver="nrockit-bnb")
-        array_system = TeCoRe(
-            rules=rules, constraints=constraints, solver="nrockit-bnb", kernel="array"
-        )
-        object_result = object_system.resolve(graph)
-        array_result = array_system.resolve(graph)
-        assert array_result.solution.objective == object_result.solution.objective
-        assert array_result.solution.assignment == object_result.solution.assignment
+    @pytest.mark.parametrize("argv", REMOVED_OPTIONS, ids=" ".join)
+    def test_cli_rejects_removed_option(self, argv):
+        _build_parser().parse_args(argv[:-2])
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv)
 
-    def test_session_array_kernel_matches_object(self):
-        graph = ranieri_extended_graph()
-        rules = running_example_rules()
-        constraints = running_example_constraints()
-        object_session = TeCoRe(
-            rules=rules, constraints=constraints, solver="nrockit-bnb"
-        ).session(graph)
-        array_session = TeCoRe(
-            rules=rules, constraints=constraints, solver="nrockit-bnb", kernel="array"
-        ).session(graph)
-        assert (array_session.result.solution.objective == object_session.result.solution.objective)
-        fact = next(iter(graph))
-        object_result = object_session.apply(removes=[fact])
-        array_result = array_session.apply(removes=[fact])
-        assert array_result.solution.objective == object_result.solution.objective
+    def test_registry_names_one_implementation_each(self):
+        assert available_solvers() == [
+            "maxwalksat",
+            "maxwalksat-array",
+            "npsl",
+            "npsl-pgd",
+            "nrockit",
+            "nrockit-bnb",
+            "nrockit-cpa",
+        ]
+
+    def test_families_keep_no_registry_of_their_own(self):
+        for module in (repro.mln, repro.psl):
+            for name in ("solve_map", "make_solver", "BACKENDS", "available_backends"):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 # --------------------------------------------------------------------------- #
