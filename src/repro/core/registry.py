@@ -127,7 +127,10 @@ def solve_map(
 # runs on; the rest are the ablation back-ends.
 # --------------------------------------------------------------------------- #
 register_solver(
-    "nrockit", "mln", "MLN with numerical constraints, exact MAP via HiGHS ILP", ILPMapSolver
+    "nrockit",
+    "mln",
+    "MLN with numerical constraints, exact MAP via HiGHS ILP (enumeration up to 15 atoms)",
+    ILPMapSolver,
 )
 register_solver(
     "nrockit-cpa", "mln", "MLN MAP via RockIt-style cutting-plane aggregation", CuttingPlaneSolver

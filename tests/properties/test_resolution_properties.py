@@ -9,7 +9,7 @@ Whatever the input career graph looks like, a TeCoRe repair must satisfy:
   involves at least one removed fact.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import TeCoRe
 from repro.kg import TemporalKnowledgeGraph, make_fact
@@ -77,6 +77,13 @@ class TestResolutionInvariants:
 
     @given(_people, _spells)
     @settings(max_examples=25, deadline=None)
+    # ADMM leaves each pair of equally confident conflicting facts just under
+    # 0.5; rounding must put one of them back (objectives 1.588 and 2.753).
+    @example(
+        "CR",
+        [("Chelsea", 1980, 1, 0.83), ("Napoli", 1981, 0, 0.83), ("Chelsea", 1980, 0, 0.5)],
+    )
+    @example("CR", [("Chelsea", 1980, 0, 0.9375), ("Napoli", 1980, 0, 0.9375)])
     def test_mln_and_psl_objectives_are_close(self, person, spells):
         graph = _build_graph(person, spells)
         if not len(graph):

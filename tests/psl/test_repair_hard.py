@@ -5,6 +5,8 @@ clauses up to date across flips.  ``_oracle_repair_hard`` below is the
 rounding loop it replaced, kept verbatim: it rescans every clause after each
 flip.  Both must return the same assignment, or both raise, on every program;
 the work-bound tests then pin the saving that bit-identity cannot see.
+``TestReinsertion`` checks the rounding step that follows the repair on the
+same seeded programs.
 """
 
 import random
@@ -15,7 +17,7 @@ from program_generators import random_ground_program
 from repro.errors import InfeasibleProgramError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundClause, GroundProgram
-from repro.psl import repair_hard
+from repro.psl import repair_hard, round_solution
 
 
 def _oracle_repair_hard(program: GroundProgram, assignment: list[bool]) -> list[bool]:
@@ -171,6 +173,37 @@ class TestBitIdentityWithRescanningLoop:
     def test_coupled_hard_clauses(self, coupled_hard_program):
         program, _, _ = coupled_hard_program
         assert _assert_same_outcome(program, [True, True]) == [True, False]
+
+
+class TestReinsertion:
+    """``round_solution`` = threshold, the repair above, then re-insertion."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_programs(self, seed):
+        program, rng = _generated_program(seed)
+        truth_values = [rng.random() for _ in range(program.num_atoms)]
+        repaired = _outcome(repair_hard, program, [value >= 0.5 for value in truth_values])
+        if isinstance(repaired, tuple):
+            with pytest.raises(InfeasibleProgramError):
+                round_solution(program, truth_values)
+            return
+        rounded = list(round_solution(program, truth_values))
+        assert program.is_feasible(rounded)
+        objective = program.objective(rounded)
+        assert objective >= program.objective(repaired)
+        # No false atom can still be flipped to true for a feasible gain.
+        for index in range(program.num_atoms):
+            if not rounded[index]:
+                flipped = rounded.copy()
+                flipped[index] = True
+                assert not program.is_feasible(flipped) or program.objective(flipped) <= objective
+
+    def test_equal_conflict_keeps_lower_index(self):
+        # Both facts thresholded away (ADMM leaves each just under 0.5):
+        # re-insertion keeps exactly one, the first by atom index.
+        program, (a, b) = _program([0.83, 0.83])
+        _hard(program, (a, False), (b, False))
+        assert round_solution(program, [0.4993, 0.4993]) == (True, False)
 
 
 class TestWorkBound:

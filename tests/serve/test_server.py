@@ -10,6 +10,7 @@ The load-bearing guarantees:
 * the bounded queue rejects overload with 503 instead of collapsing.
 """
 
+import json
 import threading
 
 from repro.datasets import ranieri_extended_graph, ranieri_graph
@@ -75,6 +76,29 @@ class TestHealthAndStats:
             assert b"Content-Length" in response.read()
         finally:
             connection.close()
+
+    def test_oversized_body_is_413_without_reading_it(self, system, server_factory, client):
+        import socket
+
+        server = server_factory(system)
+        request = (
+            b"POST /resolve HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 1000000000000\r\n\r\n"
+        )
+        # No body follows: a server that tried to read it would hang until
+        # the socket timeout instead of answering.
+        with socket.create_connection(server.server_address[:2], timeout=5) as raw:
+            raw.sendall(request)
+            reply = b""
+            while chunk := raw.recv(65536):  # the server closes the connection
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        assert "limit" in json.loads(body)["error"]
+        document = {"graph": json_io.to_dict(ranieri_graph())}
+        status, payload = client(server, "POST", "/resolve", document)
+        assert status == 200 and payload["removed_facts"]
 
 
 class TestResolveEndpoint:
