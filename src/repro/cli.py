@@ -610,6 +610,8 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    import signal
+    import threading
     import time as _time
 
     from .serve import ServerConfig, make_server
@@ -662,14 +664,24 @@ def _command_serve(args: argparse.Namespace) -> int:
         restored = recovery.sessions_restored if recovery is not None else 0
         durability = f", wal={args.wal_dir} ({restored} sessions recovered)"
     sharding = f", workers={args.workers}" if args.workers else ""
-    print(
-        f"serving on {server.url} (solver={args.solver}, "
-        f"batch={args.batch_max} @ {args.batch_delay * 1000:.0f} ms, "
-        f"queue={args.queue_limit}, sessions={args.max_sessions}"
-        f"{sharding}{durability})",
-        flush=True,
-    )
+    # SIGINT and SIGTERM both end serving through KeyboardInterrupt, so the
+    # server and its WAL close and the exit code is 0.  A non-interactive
+    # shell starts background jobs with SIGINT ignored, and Python then
+    # leaves it ignored.  Only the main thread may set handlers.
+    previous_handlers = {}
+    if threading.current_thread() is threading.main_thread():
+        previous_handlers = {
+            signum: signal.signal(signum, signal.default_int_handler)
+            for signum in (signal.SIGINT, signal.SIGTERM)
+        }
     try:
+        print(
+            f"serving on {server.url} (solver={args.solver}, "
+            f"batch={args.batch_max} @ {args.batch_delay * 1000:.0f} ms, "
+            f"queue={args.queue_limit}, sessions={args.max_sessions}"
+            f"{sharding}{durability})",
+            flush=True,
+        )
         if args.for_seconds is not None:
             server.run_in_thread()
             _time.sleep(args.for_seconds)
@@ -679,6 +691,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.close()
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)
     return 0
 
 

@@ -10,9 +10,21 @@ The load-bearing guarantees:
 * the bounded queue rejects overload with 503 instead of collapsing.
 """
 
+import http.client
 import json
+import os
+import signal
+import socket
+import statistics
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.datasets import ranieri_extended_graph, ranieri_graph
 from repro.kg import make_fact
 from repro.kg.io import json_io
@@ -21,6 +33,70 @@ from repro.serve import encode_result, stable_view
 
 def stable(payload):
     return stable_view(payload)
+
+
+class _SendRecorder:
+    """A server-side connection that records the bytes of each ``sendall`` call."""
+
+    def __init__(self, connection, sends):
+        self._connection = connection
+        self._sends = sends
+
+    def sendall(self, data, *flags):
+        self._sends.append(bytes(data))
+        return self._connection.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def record_sends(server):
+    """Wrap every connection the server accepts; sends are keyed by client port."""
+    sends_by_port = {}
+    accept = server.get_request
+
+    def get_request():
+        connection, address = accept()
+        return _SendRecorder(connection, sends_by_port.setdefault(address[1], [])), address
+
+    server.get_request = get_request
+    return sends_by_port
+
+
+def send_request(server, method, path, body=None, headers=()):
+    """One request on a new connection; returns the client port and the status."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.putrequest(method, path)
+        for name, value in headers:
+            connection.putheader(name, value)
+        if body is not None:
+            connection.putheader("Content-Length", str(len(body)))
+        connection.endheaders(body)
+        client_port = connection.sock.getsockname()[1]
+        response = connection.getresponse()
+        response.read()
+        return client_port, response.status
+    finally:
+        connection.close()
+
+
+def parse_reply(write):
+    """Status and header names, in order, of one write holding a whole reply."""
+    head, separator, body = write.partition(b"\r\n\r\n")
+    assert separator, "the write must hold the whole header block"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = [line.split(": ", 1) for line in header_lines]
+    assert int(dict(headers)["Content-Length"]) == len(body), "the write must hold the body"
+    json.loads(body)
+    return int(status_line.split()[1]), [name for name, _ in headers]
+
+
+#: The headers of every reply, in order; 503/504 add ``Retry-After`` and a
+#: reply that closes the connection adds ``Connection``.
+REPLY_HEADERS = ["Server", "Date", "Content-Type", "Content-Length"]
+RANIERI_DOCUMENT = json.dumps({"graph": json_io.to_dict(ranieri_graph())}).encode()
 
 
 class TestHealthAndStats:
@@ -62,8 +138,6 @@ class TestHealthAndStats:
         assert not any(endpoint.endswith("/a") for endpoint in stats["endpoints"])
 
     def test_malformed_content_length_is_400(self, system, server_factory):
-        import http.client
-
         server = server_factory(system)
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -78,8 +152,6 @@ class TestHealthAndStats:
             connection.close()
 
     def test_oversized_body_is_413_without_reading_it(self, system, server_factory, client):
-        import socket
-
         server = server_factory(system)
         request = (
             b"POST /resolve HTTP/1.1\r\nHost: localhost\r\n"
@@ -99,6 +171,95 @@ class TestHealthAndStats:
         document = {"graph": json_io.to_dict(ranieri_graph())}
         status, payload = client(server, "POST", "/resolve", document)
         assert status == 200 and payload["removed_facts"]
+
+
+class TestReplyFraming:
+    """Each reply leaves in one write: header block and body together.
+
+    Sent apart, the body waits under Nagle's algorithm for the client's
+    delayed ACK of the headers (at least 40 ms on Linux).
+    """
+
+    @pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "sharded"])
+    def test_keep_alive_replies_do_not_wait_for_a_delayed_ack(
+        self, system, server_factory, workers
+    ):
+        server = server_factory(system, workers=workers)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        seconds = []
+        try:
+            for _ in range(25):
+                began = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - began)
+                assert response.status == 200
+        finally:
+            connection.close()
+        # Half of Linux's minimum delayed-ACK timer; a waiting reply takes ~44 ms.
+        assert statistics.median(seconds) < 0.020
+
+    @pytest.mark.parametrize(
+        "method, path, body, headers, status, extra_headers",
+        [
+            ("GET", "/healthz", None, (), 200, []),
+            ("POST", "/sessions", RANIERI_DOCUMENT, (), 201, []),
+            ("POST", "/resolve", None, (("Content-Length", "abc"),), 400, []),
+            ("GET", "/nope", None, (), 404, []),
+            # No body follows: the server answers without reading it, then closes.
+            ("POST", "/resolve", None, (("Content-Length", "1" + "0" * 12),), 413, ["Connection"]),
+        ],
+        ids=["200", "201", "400", "404", "413"],
+    )
+    def test_each_reply_leaves_in_one_write(
+        self, system, server_factory, method, path, body, headers, status, extra_headers
+    ):
+        server = server_factory(system)
+        sends = record_sends(server)
+        client_port, served = send_request(server, method, path, body, headers)
+        assert served == status
+        assert len(sends[client_port]) == 1
+        assert parse_reply(sends[client_port][0]) == (status, REPLY_HEADERS + extra_headers)
+
+    def test_100_continue_leaves_before_the_body_arrives(self, system, server_factory):
+        server = server_factory(system)
+        head = (
+            b"POST /resolve HTTP/1.1\r\nHost: localhost\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(RANIERI_DOCUMENT)
+        )
+        with socket.create_connection(server.server_address[:2], timeout=5) as raw:
+            raw.sendall(head)
+            # The client holds the body back until this interim reply arrives.
+            assert raw.recv(1024) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            raw.sendall(RANIERI_DOCUMENT)
+            assert raw.recv(1024).startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_503_leaves_in_one_write_with_retry_after(self, system, server_factory):
+        server = server_factory(system, queue_limit=1, coalesce=False)
+        sends = record_sends(server)
+        batcher = server.service.batcher
+        batcher.pause()  # the occupant holds the one queue slot
+        occupant = []
+        thread = threading.Thread(
+            target=lambda: occupant.append(
+                send_request(server, "POST", "/resolve", RANIERI_DOCUMENT)
+            )
+        )
+        thread.start()
+        try:
+            assert batcher.wait_for_queue_depth(1)
+            rejected_port, rejected = send_request(server, "POST", "/resolve", RANIERI_DOCUMENT)
+        finally:
+            batcher.resume()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert rejected == 503
+        assert len(sends[rejected_port]) == 1
+        assert parse_reply(sends[rejected_port][0]) == (503, REPLY_HEADERS + ["Retry-After"])
+        occupant_port, served = occupant[0]
+        assert served == 200 and len(sends[occupant_port]) == 1
 
 
 class TestResolveEndpoint:
@@ -312,6 +473,8 @@ class TestServeCommand:
     def test_cli_serve_smoke(self, capsys):
         from repro.cli import main
 
+        shutdown_signals = (signal.SIGINT, signal.SIGTERM)
+        handlers = [signal.getsignal(signum) for signum in shutdown_signals]
         assert main(
             [
                 "serve",
@@ -321,6 +484,42 @@ class TestServeCommand:
             ]
         ) == 0
         assert "serving on http://127.0.0.1:" in capsys.readouterr().out
+        # Serving sets its own shutdown handlers and puts the old ones back.
+        assert [signal.getsignal(signum) for signum in shutdown_signals] == handlers
+
+    @pytest.mark.parametrize(
+        "signum, shell_prefix",
+        [(signal.SIGINT, 'trap "" INT; '), (signal.SIGTERM, "")],
+        ids=["sigint-while-ignored", "sigterm"],
+    )
+    def test_signal_closes_the_server_with_exit_code_0(self, signum, shell_prefix):
+        # A non-interactive shell starts a background job with SIGINT
+        # ignored, as the trap does here; Python then keeps it ignored.
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        command = f'{shell_prefix}exec "$0" -m repro.cli serve --pack running-example --port 0'
+        process = subprocess.Popen(
+            ["sh", "-c", command, sys.executable],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+            text=True,
+        )
+        try:
+            output = []
+            for line in process.stdout:
+                output.append(line)
+                if line.startswith("serving on http://"):
+                    break
+            assert output and output[-1].startswith("serving on http://"), "".join(output)
+            process.send_signal(signum)
+            assert process.wait(timeout=10) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
     def test_cli_serve_requires_program(self, capsys):
         from repro.cli import main
