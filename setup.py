@@ -27,7 +27,8 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
-        "scipy",
+        # 1.9 is the first release with scipy.optimize.milp (HiGHS MILP).
+        "scipy>=1.9",
     ],
     entry_points={
         "console_scripts": [

@@ -66,7 +66,11 @@ class TeCoRe:
     decompose:
         Solve the connected components of the ground program's interaction
         graph independently and merge (exact for exact back-ends; see
-        :mod:`repro.logic.decompose`).
+        :mod:`repro.logic.decompose`).  ``nrockit`` already solves a program
+        per component (components of at most 15 atoms enumerated in
+        batches, the larger ones in one HiGHS call), so for it
+        ``decompose=True`` only adds per-component sub-programs and one
+        HiGHS call per large component.
     jobs:
         Worker processes for the decomposed solve (1 = sequential; only
         meaningful with ``decompose=True``).

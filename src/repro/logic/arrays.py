@@ -10,7 +10,9 @@ stay vectorized end-to-end instead of walking per-clause Python objects:
   "literals of clause c" slices and one-shot gathers over all literals;
 * per-clause ``weights`` / ``is_hard`` vectors for masked objective sums;
 * a lazily-built atom→occurrence CSR (``occurrence_offsets`` /
-  ``occurrence_clauses`` / ``occurrence_signs``) for WalkSAT flip deltas.
+  ``occurrence_clauses`` / ``occurrence_signs``) for WalkSAT flip deltas;
+* lazily-labelled connected components (:attr:`components`), which
+  ``nrockit`` solves apart and the batched WalkSAT kernel schedules by.
 
 Float contract: :meth:`objective` is **bit-identical** to
 :meth:`GroundProgram.objective`.  The satisfied mask is computed vectorized,
@@ -24,9 +26,12 @@ objectives for equality with the object path's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import GroundingError
 from .ground import GroundProgram
@@ -108,14 +113,9 @@ class GroundProgramArrays:
         np.cumsum(lengths, out=clause_offsets[1:])
         total = int(clause_offsets[-1])
 
-        literal_atoms = np.empty(total, dtype=np.int64)
-        literal_signs = np.empty(total, dtype=bool)
-        cursor = 0
-        for clause in program.clauses:
-            for index, positive in clause.literals:
-                literal_atoms[cursor] = index
-                literal_signs[cursor] = positive
-                cursor += 1
+        literals = list(chain.from_iterable(clause.literals for clause in program.clauses))
+        literal_atoms = np.fromiter((index for index, _ in literals), dtype=np.int64, count=total)
+        literal_signs = np.fromiter((positive for _, positive in literals), dtype=bool, count=total)
         literal_clauses = np.repeat(np.arange(num_clauses, dtype=np.int64), lengths)
 
         weight_list = [clause.weight for clause in program.clauses]
@@ -177,40 +177,27 @@ class GroundProgramArrays:
 
         Two atoms share a component when some chain of clauses links them
         — the same factorisation :func:`repro.logic.decompose` computes over
-        objects.  Built lazily with a union–find over the flat literal
-        arrays; the batched WalkSAT kernel uses it to schedule conflict-free
+        objects, and in the same order: component ids ascend with each
+        component's smallest atom index.  An atom in no clause is a
+        component of its own with no clauses.  Built lazily by
+        ``scipy.sparse.csgraph.connected_components`` over an edge between
+        each pair of adjacent literals of a clause (enough to connect every
+        atom a clause mentions).  ``nrockit`` solves the components apart;
+        the batched WalkSAT kernel uses them to schedule conflict-free
         simultaneous moves (at most one clause repair per component).
         """
         if self._components is None:
-            parent = np.arange(self.num_atoms, dtype=np.int64)
-
-            def find(node: int) -> int:
-                root = node
-                while parent[root] != root:
-                    root = parent[root]
-                while parent[node] != root:  # path compression
-                    parent[node], node = root, int(parent[node])
-                return root
-
-            atoms = self.literal_atoms
-            clauses = self.literal_clauses
-            # Chain-union adjacent literals of the same clause: enough to
-            # connect every atom a clause mentions.
-            for position in range(1, atoms.size):
-                if clauses[position] == clauses[position - 1]:
-                    left, right = find(int(atoms[position - 1])), find(int(atoms[position]))
-                    if left != right:
-                        parent[right] = left
-            roots = np.fromiter(
-                (find(index) for index in range(self.num_atoms)),
-                dtype=np.int64,
-                count=self.num_atoms,
+            adjacent = self.literal_clauses[1:] == self.literal_clauses[:-1]
+            edges = coo_matrix(
+                (
+                    np.ones(int(adjacent.sum()), dtype=np.int8),
+                    (self.literal_atoms[:-1][adjacent], self.literal_atoms[1:][adjacent]),
+                ),
+                shape=(self.num_atoms, self.num_atoms),
             )
-            _, atom_labels = np.unique(roots, return_inverse=True)
-            if self.num_clauses:
-                clause_labels = atom_labels[self.literal_atoms[self.clause_offsets[:-1]]]
-            else:
-                clause_labels = np.empty(0, dtype=np.int64)
+            _, atom_labels = connected_components(edges, directed=False)
+            atom_labels = atom_labels.astype(np.int64)
+            clause_labels = atom_labels[self.literal_atoms[self.clause_offsets[:-1]]]
             self._components = (atom_labels, clause_labels)
         return self._components
 

@@ -13,7 +13,9 @@ the pure-Python branch & bound):
 * unit soft clauses fold directly into the objective coefficient of their atom.
 
 The encoding records a constant offset so the reported objective matches
-:meth:`GroundProgram.objective` exactly.
+:meth:`GroundProgram.objective` exactly.  It is built from the clause→literal
+CSR of :class:`~repro.logic.arrays.GroundProgramArrays`, for a whole program
+(:func:`encode`) or for some of its components (:func:`encode_arrays`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import GroundingError
-from ..logic.ground import GroundClause, GroundProgram
+from ..logic.arrays import GroundProgramArrays, ragged_slices
+from ..logic.ground import GroundProgram
 
 
 @dataclass
@@ -74,100 +77,92 @@ class ILPEncoding:
         return float(np.dot(self.objective, np.asarray(values, dtype=float))) + self.offset
 
 
-def _clause_row(
-    clause: GroundClause, num_variables: int, aux_index: int | None
-) -> tuple[list[int], list[float], float]:
-    """Row ``Σ coeffs·v ≥ 1 - negated_count (+ aux)`` for one clause.
-
-    Returns (column indexes, coefficients, lower bound).
-    """
-    columns: list[int] = []
-    coefficients: list[float] = []
-    bound = 1.0
-    for index, positive in clause.literals:
-        columns.append(index)
-        if positive:
-            coefficients.append(1.0)
-        else:
-            coefficients.append(-1.0)
-            bound -= 1.0
-    if aux_index is not None:
-        columns.append(aux_index)
-        coefficients.append(-1.0)
-        bound -= 1.0  # z - sat <= 0  <=>  sat - z >= 0; bound adjusted below.
-    return columns, coefficients, bound
-
-
 def encode(program: GroundProgram) -> ILPEncoding:
     """Build the MAP ILP for ``program``."""
-    num_atoms = program.num_atoms
+    arrays = GroundProgramArrays.from_program(program)
+    return encode_arrays(
+        arrays,
+        np.arange(arrays.num_atoms, dtype=np.int64),
+        np.arange(arrays.num_clauses, dtype=np.int64),
+    )
+
+
+def encode_arrays(
+    arrays: GroundProgramArrays, atoms: np.ndarray, clauses: np.ndarray
+) -> ILPEncoding:
+    """Build the MAP ILP of the part of ``arrays`` made of ``atoms`` and ``clauses``.
+
+    ``atoms`` (ascending global indexes) become variables ``0 … len(atoms) − 1``
+    in that order and must include every atom ``clauses`` (ascending) mention;
+    ``aux_clauses`` holds global clause indexes.  ``nrockit`` passes the
+    components too large to enumerate, so they share one HiGHS call.
+
+    The rows come from the clauses' CSR slices in a few numpy passes, and
+    unit weights fold into the objective in clause order, so for a whole
+    program the result equals a clause-by-clause walk's: the same objective
+    floats, CSR arrays, bounds, offset and ``aux_clauses``.
+    """
+    num_atoms = int(atoms.size)
     if num_atoms == 0:
         raise GroundingError("cannot encode an empty ground program")
+    column = np.full(arrays.num_atoms, -1, dtype=np.int64)
+    column[atoms] = np.arange(num_atoms, dtype=np.int64)
+    lengths = arrays.clause_offsets[clauses + 1] - arrays.clause_offsets[clauses]
+    hard = arrays.is_hard[clauses]
+    aux = ~hard & (lengths > 1)
+    aux_clauses = clauses[aux]
+    num_aux = int(aux_clauses.size)
 
-    # First pass: layout auxiliary variables for non-unit soft clauses.
-    aux_clauses: list[int] = []
-    for clause_index, clause in enumerate(program.clauses):
-        if not clause.is_hard and not clause.is_unit:
-            aux_clauses.append(clause_index)
-    num_aux = len(aux_clauses)
-    aux_position = {
-        clause_index: num_atoms + offset for offset, clause_index in enumerate(aux_clauses)
-    }
-
+    # Unit soft clauses fold into their atom's coefficient: w·x, or
+    # w·(1 − x) = w − w·x for a negated literal.
+    units = clauses[~hard & (lengths == 1)]
+    unit_literals = arrays.clause_offsets[units]
+    unit_positive = arrays.literal_signs[unit_literals]
+    unit_weights = arrays.weights[units]
     objective = np.zeros(num_atoms + num_aux, dtype=float)
-    offset = 0.0
+    np.add.at(
+        objective,
+        column[arrays.literal_atoms[unit_literals]],
+        np.where(unit_positive, unit_weights, -unit_weights),
+    )
+    negated_weights = unit_weights[~unit_positive]
+    # cumsum adds left to right, as the walk's running ``offset += w`` does.
+    offset = float(np.cumsum(negated_weights)[-1]) if negated_weights.size else 0.0
+    objective[num_atoms:] = arrays.weights[aux_clauses]
 
-    rows: list[int] = []
-    columns: list[int] = []
-    values: list[float] = []
-    bounds: list[float] = []
-    row_count = 0
-
-    def add_row(cols: list[int], coeffs: list[float], lower: float) -> None:
-        nonlocal row_count
-        for column, coefficient in zip(cols, coeffs):
-            rows.append(row_count)
-            columns.append(column)
-            values.append(coefficient)
-        bounds.append(lower)
-        row_count += 1
-
-    for clause_index, clause in enumerate(program.clauses):
-        if clause.is_hard:
-            cols, coeffs, lower = _clause_row(clause, num_atoms + num_aux, None)
-            add_row(cols, coeffs, lower)
-            continue
-        weight = float(clause.weight or 0.0)
-        if clause.is_unit:
-            index, positive = clause.literals[0]
-            if positive:
-                objective[index] += weight
-            else:
-                # w·sat(¬x) = w − w·x
-                objective[index] -= weight
-                offset += weight
-            continue
-        # Non-unit soft clause: auxiliary indicator z with z ≤ satisfaction count.
-        aux = aux_position[clause_index]
-        objective[aux] += weight
-        cols, coeffs, lower = _clause_row(clause, num_atoms + num_aux, aux)
-        # _clause_row built Σ lit − z ≥ bound where bound already accounts for
-        # negated literals and the −1 for z; the correct requirement is
-        # Σ lit − z ≥ −negatives, i.e. lower bound = (1 − negatives) − 1.
-        add_row(cols, coeffs, lower)
-
-    if row_count == 0:
-        # No hard or non-unit clauses: add a trivially satisfied row so the
-        # matrix has a valid shape for downstream solvers.
-        add_row([0], [0.0], -1.0)
-
-    matrix = sparse.csr_matrix((values, (rows, columns)), shape=(row_count, num_atoms + num_aux))
+    # One row per hard and non-unit soft clause: Σ_{C⁺} x − Σ_{C⁻} x (− z)
+    # ≥ 1 − |C⁻| (− 1), the auxiliary z of a soft clause bounded by its
+    # satisfaction count.
+    is_row = hard | aux
+    row_clauses = clauses[is_row]
+    row_lengths = lengths[is_row]
+    row_aux = aux[is_row]
+    positions = ragged_slices(arrays.clause_offsets, row_clauses)
+    signs = arrays.literal_signs[positions]
+    literal_rows = np.repeat(np.arange(row_clauses.size, dtype=np.int64), row_lengths)
+    negatives = np.bincount(literal_rows, weights=~signs, minlength=row_clauses.size)
+    lower_bounds = 1.0 - negatives - row_aux
+    rows = np.concatenate((literal_rows, np.flatnonzero(row_aux)))
+    columns = np.concatenate(
+        (column[arrays.literal_atoms[positions]], num_atoms + np.arange(num_aux, dtype=np.int64))
+    )
+    values = np.concatenate((np.where(signs, 1.0, -1.0), np.full(num_aux, -1.0)))
+    if row_clauses.size == 0:
+        # No hard or non-unit clauses: one trivially satisfied row keeps the
+        # matrix a valid shape for downstream solvers.
+        rows, columns, values = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1)
+        lower_bounds = np.full(1, -1.0)
+    # The conversion sorts each row's columns and sums repeated atoms, as it
+    # does for the walk's entries.
+    matrix = sparse.csr_matrix(
+        (values, (rows, columns)), shape=(int(lower_bounds.size), num_atoms + num_aux)
+    )
     return ILPEncoding(
         objective=objective,
         constraint_matrix=matrix,
-        lower_bounds=np.asarray(bounds, dtype=float),
+        lower_bounds=lower_bounds,
         offset=offset,
         num_atoms=num_atoms,
         num_aux=num_aux,
-        aux_clauses=aux_clauses,
+        aux_clauses=aux_clauses.tolist(),
     )

@@ -78,7 +78,17 @@ def check_expressivity(program: GroundProgram, capabilities: SolverCapabilities)
     * the number of positive literals per clause (PSL rules have conjunctive
       bodies, so their clausal form has at most one positive literal);
     * overall clause length, when bounded.
+
+    When the capabilities bound none of these (the MLN back-ends), every
+    check is vacuous and the clauses are not walked at all.
     """
+    if (
+        capabilities.supports_hard_constraints
+        and capabilities.supports_negative_clauses
+        and capabilities.max_positive_literals_per_clause is None
+        and capabilities.max_clause_length is None
+    ):
+        return
     for clause in program.clauses:
         if clause.is_hard and not capabilities.supports_hard_constraints:
             raise ExpressivityError(

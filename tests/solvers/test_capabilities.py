@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.registry import solver_capabilities
 from repro.errors import ExpressivityError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundProgram
@@ -12,6 +13,18 @@ from repro.solvers import (
     SolverCapabilities,
     check_expressivity,
 )
+
+
+class _WalkCounter(list):
+    """A clause list that counts how often it is iterated."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
 
 
 def _program_with_clause(literals, weight):
@@ -74,3 +87,15 @@ class TestCheckExpressivity:
     def test_running_example_fits_both_families(self, running_example_grounding):
         check_expressivity(running_example_grounding.program, MLN_CAPABILITIES)
         check_expressivity(running_example_grounding.program, PSL_CAPABILITIES)
+
+    def test_unbounded_capabilities_skip_the_clause_walk(self):
+        # Nothing in MLN_CAPABILITIES can reject a clause, so the check
+        # returns without iterating them; PSL still walks and rejects.
+        program = _program_with_clause([(0, True), (1, True)], 2.5)
+        program.clauses = _WalkCounter(program.clauses)
+        check_expressivity(program, MLN_CAPABILITIES)
+        check_expressivity(program, solver_capabilities("nrockit"))
+        assert program.clauses.walks == 0
+        with pytest.raises(ExpressivityError):
+            check_expressivity(program, PSL_CAPABILITIES)
+        assert program.clauses.walks == 1
