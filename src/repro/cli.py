@@ -70,21 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--solver", default="nrockit", choices=available_solvers(), help="MAP back-end"
         )
 
-    def add_decomposition_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--decompose",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="solve connected components of the ground program independently",
-        )
-        sub.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for the decomposed solve (1 = sequential)",
-        )
-
     stats = subparsers.add_parser("stats", help="show dataset statistics")
     add_input_arguments(stats, with_program=False)
 
@@ -96,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input_arguments(resolve)
     add_solver_arguments(resolve)
     resolve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    add_decomposition_arguments(resolve)
     resolve.add_argument("--json", action="store_true", help="emit JSON instead of text")
     resolve.add_argument("--limit", type=int, default=20, help="statements shown per section")
 
@@ -111,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--program", help="path to a Datalog-style rule/constraint file")
     add_solver_arguments(batch)
     batch.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    add_decomposition_arguments(batch)
     batch.add_argument(
         "--incremental",
         action="store_true",
@@ -145,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--program", help="path to a Datalog-style rule/constraint file")
     add_solver_arguments(serve)
     serve.add_argument("--threshold", type=float, default=None, help="derived-fact threshold")
-    add_decomposition_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8799, help="TCP port (0 picks a free port)")
     serve.add_argument(
@@ -521,8 +503,6 @@ def _command_resolve(args: argparse.Namespace) -> int:
         constraints=constraints,
         solver=args.solver,
         threshold=args.threshold,
-        decompose=args.decompose,
-        jobs=args.jobs,
     )
     result = system.resolve(graph)
     if args.json:
@@ -540,8 +520,6 @@ def _command_resolve_batch(args: argparse.Namespace) -> int:
         constraints=constraints,
         solver=args.solver,
         threshold=args.threshold,
-        decompose=args.decompose,
-        jobs=args.jobs,
     )
     batch = system.resolve_batch(graphs, incremental=args.incremental)
     if args.json:
@@ -622,8 +600,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         constraints=constraints,
         solver=args.solver,
         threshold=args.threshold,
-        decompose=args.decompose,
-        jobs=args.jobs,
     )
     config = ServerConfig(
         host=args.host,

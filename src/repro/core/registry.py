@@ -10,7 +10,6 @@ back-end has to be registered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from ..errors import SolverNotAvailableError
@@ -22,14 +21,8 @@ from ..mln import (
     ILPMapSolver,
     MaxWalkSATSolver,
 )
-from ..psl import ADMMSolver, ProjectedGradientSolver
-from ..solvers import (
-    MAPSolution,
-    MAPSolver,
-    check_expressivity,
-    instantiate_solver,
-    wrap_decomposed,
-)
+from ..psl import ADMMSolver
+from ..solvers import MAPSolution, MAPSolver, check_expressivity, instantiate_solver
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,19 +97,15 @@ def solve_map(
     solver: str,
     *,
     validate: bool = True,
-    decompose: bool = False,
-    jobs: int = 1,
     **options,
 ) -> MAPSolution:
     """Run MAP inference on ``program`` with the registered solver ``solver``.
 
     ``validate`` applies the solver's expressivity check first (the paper's
     translator behaviour); disable it only in controlled experiments.
-    ``decompose`` solves the connected components of the program's
-    interaction graph independently (exact for exact back-ends) with ``jobs``
-    worker processes (1 = sequential).  ``options`` go to the solver factory.
+    ``options`` go to the solver factory.
     """
-    backend = wrap_decomposed(partial(make_solver, solver, **options), decompose, jobs)
+    backend = make_solver(solver, **options)
     if validate:
         check_expressivity(program, backend.capabilities)
     return backend.solve(program)
@@ -143,9 +132,6 @@ register_solver(
 )
 register_solver(
     "npsl", "psl", "PSL/nPSL MAP via consensus ADMM over the hinge-loss MRF", ADMMSolver
-)
-register_solver(
-    "npsl-pgd", "psl", "PSL/nPSL MAP via projected subgradient descent", ProjectedGradientSolver
 )
 register_solver(
     "maxwalksat-array",

@@ -19,8 +19,8 @@ retractions into the state and re-resolve at a cost proportional to the
    :func:`repro.logic.decompose.decompose` would produce) and re-solved.
    The merged objective is evaluated by one arithmetic walk over the plan in
    global clause order, reproducing ``GroundProgram.objective`` float-for-
-   float — so the merged solution is bit-identical to a from-scratch
-   decomposed resolve.
+   float — so the merged solution is bit-identical to
+   :class:`~repro.solvers.DecomposedSolver` over a from-scratch translation.
 3. Optional **warm starts**: dirty components can seed the back-end with the
    previous solution's truth values (restricted to the component's atoms by
    statement key) when the back-end advertises

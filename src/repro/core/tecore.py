@@ -26,13 +26,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import ProgramLintError
 from ..kg import TemporalKnowledgeGraph
 from ..logic import DEFAULT_ENGINE, TemporalConstraint, TemporalRule, load_pack, parse_program
-from ..solvers import MAPSolution, MAPSolver, wrap_decomposed
+from ..solvers import MAPSolution
 from .registry import available_solvers, make_solver
 from .result import BatchResolution, ResolutionResult, ResolutionStatistics
 from .threshold import ThresholdFilter
@@ -63,17 +62,6 @@ class TeCoRe:
         default — :data:`~repro.logic.DEFAULT_ENGINE`), ``"indexed"``
         (semi-naive, the differential reference), ``"naive"`` or
         ``"incremental"``.  All produce identical ground programs.
-    decompose:
-        Solve the connected components of the ground program's interaction
-        graph independently and merge (exact for exact back-ends; see
-        :mod:`repro.logic.decompose`).  ``nrockit`` already solves a program
-        per component (components of at most 15 atoms enumerated in
-        batches, the larger ones in one HiGHS call), so for it
-        ``decompose=True`` only adds per-component sub-programs and one
-        HiGHS call per large component.
-    jobs:
-        Worker processes for the decomposed solve (1 = sequential; only
-        meaningful with ``decompose=True``).
     lint:
         Static-analysis mode for the rule program (see
         :mod:`repro.analysis`): ``"off"`` (default) skips analysis,
@@ -90,8 +78,6 @@ class TeCoRe:
     max_rounds: int = 5
     solver_options: dict = field(default_factory=dict)
     engine: str = DEFAULT_ENGINE
-    decompose: bool = False
-    jobs: int = 1
     lint: str = "off"
     _lint_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -132,26 +118,20 @@ class TeCoRe:
         return self
 
     def with_solver(self, solver: str, **options) -> "TeCoRe":
-        """Copy of this system targeting a different solver."""
+        """Copy of this system targeting a different solver.
+
+        The new back-end gets exactly ``options`` (its defaults when none
+        are given): options of the old back-end are not carried over.
+        """
         return TeCoRe(
             rules=list(self.rules),
             constraints=list(self.constraints),
             solver=solver,
             threshold=self.threshold,
             max_rounds=self.max_rounds,
-            solver_options=dict(options or self.solver_options),
+            solver_options=options,
             engine=self.engine,
-            decompose=self.decompose,
-            jobs=self.jobs,
             lint=self.lint,
-        )
-
-    def _make_backend(self) -> MAPSolver:
-        """The configured MAP back-end, optionally decomposition-wrapped."""
-        return wrap_decomposed(
-            partial(make_solver, self.solver, **self.solver_options),
-            self.decompose,
-            self.jobs,
         )
 
     @staticmethod
@@ -231,9 +211,7 @@ class TeCoRe:
         """Compute the most probable conflict-free (and expanded) temporal KG."""
         started = time.perf_counter()
         translated = self.translate(graph)
-        program = translated.program
-        backend = self._make_backend()
-        solution = backend.solve(program)
+        solution = make_solver(self.solver, **self.solver_options).solve(translated.program)
         return self._build_result(graph, translated, solution, started)
 
     def session(
@@ -287,10 +265,12 @@ class TeCoRe:
         first is *diffed* against the previous one and applied as an edit, so
         near-duplicate graphs (the common case in tenant fan-out and replayed
         debugging sessions) only pay for the facts that actually differ.
-        Sessions always solve component-decomposed (``jobs`` is not used):
-        results are those of a ``decompose=True`` resolve — identical for
-        exact back-ends, while anytime back-ends (MaxWalkSAT, PSL) may settle
-        in different (typically better) local optima than a monolithic solve.
+        A session's result equals :class:`~repro.solvers.DecomposedSolver`
+        over the translated program.  For exact back-ends its objective
+        equals the one-shot resolve's, though a tied component of more than
+        15 atoms may get another optimal assignment; anytime back-ends
+        (MaxWalkSAT, PSL) may settle in different (typically better) local
+        optima than a monolithic solve.
         """
         if incremental:
             return self._resolve_batch_incremental(graphs)
@@ -391,15 +371,15 @@ class SharedResolver:
 
     The per-request serving pipeline of :meth:`TeCoRe.resolve_batch` and of
     the ``tecore serve`` micro-batcher: the rule/constraint tuples, the
-    translator, and the (optionally decomposition-wrapped) back-end are
-    built once, and :meth:`resolve` is then bit-identical to
-    :meth:`TeCoRe.resolve` for every graph — the translator is stateless
-    across graphs and every registered back-end re-seeds per solve.
+    translator, and the back-end are built once, and :meth:`resolve` is then
+    bit-identical to :meth:`TeCoRe.resolve` for every graph — the translator
+    is stateless across graphs and every registered back-end re-seeds per
+    solve.
 
-    **Thread confinement:** instances are not thread-safe (the decomposed
-    wrapper and some back-ends keep per-solve scratch state).  Use one
-    instance per thread, or serialise calls — the serving layer funnels all
-    traffic through the micro-batcher's single flush worker.
+    **Thread confinement:** instances are not thread-safe (some back-ends
+    keep per-solve scratch state).  Use one instance per thread, or
+    serialise calls — the serving layer funnels all traffic through the
+    micro-batcher's single flush worker.
     """
 
     def __init__(self, system: TeCoRe) -> None:
@@ -408,7 +388,7 @@ class SharedResolver:
         self._translator = TecoreTranslator(max_rounds=system.max_rounds, engine=system.engine)
         self._rules = tuple(system.rules)
         self._constraints = tuple(system.constraints)
-        self._backend = system._make_backend()
+        self._backend = make_solver(system.solver, **system.solver_options)
         #: Number of graphs resolved through this pipeline (serving counter).
         self.resolves = 0
 
@@ -445,8 +425,6 @@ def resolve(
     constraints: Iterable[TemporalConstraint] = (),
     solver: str = "nrockit",
     threshold: float | None = None,
-    decompose: bool = False,
-    jobs: int = 1,
     **solver_options,
 ) -> ResolutionResult:
     """One-shot conflict resolution without building a :class:`TeCoRe` object."""
@@ -456,8 +434,6 @@ def resolve(
         solver=solver,
         threshold=threshold,
         solver_options=solver_options,
-        decompose=decompose,
-        jobs=jobs,
     )
     return system.resolve(graph)
 
@@ -468,8 +444,6 @@ def resolve_batch(
     constraints: Iterable[TemporalConstraint] = (),
     solver: str = "nrockit",
     threshold: float | None = None,
-    decompose: bool = False,
-    jobs: int = 1,
     incremental: bool = False,
     **solver_options,
 ) -> BatchResolution:
@@ -480,8 +454,6 @@ def resolve_batch(
         solver=solver,
         threshold=threshold,
         solver_options=solver_options,
-        decompose=decompose,
-        jobs=jobs,
     )
     return system.resolve_batch(graphs, incremental=incremental)
 

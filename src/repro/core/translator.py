@@ -6,7 +6,7 @@ PSL).  Special care is taken to verify that the input adheres to the
 expressivity of the solver." (paper, Section 2.1)
 
 In this reproduction both solver families consume the same ground program, so
-the translator's jobs are:
+the translator's tasks are:
 
 1. ground the UTKG with the rules and constraints (shared front-end);
 2. verify the result against the chosen solver's expressivity;

@@ -69,6 +69,8 @@ class BranchAndBoundSolver(MAPSolver):
     def solve(
         self, program: GroundProgram, warm_start: Optional[Sequence[float]] = None
     ) -> MAPSolution:
+        if program.num_atoms == 0:
+            return self._empty_solution()  # encode() rejects an empty program
         started = time.perf_counter()
         encoding = encode(program)
         incumbent, incumbent_value = self._greedy_incumbent(program)

@@ -46,6 +46,8 @@ class CuttingPlaneSolver(MAPSolver):
         return MLN_CAPABILITIES
 
     def solve(self, program: GroundProgram) -> MAPSolution:
+        if program.num_atoms == 0:
+            return self._empty_solution()
         started = time.perf_counter()
 
         # Active set: evidence unit clauses (and any other unit/prior clauses).

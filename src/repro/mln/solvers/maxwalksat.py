@@ -185,6 +185,8 @@ class MaxWalkSATSolver(MAPSolver):
     def solve(
         self, program: GroundProgram, warm_start: Optional[Sequence[float]] = None
     ) -> MAPSolution:
+        if program.num_atoms == 0:
+            return self._empty_solution()
         started = time.perf_counter()
         rng = random.Random(self.seed)
 

@@ -143,6 +143,8 @@ class ArrayMaxWalkSATSolver(MaxWalkSATSolver):
     def solve(
         self, program: GroundProgram, warm_start: Optional[Sequence[float]] = None
     ) -> MAPSolution:
+        if program.num_atoms == 0:
+            return self._empty_solution()
         started = time.perf_counter()
         arrays = GroundProgramArrays.from_program(program)
         init_rng = random.Random(self.seed)

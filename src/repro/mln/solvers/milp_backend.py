@@ -37,7 +37,7 @@ import time
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ...errors import GroundingError, InfeasibleProgramError, SolverError
+from ...errors import InfeasibleProgramError, SolverError
 from ...logic.arrays import GroundProgramArrays, ordered_weight_sum, ragged_slices
 from ...logic.ground import GroundProgram
 from ...solvers import MAPSolution, MAPSolver, MLN_CAPABILITIES, SolverCapabilities, SolverStats
@@ -308,7 +308,7 @@ class ILPMapSolver(MAPSolver):
     def solve(self, program: GroundProgram) -> MAPSolution:
         started = time.perf_counter()
         if program.num_atoms == 0:
-            raise GroundingError("cannot solve an empty ground program")
+            return self._empty_solution()
         if program.num_atoms <= ENUMERATION_MAX_ATOMS:
             assignment = enumerate_map(program)
             objective = program.objective(assignment)

@@ -10,7 +10,6 @@ from .lukasiewicz import (
     total_penalty,
 )
 from .model import PSLProgram
-from .projected_gradient import ProjectedGradientSolver
 from .rounding import repair_hard, round_solution, threshold
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "HingePotential",
     "PSLProgram",
     "PotentialMatrix",
-    "ProjectedGradientSolver",
     "clause_to_potential",
     "program_to_potentials",
     "repair_hard",

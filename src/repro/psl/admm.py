@@ -77,6 +77,8 @@ class ADMMSolver(MAPSolver):
         :meth:`PotentialMatrix.from_arrays`), without materialising a
         per-clause :class:`HingePotential`.
         """
+        if program.num_atoms == 0:
+            return self._empty_solution()
         started = time.perf_counter()
         arrays = GroundProgramArrays.from_program(program)
         matrix = PotentialMatrix.from_arrays(

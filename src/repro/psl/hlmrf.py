@@ -7,8 +7,7 @@ A HL-MRF defines a density over continuous variables ``y ∈ [0, 1]ⁿ``:
 with linear functions ``ℓₖ``.  MAP inference is the convex program of
 minimising the weighted sum of hinges subject to the hard constraints being
 exactly satisfied.  This module builds the HL-MRF for a ground program and
-evaluates its energy; the actual optimisation lives in
-:mod:`repro.psl.admm` and :mod:`repro.psl.projected_gradient`.
+evaluates its energy; the actual optimisation lives in :mod:`repro.psl.admm`.
 """
 
 from __future__ import annotations

@@ -51,19 +51,6 @@ class HingePotential:
         """Weighted distance (the potential's contribution to the MAP objective)."""
         return self.weight * self.distance(truth_values)
 
-    def subgradient(self, truth_values: Sequence[float]) -> dict[int, float]:
-        """Sparse subgradient of the *weighted* potential at ``truth_values``."""
-        total = self.constant
-        for index, coefficient in zip(self.indexes, self.coefficients):
-            total += coefficient * truth_values[index]
-        if total <= 0.0:
-            return {}
-        scale = self.weight * (2.0 * total if self.squared else 1.0)
-        return {
-            index: scale * coefficient
-            for index, coefficient in zip(self.indexes, self.coefficients)
-        }
-
 
 def clause_to_potential(
     clause: GroundClause, hard_weight: float, squared: bool = False
@@ -102,19 +89,10 @@ def total_penalty(potentials: Sequence[HingePotential], truth_values: Sequence[f
     return float(sum(potential.penalty(truth_values) for potential in potentials))
 
 
-def dense_subgradient(potentials: Sequence[HingePotential], truth_values: np.ndarray) -> np.ndarray:
-    """Dense subgradient of the total penalty (for the projected-gradient solver)."""
-    gradient = np.zeros_like(truth_values)
-    for potential in potentials:
-        for index, value in potential.subgradient(truth_values).items():
-            gradient[index] += value
-    return gradient
-
-
 class PotentialMatrix:
     """Vectorised (flat-array) view of a set of hinge potentials.
 
-    Both PSL optimisers iterate many times over all potentials; doing that in
+    The ADMM optimiser iterates many times over all potentials; doing that in
     Python is what makes naive implementations slow.  This helper flattens the
     sparse potential structure into numpy arrays once, so each iteration is a
     handful of vectorised operations:
@@ -217,11 +195,3 @@ class PotentialMatrix:
         hinges = np.maximum(0.0, self.values(truth_values))
         hinges = np.where(self.squared, hinges**2, hinges)
         return self.weights * hinges
-
-    def subgradient(self, truth_values: np.ndarray) -> np.ndarray:
-        """Dense subgradient of the total weighted penalty."""
-        values = self.values(truth_values)
-        active = values > 0.0
-        scale = np.where(self.squared, 2.0 * values, 1.0) * self.weights * active
-        per_literal = scale[self.literal_potential] * self.literal_coefficient
-        return np.bincount(self.literal_variable, weights=per_literal, minlength=self.num_variables)

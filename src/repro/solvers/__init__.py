@@ -8,7 +8,7 @@ from .capabilities import (
     SolverCapabilities,
     check_expressivity,
 )
-from .decomposed import DecomposedSolver, wrap_decomposed
+from .decomposed import DecomposedSolver
 from .factory import instantiate_solver
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "SolverStats",
     "check_expressivity",
     "instantiate_solver",
-    "wrap_decomposed",
 ]

@@ -106,6 +106,14 @@ class MAPSolver(abc.ABC):
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
+    def _empty_solution(self) -> MAPSolution:
+        """The MAP state of a program without atoms: the empty world, optimal."""
+        return MAPSolution(
+            assignment=(),
+            objective=0.0,
+            stats=SolverStats(solver=self.name, runtime_seconds=0.0, optimal=True),
+        )
+
     def _check_feasibility(self, program: GroundProgram, assignment: Sequence[bool]) -> None:
         violations = program.hard_violations(assignment)
         if violations:

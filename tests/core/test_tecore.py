@@ -86,6 +86,22 @@ class TestTeCoReFacade:
         assert other.threshold == 0.5
         assert len(other.rules) == len(system.rules)
 
+    @pytest.mark.parametrize(
+        "old, options, new",
+        [("nrockit-bnb", {"time_limit": 5.0}, "npsl"), ("maxwalksat", {"seed": 3}, "nrockit")],
+    )
+    def test_with_solver_drops_the_old_back_ends_options(self, ranieri, old, options, new):
+        system = TeCoRe.from_pack("running-example", solver=old, solver_options=options)
+        other = system.with_solver(new)
+        assert other.solver_options == {}
+        assert {str(fact.object) for fact in other.resolve(ranieri).removed_facts} == {"Napoli"}
+
+    def test_with_solver_takes_exactly_the_given_options(self):
+        system = TeCoRe.from_pack("running-example", solver="maxwalksat", solver_options={"seed": 3})
+        other = system.with_solver("nrockit", time_limit=5.0)
+        assert other.solver_options == {"time_limit": 5.0}
+        assert system.solver_options == {"seed": 3}
+
     def test_add_rule_and_constraint(self):
         system = TeCoRe()
         system.add_rule(running_example_rules()[0])

@@ -12,7 +12,7 @@ call whose ILP is built from the clauses' CSR rows.  The oracles:
 * a plain loop over ``itertools.product`` that applies the stated tie rule
   (the lexicographically largest optimal assignment): the same assignment;
 * ``enumerate_map`` on each small component as a sub-program, and
-  ``DecomposedSolver(ILPMapSolver)``: the same assignment and objective;
+  ``DecomposedSolver(ILPMapSolver())``: the same assignment and objective;
 * ``_object_encode``, the clause-by-clause ILP construction: the same ILP as
   the CSR-built one.
 """
@@ -29,6 +29,7 @@ from program_generators import random_ground_program
 from scipy import sparse
 
 from repro import TeCoRe
+from repro.core import available_solvers, make_solver
 from repro.datasets import FootballDBConfig, WikidataConfig, generate_footballdb, generate_wikidata
 from repro.errors import GroundingError, InfeasibleProgramError
 from repro.kg import make_fact
@@ -287,9 +288,12 @@ class TestErrorsDispatchAndStats:
             ILPMapSolver().solve(program)
         assert highs_calls == []
 
-    def test_empty_program_raises_grounding_error(self):
-        with pytest.raises(GroundingError):
-            ILPMapSolver().solve(GroundProgram())
+    @pytest.mark.parametrize("solver", available_solvers())
+    def test_empty_program_gives_empty_world(self, solver):
+        solution = make_solver(solver).solve(GroundProgram())
+        assert solution.assignment == ()
+        assert solution.objective == 0.0
+        assert solution.stats.optimal is True
 
     def test_small_programs_never_reach_highs(self, highs_calls):
         for atoms in (1, 2, ENUMERATION_MAX_ATOMS):
@@ -390,7 +394,7 @@ class TestComponentSolve:
     def test_objective_matches_decomposed_and_whole_program_highs(self, name):
         program = _program(name)
         solution = ILPMapSolver().solve(program)
-        decomposed = DecomposedSolver(ILPMapSolver).solve(program)
+        decomposed = DecomposedSolver(ILPMapSolver()).solve(program)
         # Components over the bound may tie; HiGHS can then pick another
         # optimum stacked than alone, so only the objective is compared.
         assert solution.objective == decomposed.objective
@@ -446,7 +450,7 @@ class TestComponentSolve:
         solution = ILPMapSolver().solve(program)
         assert solution.assignment[likely.index] is True
         assert solution.assignment[unlikely.index] is False
-        assert solution.assignment == DecomposedSolver(ILPMapSolver).solve(program).assignment
+        assert solution.assignment == DecomposedSolver(ILPMapSolver()).solve(program).assignment
 
     def test_memory_stays_within_the_state_budget(self):
         program = GroundProgram()

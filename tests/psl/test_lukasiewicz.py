@@ -49,14 +49,6 @@ class TestClauseToPotential:
         potential = clause_to_potential(program.clauses[0], hard_weight=100.0, squared=True)
         assert potential.distance([0.5, 0.0]) == pytest.approx(0.25)
 
-    def test_subgradient_active_and_inactive(self):
-        program = _program()
-        potential = clause_to_potential(program.clauses[2], hard_weight=10.0)
-        assert potential.subgradient([0.2, 0.2]) == {}
-        gradient = potential.subgradient([1.0, 0.8])
-        assert gradient[0] == pytest.approx(10.0)
-        assert gradient[1] == pytest.approx(10.0)
-
     def test_penalty_scaling(self):
         program = _program()
         potential = clause_to_potential(program.clauses[1], hard_weight=1.0)
@@ -98,17 +90,6 @@ class TestPotentialMatrix:
         matrix = PotentialMatrix(potentials, program.num_atoms)
         state = np.array([0.9, 0.7])
         assert matrix.penalties(state).sum() == pytest.approx(total_penalty(potentials, state))
-
-    def test_subgradient_matches_scalar_sum(self):
-        program = _program()
-        potentials = program_to_potentials(program, hard_weight=50.0)
-        matrix = PotentialMatrix(potentials, program.num_atoms)
-        state = np.array([0.9, 0.7])
-        dense = np.zeros(2)
-        for potential in potentials:
-            for index, value in potential.subgradient(state).items():
-                dense[index] += value
-        assert np.allclose(matrix.subgradient(state), dense)
 
     def test_variable_counts(self):
         program = _program()

@@ -1,4 +1,4 @@
-"""Unit tests for the PSL MAP solvers (ADMM and projected gradient) and rounding."""
+"""Unit tests for the PSL MAP solver (ADMM) and rounding."""
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.psl import (
 )
 
 #: Registered PSL solvers, keyed by the algorithm each runs (the test ids).
-PSL_BACKENDS = {"admm": "npsl", "projected-gradient": "npsl-pgd"}
+PSL_BACKENDS = {"admm": "npsl"}
 
 
 def _conflict_program():
@@ -36,7 +36,7 @@ def _conflict_program():
 class TestRegistry:
     def test_backends(self):
         psl = {entry.name for entry in describe_solvers() if entry.family == "psl"}
-        assert psl == {"npsl", "npsl-pgd"}
+        assert psl == {"npsl"}
 
     def test_unknown_backend(self):
         with pytest.raises(SolverNotAvailableError):

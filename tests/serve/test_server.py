@@ -343,6 +343,15 @@ class TestResolveEndpoint:
         _, stats = client(server, "GET", "/stats")
         assert stats["batcher"]["rejected"] == 3
 
+    def test_empty_graph_resolves_to_an_empty_repair(self, server_factory, client):
+        system = repro.TeCoRe.from_pack("sports")
+        server = server_factory(system)
+        status, payload = client(server, "POST", "/resolve", {"name": "t", "facts": []})
+        assert status == 200
+        assert payload["statistics"]["objective"] == 0.0
+        assert payload["statistics"]["input_facts"] == 0
+        assert payload["removed_facts"] == []
+
     def test_malformed_requests_are_400(self, system, server_factory, client):
         server = server_factory(system)
         assert client(server, "POST", "/resolve", {"no": "graph"})[0] == 400

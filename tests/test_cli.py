@@ -133,64 +133,6 @@ class TestResolve:
             )
 
 
-class TestDecompositionFlags:
-    def test_resolve_with_decompose(self, capsys):
-        exit_code = main(
-            [
-                "resolve",
-                "--dataset", "ranieri",
-                "--pack", "running-example",
-                "--decompose",
-                "--json",
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["statistics"]["removed_facts"] == 1
-
-    def test_resolve_decompose_matches_monolithic(self, capsys):
-        base = ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--json"]
-        assert main(base) == 0
-        monolithic = json.loads(capsys.readouterr().out)
-        assert main(base + ["--decompose", "--jobs", "2"]) == 0
-        decomposed = json.loads(capsys.readouterr().out)
-        assert decomposed["statistics"]["objective"] == monolithic["statistics"]["objective"]
-        assert decomposed["removed_facts"] == monolithic["removed_facts"]
-
-    def test_no_decompose_flag_accepted(self, capsys):
-        exit_code = main(
-            ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--no-decompose"]
-        )
-        assert exit_code == 0
-        assert "Napoli" in capsys.readouterr().out
-
-    def test_bad_jobs_value_exits_with_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "resolve",
-                    "--dataset", "ranieri",
-                    "--pack", "running-example",
-                    "--jobs", "many",
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_nonpositive_jobs_reports_error(self, capsys):
-        exit_code = main(
-            [
-                "resolve",
-                "--dataset", "ranieri",
-                "--pack", "running-example",
-                "--decompose",
-                "--jobs", "0",
-            ]
-        )
-        assert exit_code == 1
-        assert "jobs" in capsys.readouterr().err
-
-
 class TestResolveBatch:
     def test_resolve_batch_text_output(self, capsys, ranieri_file, program_file):
         exit_code = main(
@@ -206,17 +148,8 @@ class TestResolveBatch:
         assert "batch: 2 graphs" in out
         assert "graphs/s" in out
 
-    def test_resolve_batch_json_with_decomposition(self, capsys, ranieri_file):
-        exit_code = main(
-            [
-                "resolve-batch",
-                str(ranieri_file),
-                "--pack", "running-example",
-                "--decompose",
-                "--jobs", "2",
-                "--json",
-            ]
-        )
+    def test_resolve_batch_json(self, capsys, ranieri_file):
+        exit_code = main(["resolve-batch", str(ranieri_file), "--pack", "running-example", "--json"])
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["results"]) == 1

@@ -12,8 +12,6 @@ The randomized programs come from the seeded generator in
 checks the same programs.
 """
 
-from functools import partial
-
 import pytest
 from program_generators import random_ground_program
 
@@ -30,7 +28,12 @@ EXACT_MLN_BACKENDS = {
     "branch-and-bound": "nrockit-bnb",
 }
 #: Registered PSL solvers, keyed the same way.
-PSL_BACKENDS = {"admm": "npsl", "projected-gradient": "npsl-pgd"}
+PSL_BACKENDS = {"admm": "npsl"}
+
+
+def solve_decomposed(program, solver, **options):
+    """The decomposed oracle: ``solver`` run component by component."""
+    return DecomposedSolver(make_solver(solver, **options)).solve(program)
 
 
 def programs():
@@ -52,7 +55,7 @@ class TestExactBackends:
     def test_decomposed_objective_is_bit_identical(self, backend, suite):
         for program, _ in suite:
             monolithic = solve_map(program, backend)
-            decomposed = solve_map(program, backend, decompose=True)
+            decomposed = solve_decomposed(program, backend)
             assert decomposed.objective == monolithic.objective
             assert program.is_feasible(decomposed.assignment)
             assert len(decomposed.assignment) == program.num_atoms
@@ -60,31 +63,13 @@ class TestExactBackends:
     def test_decomposed_matches_across_exact_backends(self, suite):
         for program, optimum in suite:
             for backend in EXACT_MLN_BACKENDS.values():
-                decomposed = solve_map(program, backend, decompose=True)
+                decomposed = solve_decomposed(program, backend)
                 assert decomposed.objective == pytest.approx(optimum, abs=1e-9)
-
-    def test_parallel_jobs_match_sequential(self, suite):
-        for program, _ in suite[:3]:
-            sequential = solve_map(program, "nrockit", decompose=True, jobs=1)
-            parallel = solve_map(program, "nrockit", decompose=True, jobs=2)
-            assert parallel.objective == sequential.objective
-            assert parallel.assignment == sequential.assignment
-
-    def test_worker_pool_is_reused_across_solves(self, suite):
-        with DecomposedSolver(partial(make_solver, "nrockit"), jobs=2) as solver:
-            first = solver.solve(suite[0][0])
-            pool = solver._pool
-            assert pool is not None
-            second = solver.solve(suite[1][0])
-            assert solver._pool is pool
-            assert first.objective == suite[0][1]
-            assert second.objective == suite[1][1]
-        assert solver._pool is None
 
     def test_merged_stats_report_components(self, suite):
         program, _ = suite[0]
         decomposition = decompose(program)
-        solution = solve_map(program, "nrockit", decompose=True)
+        solution = solve_decomposed(program, "nrockit")
         extra = dict(solution.stats.extra)
         assert extra["components"] == decomposition.num_components
         assert extra["unconstrained_atoms"] == len(decomposition.unconstrained)
@@ -96,7 +81,7 @@ class TestApproximateBackends:
     def test_maxwalksat_within_tolerance(self, backend, suite):
         for program, optimum in suite:
             monolithic = solve_map(program, backend, seed=0)
-            decomposed = solve_map(program, backend, decompose=True, seed=0)
+            decomposed = solve_decomposed(program, backend, seed=0)
             assert program.is_feasible(decomposed.assignment)
             # Local search on these programs reaches the optimum; keep a thin
             # tolerance so the assertion survives flip-order changes.
@@ -107,7 +92,7 @@ class TestApproximateBackends:
     def test_psl_path_within_tolerance(self, backend, suite):
         for program, optimum in suite:
             monolithic = solve_map(program, backend)
-            decomposed = solve_map(program, backend, decompose=True)
+            decomposed = solve_decomposed(program, backend)
             assert program.is_feasible(decomposed.assignment)
             # The relaxation rounds per component; empirically that lands at
             # or above the monolithic rounding, so the bound is one-sided.

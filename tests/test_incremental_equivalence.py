@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro import TeCoRe
+from repro.core import make_solver
 from repro.datasets import ranieri_extended_graph, ranieri_graph
 from repro.kg import TemporalKnowledgeGraph, make_fact
 from repro.logic import (
@@ -30,6 +31,7 @@ from repro.logic import (
     running_example_rules,
     sports_pack,
 )
+from repro.solvers import DecomposedSolver
 
 
 def assert_state_matches(incremental, replica, rules, constraints, max_rounds=5):
@@ -315,6 +317,13 @@ class TestRoundTruncation:
 # --------------------------------------------------------------------------- #
 # Session-level equivalence (objectives, assignments, cache correctness)
 # --------------------------------------------------------------------------- #
+def decomposed_solve(system, graph):
+    """The decomposed oracle: ``graph``'s program and its per-component MAP state."""
+    program = system.translate(graph).program
+    backend = DecomposedSolver(make_solver(system.solver, **system.solver_options))
+    return program, backend.solve(program)
+
+
 class TestSessionEquivalence:
     @pytest.mark.parametrize("solver", ["nrockit", "npsl"])
     def test_session_matches_decomposed_resolve(self, solver):
@@ -325,11 +334,11 @@ class TestSessionEquivalence:
             rules=list(pack.rules),
             constraints=list(pack.constraints),
             solver=solver,
-            decompose=True,
         )
         session = system.session(graph)
         replica = graph.copy(name=graph.name)
-        assert session.result.solution.assignment == system.resolve(replica).solution.assignment
+        _, reference = decomposed_solve(system, replica)
+        assert session.result.solution.assignment == reference.assignment
 
         removed_pool: list = []
         for _ in range(4):
@@ -343,23 +352,21 @@ class TestSessionEquivalence:
             replica.remove(removes[0])
             for fact in adds:
                 replica.add(fact)
-            reference = system.resolve(replica.copy(name=replica.name))
-            assert result.solution.assignment == reference.solution.assignment
+            program, reference = decomposed_solve(system, replica.copy(name=replica.name))
+            assert result.solution.assignment == reference.assignment
             assert result.objective == reference.objective
             assert {f.statement_key for f in result.removed_facts} == {
-                f.statement_key for f in reference.removed_facts
+                f.statement_key for f in reference.removed_facts(program)
             }
 
     def test_session_objective_matches_monolithic_exact(self):
         """For the exact ILP back-end the merged objective equals monolithic."""
         graph = random_sports_graph(33, facts=60)
         pack = sports_pack()
-        decomposed = TeCoRe(
-            rules=list(pack.rules), constraints=list(pack.constraints),
-            solver="nrockit", decompose=True,
+        monolithic = TeCoRe(
+            rules=list(pack.rules), constraints=list(pack.constraints), solver="nrockit"
         )
-        monolithic = decomposed.with_solver("nrockit")
-        session = decomposed.session(graph)
+        session = monolithic.session(graph)
         assert session.result.objective == monolithic.resolve(graph.copy()).objective
 
     def test_incremental_engine_registered(self):

@@ -8,7 +8,7 @@ kept here as the oracle): truth values, assignment, objective and iteration
 counts.  The batched ``maxwalksat-array`` search is tolerance-pinned against
 ``maxwalksat``.  Alongside, this file pins the solver-layer bugfix sweep (the
 ``derived_by`` evidence-upgrade fix, the shared zero-weight epsilon) and that
-no layer offers a solver kernel choice.
+no layer offers a solver kernel choice or a decomposition option.
 """
 
 import random
@@ -22,6 +22,7 @@ import repro.psl
 from repro.cli import _build_parser
 from repro.core import TeCoRe, available_solvers, make_solver, solve_map, solver_capabilities
 from repro.datasets import WikidataConfig, generate_wikidata, ranieri_extended_graph
+from repro.errors import SolverNotAvailableError
 from repro.kg import make_fact
 from repro.logic import (
     GROUNDING_ENGINES,
@@ -39,6 +40,7 @@ from repro.logic import (
 )
 from repro.mln import BranchAndBoundSolver
 from repro.psl import ADMMSolver, HingeLossMRF, PotentialMatrix, round_solution
+from repro.solvers import DecomposedSolver
 
 SEEDS = range(8)
 
@@ -185,7 +187,8 @@ class TestKernelEquivalence:
 
 # --------------------------------------------------------------------------- #
 # Kernel selection: none.  One implementation per registered name, and no
-# layer takes a kernel (or, on the command line, a grounding engine) option.
+# layer takes a kernel, decomposition or worker-count option (nor, on the
+# command line, a grounding engine).
 # --------------------------------------------------------------------------- #
 REMOVED_OPTIONS = [
     ["resolve", "--kernel", "array"],
@@ -198,6 +201,16 @@ REMOVED_OPTIONS = [
     ["resolve", "--engine", "indexed"],
     ["resolve-batch", "graph.csv", "--engine", "indexed"],
     ["serve", "--engine", "indexed"],
+    ["resolve", "--jobs", "2"],
+    ["resolve-batch", "graph.csv", "--jobs", "2"],
+    ["serve", "--jobs", "2"],
+]
+
+#: Removed flags that take no value.
+REMOVED_FLAGS = [
+    [*command, flag]
+    for command in (["resolve"], ["resolve-batch", "graph.csv"], ["serve"])
+    for flag in ("--decompose", "--no-decompose")
 ]
 
 
@@ -210,18 +223,37 @@ class TestKernelSelection:
         with pytest.raises(TypeError):
             TeCoRe(kernel="array")
 
+    @pytest.mark.parametrize("option", ["decompose", "jobs"])
+    def test_tecore_rejects_decomposition_options(self, option):
+        with pytest.raises(TypeError):
+            TeCoRe(**{option: 2})
+
+    def test_decomposed_solver_takes_no_worker_count(self):
+        with pytest.raises(TypeError):
+            DecomposedSolver(make_solver("nrockit"), jobs=2)
+
+    def test_solve_map_rejects_decompose(self):
+        with pytest.raises(SolverNotAvailableError, match="decompose"):
+            solve_map(random_ground_program(0), "nrockit", decompose=True)
+
     @pytest.mark.parametrize("argv", REMOVED_OPTIONS, ids=" ".join)
     def test_cli_rejects_removed_option(self, argv):
         _build_parser().parse_args(argv[:-2])
         with pytest.raises(SystemExit):
             _build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+    def test_cli_rejects_removed_flag(self, argv):
+        _build_parser().parse_args(argv[:-1])
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_registry_names_one_implementation_each(self):
         assert available_solvers() == [
             "maxwalksat",
             "maxwalksat-array",
             "npsl",
-            "npsl-pgd",
             "nrockit",
             "nrockit-bnb",
             "nrockit-cpa",
