@@ -316,14 +316,20 @@ class TeCoRe:
         solution: MAPSolution,
         started: float,
     ) -> ResolutionResult:
+        """Assemble the result of one resolve.
+
+        The consistent graph is ``graph`` minus the removed statements, built
+        by :meth:`TemporalKnowledgeGraph.without_statements`: the kept facts,
+        their order, the domain and the name are those a fact-by-fact filter
+        gives, but each kept fact also keeps its insertion tick from
+        ``graph`` instead of being re-added.
+        """
         program = translated.program
         threshold_filter = ThresholdFilter(self.threshold)
 
         removed = tuple(solution.removed_facts(program))
-        removed_keys = {fact.statement_key for fact in removed}
-        consistent = graph.filter(
-            lambda fact: fact.statement_key not in removed_keys,
-            name=f"{graph.name}-consistent",
+        consistent = graph.without_statements(
+            (fact.statement_key for fact in removed), name=f"{graph.name}-consistent"
         )
 
         derived_kept = solution.derived_kept_facts(program)

@@ -18,7 +18,8 @@ that representation:
 * the :class:`ColumnarFactStore` tying the two together, with incremental
   appends (derived facts arrive round by round), per-row tags and rank
   columns for the engine's emission and ordering contract, and the
-  merge-join primitives (:func:`merge_join`, :func:`composite_keys`).
+  merge-join primitives (:func:`merge_join`, :func:`composite_keys` and
+  the one-sided :func:`composite_key`).
 
 The store keeps a reference to each original :class:`TemporalFact`, so
 consumers can recover full fact objects (and their cached sort keys) from the
@@ -173,11 +174,15 @@ class RelationBlock:
         Comparing two rows by rank is equivalent to comparing their facts'
         lexicographic :meth:`~repro.kg.triple.TemporalFact.sort_key` (keys
         are unique within a block), which lets callers order whole match
-        sets numerically instead of comparing nested key tuples.
+        sets numerically instead of comparing nested key tuples.  The rows
+        are sorted by the facts' cached key tuples directly: ``sorted`` only
+        calls ``<``, which for facts *is* the key comparison, so the order
+        is the same without a ``TemporalFact.__lt__`` call per comparison.
         """
         size = len(self.facts)
         if self._ranks is None or len(self._ranks) != size:
-            order = sorted(range(size), key=self.facts.__getitem__)
+            keys = [fact.sort_key() for fact in self.facts]
+            order = sorted(range(size), key=keys.__getitem__)
             ranks = np.empty(size, dtype=np.int64)
             ranks[np.asarray(order, dtype=np.int64)] = np.arange(size, dtype=np.int64)
             self._ranks = ranks
@@ -340,55 +345,52 @@ def merge_join(
 _OVERFLOW_LIMIT = 1 << 60
 
 
+def composite_key(columns: list[np.ndarray]) -> np.ndarray:
+    """Fold equal-length integer columns into one ``int64`` key per row.
+
+    Columns are folded positionally (mixed-radix over each column's observed
+    value range), so two rows get equal keys exactly when their tuples are
+    equal.  When the running radix would overflow ``int64``, the partial
+    keys are re-factorised through ``np.unique`` and folding continues on the
+    dense codes.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    radix_so_far = 1
+    for column in columns:
+        column = column.astype(np.int64)
+        low = int(column.min()) if len(column) else 0
+        high = int(column.max()) if len(column) else 0
+        radix = high - low + 1
+        if radix_so_far * radix >= _OVERFLOW_LIMIT:
+            # Compress the partial keys to dense codes before folding further.
+            _, codes = np.unique(key, return_inverse=True)
+            key = codes.astype(np.int64)
+            radix_so_far = len(key) + 1
+        if radix_so_far * radix >= _OVERFLOW_LIMIT:
+            # The column's own value range is enormous; dense-code it too so
+            # the fold stays within int64 (distinct values ≤ row count).
+            _, column_codes = np.unique(column, return_inverse=True)
+            column = column_codes.astype(np.int64)
+            low = 0
+            radix = len(column) + 1
+        key = key * radix + (column - low)
+        radix_so_far = radix_so_far * radix
+    return key
+
+
 def composite_keys(
     left_columns: list[np.ndarray], right_columns: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold multi-column join keys into one consistent ``int64`` key per side.
 
-    Columns are folded positionally (mixed-radix over the observed value
-    range of each column across *both* sides, so equal tuples encode to equal
-    scalars).  When the running radix would overflow ``int64``, the partial
-    keys are re-factorised through ``np.unique`` and folding continues on the
-    dense codes.
+    Both sides are folded together by :func:`composite_key` (value ranges
+    are taken across *both* sides), so equal tuples encode to equal scalars
+    on either side.
     """
     if len(left_columns) == 1:
         return left_columns[0], right_columns[0]
-    left = np.zeros(len(left_columns[0]), dtype=np.int64)
-    right = np.zeros(len(right_columns[0]), dtype=np.int64)
-    radix_so_far = 1
-    for left_col, right_col in zip(left_columns, right_columns):
-        low = int(
-            min(
-                left_col.min() if len(left_col) else 0,
-                right_col.min() if len(right_col) else 0,
-            )
-        )
-        high = int(
-            max(
-                left_col.max() if len(left_col) else 0,
-                right_col.max() if len(right_col) else 0,
-            )
-        )
-        radix = high - low + 1
-        if radix_so_far * radix >= _OVERFLOW_LIMIT:
-            # Compress the partial keys to dense codes before folding further.
-            merged = np.concatenate([left, right])
-            _, codes = np.unique(merged, return_inverse=True)
-            split = len(left)
-            left = codes[:split].astype(np.int64)
-            right = codes[split:].astype(np.int64)
-            radix_so_far = len(merged) + 1
-        if radix_so_far * radix >= _OVERFLOW_LIMIT:
-            # The column's own value range is enormous; dense-code it too so
-            # the fold stays within int64 (distinct values ≤ row count).
-            merged_column = np.concatenate([left_col.astype(np.int64), right_col.astype(np.int64)])
-            _, column_codes = np.unique(merged_column, return_inverse=True)
-            split = len(left_col)
-            left_col = column_codes[:split].astype(np.int64)
-            right_col = column_codes[split:].astype(np.int64)
-            low = 0
-            radix = len(merged_column) + 1
-        left = left * radix + (left_col.astype(np.int64) - low)
-        right = right * radix + (right_col.astype(np.int64) - low)
-        radix_so_far = radix_so_far * radix
-    return left, right
+    split = len(left_columns[0])
+    key = composite_key(
+        [np.concatenate((left, right)) for left, right in zip(left_columns, right_columns)]
+    )
+    return key[:split], key[split:]

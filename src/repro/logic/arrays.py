@@ -10,7 +10,9 @@ stay vectorized end-to-end instead of walking per-clause Python objects:
   "literals of clause c" slices and one-shot gathers over all literals;
 * per-clause ``weights`` / ``is_hard`` vectors for masked objective sums;
 * a lazily-built atom→occurrence CSR (``occurrence_offsets`` /
-  ``occurrence_clauses`` / ``occurrence_signs``) for WalkSAT flip deltas;
+  ``occurrence_clauses`` / ``occurrence_signs``) for WalkSAT flip deltas,
+  the hard repair (:meth:`GroundProgramArrays.repair_hard_violations`) and
+  PSL re-insertion;
 * lazily-labelled connected components (:attr:`components`), which
   ``nrockit`` solves apart and the batched WalkSAT kernel schedules by.
 
@@ -25,6 +27,7 @@ objectives for equality with the object path's.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
@@ -155,8 +158,8 @@ class GroundProgramArrays:
         """Atom→occurrence CSR ``(offsets, clauses, signs)``.
 
         Row ``a`` lists, in clause order (stable sort), every clause that
-        mentions atom ``a`` together with the literal's sign.  Built lazily —
-        only the WalkSAT kernel needs it.
+        mentions atom ``a`` together with the literal's sign.  Built lazily
+        for the WalkSAT kernel, the hard repair and re-insertion.
         """
         if self._occurrence is None:
             order = np.argsort(self.literal_atoms, kind="stable")
@@ -230,6 +233,90 @@ class GroundProgramArrays:
         mask = self.satisfied_mask(assignment)
         soft_satisfied = np.flatnonzero(mask & ~self.is_hard)
         return ordered_weight_sum(self.weight_list, soft_satisfied)
+
+    def repair_hard_violations(self, assignment: Sequence[bool]) -> Optional[list[bool]]:
+        """Greedily flip atoms of ``assignment`` until no hard clause is violated.
+
+        Each step satisfies the first violated hard clause in clause order by
+        flipping the atom with the smallest key ``(hard violations after the
+        flip, |log weight|, atom index)``.  Minimising the violations left
+        stops two hard clauses that share an atom with opposite polarities
+        from ping-ponging it; the weight then drops the least confident fact
+        of a conflict.  Violations are counted once per occurrence of the
+        atom in a hard clause.
+
+        One :meth:`satisfied_counts` pass seeds the per-clause true-literal
+        counts and the violated set.  After that the repair only reads the
+        hard rows of the atom→occurrence CSR (:attr:`occurrence`, which
+        re-insertion uses too): a candidate's key comes from its rows'
+        count changes, and a flip updates the counts of the clauses in its
+        row.  A repair thus costs a few vectorised passes over the literals
+        plus the hard degrees of the candidate and flipped atoms.
+
+        Returns the repaired copy, or ``None`` when ``num_clauses + 1`` flips
+        leave a hard clause violated (checked by one final rescan).
+        """
+        state = list(assignment)
+        counts = self.satisfied_counts(state)
+        violated = set(np.flatnonzero(self.is_hard & (counts == 0)).tolist())
+        if not violated:
+            return state
+        counts = counts.astype(np.int64).tolist()
+        # The hard rows of the occurrence CSR: clause and sign of every
+        # occurrence of an atom in a hard clause, in clause order.
+        offsets, occurrence_clauses, occurrence_signs = self.occurrence
+        hard = self.is_hard[occurrence_clauses]
+        hard_offsets = np.concatenate(([0], np.cumsum(hard)))[offsets].tolist()
+        hard_clauses = occurrence_clauses[hard].tolist()
+        hard_signs = occurrence_signs[hard].tolist()
+        atoms = self.program.atoms
+
+        queue = sorted(violated)  # a sorted list is already a min-heap
+        for _ in range(self.num_clauses + 1):
+            if not violated:
+                return state
+            while queue[0] not in violated:
+                heapq.heappop(queue)
+            start, stop = self.clause_offsets[queue[0] : queue[0] + 2].tolist()
+            best_key: Optional[tuple[int, float, int]] = None
+            for index, positive in zip(
+                self.literal_atoms[start:stop].tolist(), self.literal_signs[start:stop].tolist()
+            ):
+                # The clause is violated, so ``index`` is ``not positive``
+                # now; setting it to ``positive`` makes its literals of sign
+                # ``positive`` true and the others false.
+                row = range(hard_offsets[index], hard_offsets[index + 1])
+                deltas: dict[int, int] = {}
+                for position in row:
+                    clause = hard_clauses[position]
+                    deltas[clause] = deltas.get(clause, 0) + (
+                        1 if hard_signs[position] == positive else -1
+                    )
+                before = after = 0
+                for position in row:
+                    clause = hard_clauses[position]
+                    before += counts[clause] == 0
+                    after += counts[clause] + deltas[clause] == 0
+                key = (
+                    len(violated) - before + after,
+                    abs(atoms[index].fact.log_weight),
+                    index,
+                )
+                if best_key is None or key < best_key:
+                    best_key, flip, value = key, index, positive
+            state[flip] = value
+            row = range(hard_offsets[flip], hard_offsets[flip + 1])
+            for position in row:
+                counts[hard_clauses[position]] += 1 if hard_signs[position] == value else -1
+            for position in row:
+                clause = hard_clauses[position]
+                if counts[clause]:
+                    violated.discard(clause)
+                elif clause not in violated:
+                    violated.add(clause)
+                    heapq.heappush(queue, clause)
+        rescan = self.satisfied_counts(state)
+        return None if (self.is_hard & (rescan == 0)).any() else state
 
     def __repr__(self) -> str:
         return (

@@ -13,7 +13,6 @@ program is exactly weighted MaxSAT, which is how both back-ends consume it:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
@@ -250,60 +249,17 @@ class GroundProgram:
     def repair_hard_violations(self, assignment: Sequence[bool]) -> Optional[list[bool]]:
         """Greedily flip atoms of ``assignment`` until no hard clause is violated.
 
-        Each step satisfies the first violated hard clause in clause order by
-        flipping the atom with the smallest key ``(hard violations after the
-        flip, |log weight|, atom index)``.  Minimising the violations left
-        stops two hard clauses that share an atom with opposite polarities
-        from ping-ponging it; the weight then drops the least confident fact
-        of a conflict.  Violations are counted through an atom → hard-clause
-        index that lists a clause once per occurrence of the atom.
-
-        The violated set is seeded by one pass over the hard clauses and
-        updated by re-checking only the clauses containing the flipped atom,
-        so a repair costs that pass plus the hard-clause degrees of the
-        candidate and flipped atoms, not a rescan per flip.
+        Lowers the program to :class:`~repro.logic.arrays.GroundProgramArrays`
+        and runs :meth:`~repro.logic.arrays.GroundProgramArrays.repair_hard_violations`,
+        which documents the flip rule.  Callers that already hold the arrays
+        (PSL rounding, ``maxwalksat-array``) call that method directly.
 
         Returns the repaired copy, or ``None`` when ``num_clauses + 1`` flips
         leave a hard clause violated.
         """
-        clauses = self.clauses
-        state = list(assignment)
-        touching: dict[int, list[int]] = {}
-        violated: set[int] = set()
-        for position, clause in enumerate(clauses):
-            if clause.is_hard:
-                for index, _ in clause.literals:
-                    touching.setdefault(index, []).append(position)
-                if not clause.satisfied_by(state):
-                    violated.add(position)
-        queue = sorted(violated)  # a sorted list is already a min-heap
-        for _ in range(len(clauses) + 1):
-            if not violated:
-                return state
-            while queue[0] not in violated:
-                heapq.heappop(queue)
-            best_key: Optional[tuple[int, float, int]] = None
-            for index, positive in clauses[queue[0]].literals:
-                neighbours = touching[index]
-                before = sum(1 for other in neighbours if other in violated)
-                state[index] = positive
-                after = sum(1 for other in neighbours if not clauses[other].satisfied_by(state))
-                state[index] = not positive
-                key = (
-                    len(violated) - before + after,
-                    abs(self.atoms[index].fact.log_weight),
-                    index,
-                )
-                if best_key is None or key < best_key:
-                    best_key, flip, value = key, index, positive
-            state[flip] = value
-            for other in touching[flip]:
-                if clauses[other].satisfied_by(state):
-                    violated.discard(other)
-                elif other not in violated:
-                    violated.add(other)
-                    heapq.heappush(queue, other)
-        return None if self.hard_violations(state) else state
+        from .arrays import GroundProgramArrays  # arrays.py builds on this module
+
+        return GroundProgramArrays.from_program(self).repair_hard_violations(assignment)
 
     def is_feasible(self, assignment: Sequence[bool]) -> bool:
         """True when no hard clause is violated."""

@@ -19,6 +19,11 @@ the engine reuses the exact ordering contract those engines share:
   column plays the role of the graph's insertion ticks);
 * per-round matches re-sorted into the naive enumeration order by the facts'
   lexicographic sort keys, with identical firing/violation deduplication.
+  Constraint matches never leave the columns for this: the violated rows
+  are ordered by ``np.lexsort`` over the blocks' rank columns, symmetric
+  duplicates (one set of atoms in another body order) are dropped by a
+  stable ``np.unique`` over a composite key of the row-sorted atom-index
+  tags, and clauses and violations are emitted from ``.tolist()`` columns.
 
 Conditions (Allen relations, arithmetic comparisons, term equalities) are
 evaluated as numpy masks over the joined columns, short-circuited row-wise in
@@ -39,7 +44,13 @@ import numpy as np
 
 from ..errors import GroundingError, LogicError
 from ..kg import IRI, TemporalFact, TemporalKnowledgeGraph
-from ..kg.columnar import ColumnarFactStore, RelationBlock, composite_keys, merge_join
+from ..kg.columnar import (
+    ColumnarFactStore,
+    RelationBlock,
+    composite_key,
+    composite_keys,
+    merge_join,
+)
 from ..temporal import TimeInterval
 from .atom import AllenAtom, Comparison, QuadAtom, TermEquality
 from .constraint import TemporalConstraint
@@ -484,7 +495,7 @@ def _violated_rows(constraint: TemporalConstraint, table, store, alive: np.ndarr
         remaining = remaining[mask]
     if not violated:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(violated))
+    return np.concatenate(violated)  # the caller puts them in match order
 
 
 # --------------------------------------------------------------------------- #
@@ -642,24 +653,81 @@ def _fast_atom(
     return atom
 
 
-def _normalized_clause(literals, weight, kind: ClauseKind, origin: str) -> GroundClause:
-    """Inlined :meth:`GroundProgram.add_clause` normalisation.
+def _vectorized_violations(
+    constraint: TemporalConstraint, compiled: _VectorBody, store: ColumnarFactStore
+) -> tuple[list[list[int]], list[tuple[TemporalFact, ...]]]:
+    """Violated matches of a vectorized constraint body, as emitted.
 
-    Identical weight handling — negative soft units flip their literal,
-    negative non-units raise, zero weights become the shared epsilon — minus
-    the per-literal bounds check (the engine only emits indexes of atoms it
-    just registered).
+    Returns the matches' atom indexes (from the blocks' row tags) and body
+    facts, in the naive enumeration order, with symmetric duplicates (the
+    same set of atoms reached in another body order) dropped.  Both steps
+    run on the match table's columns:
+
+    * the order is lexicographic in the body facts' sort keys, which is
+      ``np.lexsort`` over the per-block rank columns with position 0
+      primary (rank tuples are unique within one join);
+    * of each set of atom indexes the first match in that order survives:
+      a stable ``np.unique(..., return_index=True)`` over one composite key
+      of the row-sorted tags.
     """
-    items = tuple(literals)
+    table = _full_table(compiled, store)
+    if table is None or not table.size:
+        return [], []
+    arity = len(compiled.atoms)
+    alive = np.arange(table.size)
+    # Degenerate matches: the same fact filling two body atoms.
+    for first in range(arity):
+        for second in range(first + 1, arity):
+            if compiled.atoms[first].predicate == compiled.atoms[second].predicate:
+                alive = alive[table.rows[first][alive] != table.rows[second][alive]]
+    violated = _violated_rows(constraint, table, store, alive)
+    if violated.size == 0:
+        return [], []
+    ranks = [table.blocks[p].rank_array()[table.rows[p][violated]] for p in range(arity)]
+    violated = violated[np.lexsort(ranks[::-1])]  # lexsort's last key is primary
+    tags = np.column_stack(
+        [table.blocks[p].tags_array()[table.rows[p][violated]] for p in range(arity)]
+    )
+    if arity > 1:
+        conflict_key = composite_key(list(np.sort(tags, axis=1).T))
+        _, first_rows = np.unique(conflict_key, return_index=True)
+        keep = np.sort(first_rows)
+        violated, tags = violated[keep], tags[keep]
+    return tags.tolist(), table.materialize_bodies(arity, violated)
+
+
+def _emit_violations(
+    program: GroundProgram,
+    result: GroundingResult,
+    constraint: TemporalConstraint,
+    atom_rows: list[list[int]],
+    bodies: list[tuple[TemporalFact, ...]],
+) -> None:
+    """Append one constraint clause and one violation per match.
+
+    :meth:`GroundProgram.add_clause`'s weight normalisation, done once per
+    constraint: a negative weight flips the literal of a one-atom body and
+    is unrepresentable for a longer one (raised only when a match is
+    violated), and a zero weight becomes the shared epsilon.
+    """
+    if not atom_rows:
+        return
+    name, weight = constraint.name, constraint.weight
+    arity = len(atom_rows[0])
+    positive, clause_weight = False, weight
     if weight is not None and weight < 0:
-        if len(items) != 1:
+        if arity != 1:
             raise GroundingError(
-                f"negative-weight non-unit clause from {origin!r} is not representable"
+                f"negative-weight non-unit clause from {name!r} is not representable"
             )
-        index, positive = items[0]
-        items = ((index, not positive),)
-        weight = -weight
-    return GroundClause(items, nonzero_weight(weight), kind, origin)
+        positive, clause_weight = True, -weight
+    clause_weight = nonzero_weight(clause_weight)
+    signs = (positive,) * arity
+    kind = ClauseKind.CONSTRAINT
+    program.clauses.extend(
+        GroundClause(tuple(zip(row, signs)), clause_weight, kind, name) for row in atom_rows
+    )
+    result.violations.extend(ConstraintViolation(name, facts, weight) for facts in bodies)
 
 
 # --------------------------------------------------------------------------- #
@@ -941,81 +1009,57 @@ class VectorizedGrounder(_GrounderBase):
         compiled_constraints: list[_VectorBody],
         evidence_keys: set[tuple],
     ) -> None:
-        atoms = program.atoms
-        atom_index = program._atom_index
-        clauses = program.clauses
         for constraint, compiled in zip(self.constraints, compiled_constraints):
-            matches: list[tuple] = []
             if compiled.dead:
-                pass
-            elif compiled.fallback:
-                for substitution, facts in _full_matches(compiled.plans, working):
-                    keys = tuple(fact.statement_key for fact in facts)
-                    if len(set(keys)) != len(keys):
-                        continue
-                    if not constraint.violated_by(substitution):
-                        continue
-                    matches.append((_body_sort_key(facts), facts, tuple(sorted(keys)), None))
+                continue
+            if compiled.fallback:
+                atom_rows, bodies = self._fallback_violations(
+                    constraint, compiled, program, working, evidence_keys
+                )
             else:
-                table = _full_table(compiled, store)
-                if table is not None and table.size:
-                    alive = np.arange(table.size)
-                    # Degenerate matches: the same fact filling two body atoms.
-                    arity = len(compiled.atoms)
-                    for first in range(arity):
-                        for second in range(first + 1, arity):
-                            if (
-                                compiled.atoms[first].predicate != compiled.atoms[second].predicate
-                            ):
-                                continue
-                            if alive.size == 0:
-                                break
-                            alive = alive[table.rows[first][alive] != table.rows[second][alive]]
-                    violated = _violated_rows(constraint, table, store, alive)
-                    bodies = table.materialize_bodies(arity, violated)
-                    ranks = zip(
-                        *(
-                            table.blocks[p].rank_array()[table.rows[p][violated]].tolist()
-                            for p in range(arity)
-                        )
-                    )
-                    indexes = zip(
-                        *(
-                            table.blocks[p].tags_array()[table.rows[p][violated]].tolist()
-                            for p in range(arity)
-                        )
-                    )
-                    for facts, rank_key, atom_indexes in zip(bodies, ranks, indexes):
-                        keys = tuple(fact.statement_key for fact in facts)
-                        matches.append((rank_key, facts, tuple(sorted(keys)), atom_indexes))
-            # Sort before deduplicating: of two symmetric matches the naive
-            # enumeration keeps the lexicographically first one.
-            matches.sort(key=_first_item)
-            seen: set[tuple] = set()
-            for _, facts, sorted_keys, atom_indexes in matches:
-                if sorted_keys in seen:
-                    continue
-                seen.add(sorted_keys)
-                if atom_indexes is None:  # fallback matches carry no row tags
-                    literals = [
-                        (
-                            _fast_atom(
-                                atoms, atom_index, fact, fact.statement_key in evidence_keys
-                            ).index,
-                            False,
-                        )
-                        for fact in facts
-                    ]
-                else:
-                    literals = [(index, False) for index in atom_indexes]
-                clauses.append(
-                    _normalized_clause(
-                        literals, constraint.weight, ClauseKind.CONSTRAINT, constraint.name
-                    )
-                )
-                result.violations.append(
-                    ConstraintViolation(constraint.name, tuple(facts), constraint.weight)
-                )
+                atom_rows, bodies = _vectorized_violations(constraint, compiled, store)
+            _emit_violations(program, result, constraint, atom_rows, bodies)
+
+    def _fallback_violations(
+        self,
+        constraint: TemporalConstraint,
+        compiled: _VectorBody,
+        program: GroundProgram,
+        working: TemporalKnowledgeGraph,
+        evidence_keys: set[tuple],
+    ) -> tuple[list[list[int]], list[tuple[TemporalFact, ...]]]:
+        """Variable-predicate bodies: the indexed engine's backtracking join.
+
+        Returns what :func:`_vectorized_violations` returns, ordered and
+        de-duplicated match by match like the scalar engines.
+        """
+        matches: list[tuple] = []
+        for substitution, facts in _full_matches(compiled.plans, working):
+            keys = tuple(fact.statement_key for fact in facts)
+            if len(set(keys)) != len(keys):
+                continue
+            if not constraint.violated_by(substitution):
+                continue
+            matches.append((_body_sort_key(facts), tuple(facts), tuple(sorted(keys))))
+        # Sort before deduplicating: of two symmetric matches the naive
+        # enumeration keeps the lexicographically first one.
+        matches.sort(key=_first_item)
+        atoms, atom_index = program.atoms, program._atom_index
+        seen: set[tuple] = set()
+        atom_rows: list[list[int]] = []
+        bodies: list[tuple[TemporalFact, ...]] = []
+        for _, facts, sorted_keys in matches:
+            if sorted_keys in seen:
+                continue
+            seen.add(sorted_keys)
+            atom_rows.append(
+                [
+                    _fast_atom(atoms, atom_index, fact, fact.statement_key in evidence_keys).index
+                    for fact in facts
+                ]
+            )
+            bodies.append(facts)
+        return atom_rows, bodies
 
 
 #: Make the vectorized engine selectable wherever the other engines are.

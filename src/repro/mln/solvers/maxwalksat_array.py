@@ -196,7 +196,7 @@ class ArrayMaxWalkSATSolver(MaxWalkSATSolver):
                 fold_best(state)
 
         assert best_assignment is not None
-        repaired = program.repair_hard_violations([bool(v) for v in best_assignment])
+        repaired = arrays.repair_hard_violations(best_assignment.tolist())
         if repaired is None:
             raise InfeasibleProgramError(
                 "MaxWalkSAT could not find an assignment satisfying all hard constraints"

@@ -7,13 +7,15 @@ one:
 
 1. threshold the soft values at 0.5;
 2. repair any hard clause still violated with
-   :meth:`GroundProgram.repair_hard_violations`: take the first violated hard
-   clause in clause order and flip the atom that leaves the fewest hard
-   clauses violated, breaking ties toward the smallest absolute evidence
-   weight (for conflict clauses this drops the least confident fact, as in
-   the running example, where the weaker Napoli fact is removed).  The
-   violated set is maintained across flips, so a repair costs one pass over
-   the hard clauses plus the degrees of the atoms it considers;
+   :meth:`GroundProgramArrays.repair_hard_violations`: take the first
+   violated hard clause in clause order and flip the atom that leaves the
+   fewest hard clauses violated, breaking ties toward the smallest absolute
+   evidence weight (for conflict clauses this drops the least confident
+   fact, as in the running example, where the weaker Napoli fact is
+   removed).  One vectorised pass over the literal arrays seeds per-clause
+   true-literal counts; a flip then updates the counts of the hard clauses
+   in its row of the atom→occurrence CSR, so a repair costs that pass plus
+   the hard degrees of the atoms it considers;
 3. re-insert (:func:`reinsert`): flip a false atom to true while that raises
    the objective and violates no hard clause, highest gain first, ties to
    the lowest atom index.  ADMM can leave two conflicting facts of equal
@@ -43,11 +45,14 @@ def threshold(truth_values: Sequence[float], cutoff: float = 0.5) -> list[bool]:
 def repair_hard(program: GroundProgram, assignment: list[bool]) -> list[bool]:
     """Greedily repair hard-clause violations in ``assignment``.
 
-    See :meth:`GroundProgram.repair_hard_violations` for the flip rule.
+    See :meth:`GroundProgramArrays.repair_hard_violations` for the flip rule.
     Raises :class:`InfeasibleProgramError` when the repair leaves a hard
     clause violated.
     """
-    repaired = program.repair_hard_violations(assignment)
+    return _feasible(program.repair_hard_violations(assignment))
+
+
+def _feasible(repaired: Optional[list[bool]]) -> list[bool]:
     if repaired is None:
         raise InfeasibleProgramError(
             "rounding could not produce an assignment satisfying the hard constraints"
@@ -155,10 +160,10 @@ def round_solution(
     """Threshold, hard repair and re-insertion: the final Boolean assignment.
 
     ``arrays`` is ``program``'s columnar view when the caller already built
-    it (the ADMM solver does); otherwise it is built here.
+    it (the ADMM solver does); otherwise it is built here.  The repair and
+    re-insertion both run on it.
     """
-    assignment = threshold(truth_values, cutoff=cutoff)
-    assignment = repair_hard(program, assignment)
     if arrays is None:
         arrays = GroundProgramArrays.from_program(program)
+    assignment = _feasible(arrays.repair_hard_violations(threshold(truth_values, cutoff=cutoff)))
     return tuple(reinsert(arrays, assignment))

@@ -1,23 +1,35 @@
-"""The incremental hard repair against the rescanning loop it replaced.
+"""The hard repair over the clause arrays against the object loops it replaced.
 
-``GroundProgram.repair_hard_violations`` keeps the set of violated hard
-clauses up to date across flips.  ``_oracle_repair_hard`` below is the
-rounding loop it replaced, kept verbatim: it rescans every clause after each
-flip.  Both must return the same assignment, or both raise, on every program;
-the work-bound tests then pin the saving that bit-identity cannot see.
+``GroundProgramArrays.repair_hard_violations`` (which
+``GroundProgram.repair_hard_violations`` and ``repair_hard`` lower to) keeps
+per-clause true-literal counts over the atom→occurrence CSR.  Two oracles
+below are the object-path loops it replaced, kept verbatim:
+
+* ``_oracle_repair_hard``, the rounding loop that rescans every clause after
+  each flip;
+* ``_incremental_object_repair``, the loop that kept the violated set up to
+  date by re-checking the flipped atom's hard clauses with
+  ``GroundClause.satisfied_by``.
+
+Both must return the same assignment, or both give up, on every program; the
+work-bound tests then pin the saving that bit-identity cannot see.
 ``TestReinsertion`` checks the rounding step that follows the repair on the
 same seeded programs.
 """
 
+import heapq
 import random
 
 import pytest
 
 from program_generators import random_ground_program
+from repro import TeCoRe
+from repro.datasets import FootballDBConfig, WikidataConfig, generate_footballdb, generate_wikidata
 from repro.errors import InfeasibleProgramError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundClause, GroundProgram
-from repro.psl import repair_hard, round_solution
+from repro.logic.arrays import GroundProgramArrays
+from repro.psl import ADMMSolver, repair_hard, round_solution, threshold
 
 
 def _oracle_repair_hard(program: GroundProgram, assignment: list[bool]) -> list[bool]:
@@ -55,6 +67,47 @@ def _oracle_repair_hard(program: GroundProgram, assignment: list[bool]) -> list[
     return state
 
 
+def _incremental_object_repair(program: GroundProgram, assignment) -> "list[bool] | None":
+    clauses = program.clauses
+    state = list(assignment)
+    touching: dict[int, list[int]] = {}
+    violated: set[int] = set()
+    for position, clause in enumerate(clauses):
+        if clause.is_hard:
+            for index, _ in clause.literals:
+                touching.setdefault(index, []).append(position)
+            if not clause.satisfied_by(state):
+                violated.add(position)
+    queue = sorted(violated)  # a sorted list is already a min-heap
+    for _ in range(len(clauses) + 1):
+        if not violated:
+            return state
+        while queue[0] not in violated:
+            heapq.heappop(queue)
+        best_key = None
+        for index, positive in clauses[queue[0]].literals:
+            neighbours = touching[index]
+            before = sum(1 for other in neighbours if other in violated)
+            state[index] = positive
+            after = sum(1 for other in neighbours if not clauses[other].satisfied_by(state))
+            state[index] = not positive
+            key = (
+                len(violated) - before + after,
+                abs(program.atoms[index].fact.log_weight),
+                index,
+            )
+            if best_key is None or key < best_key:
+                best_key, flip, value = key, index, positive
+        state[flip] = value
+        for other in touching[flip]:
+            if clauses[other].satisfied_by(state):
+                violated.discard(other)
+            elif other not in violated:
+                violated.add(other)
+                heapq.heappush(queue, other)
+    return None if program.hard_violations(state) else state
+
+
 def _outcome(repair, program, assignment):
     try:
         return repair(program, list(assignment))
@@ -65,6 +118,12 @@ def _outcome(repair, program, assignment):
 def _assert_same_outcome(program, assignment):
     expected = _outcome(_oracle_repair_hard, program, assignment)
     assert _outcome(repair_hard, program, assignment) == expected
+    return expected
+
+
+def _assert_same_as_object_loop(program, assignment):
+    expected = _incremental_object_repair(program, assignment)
+    assert program.repair_hard_violations(list(assignment)) == expected
     return expected
 
 
@@ -118,6 +177,7 @@ def _generated_program(seed):
 class TestBitIdentityWithRescanningLoop:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_programs(self, seed):
+        """Both oracles, on the same three starts per program."""
         program, rng = _generated_program(seed)
         starts = [
             [True] * program.num_atoms,
@@ -126,6 +186,7 @@ class TestBitIdentityWithRescanningLoop:
         ]
         for start in starts:
             _assert_same_outcome(program, start)
+            _assert_same_as_object_loop(program, start)
 
     def test_generated_programs_cover_both_outcomes(self):
         # The suite above only means something if it meets repairs that
@@ -173,6 +234,27 @@ class TestBitIdentityWithRescanningLoop:
     def test_coupled_hard_clauses(self, coupled_hard_program):
         program, _, _ = coupled_hard_program
         assert _assert_same_outcome(program, [True, True]) == [True, False]
+
+
+def _real_graph(dataset, seed):
+    if dataset == "footballdb":
+        return generate_footballdb(FootballDBConfig(scale=0.02, noise_ratio=0.5, seed=seed)).graph
+    return generate_wikidata(WikidataConfig(scale=1e-4, noise_ratio=0.5, seed=seed)).graph
+
+
+class TestBitIdentityWithObjectLoop:
+    @pytest.mark.parametrize("dataset, pack", [("footballdb", "sports"), ("wikidata", "biography")])
+    @pytest.mark.parametrize("seed", [2017, 2018])
+    def test_thresholded_admm_states(self, dataset, pack, seed):
+        """The state ``round_solution`` repairs (ADMM thresholded at 0.5) and
+        the all-true state, on the programs ``npsl`` resolves."""
+        graph = _real_graph(dataset, seed)
+        program = TeCoRe.from_pack(pack, solver="npsl").translate(graph).program
+        thresholded = threshold(ADMMSolver().solve(program).truth_values)
+        for start in (thresholded, [True] * program.num_atoms):
+            assert not program.is_feasible(start)
+            repaired = _assert_same_as_object_loop(program, start)
+            assert repaired is not None and repaired != start
 
 
 class TestReinsertion:
@@ -224,20 +306,20 @@ class TestWorkBound:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        counts = {"satisfied_by": 0, "hard_violations": 0}
-        satisfied_by = GroundClause.satisfied_by
-        hard_violations = GroundProgram.hard_violations
+        """Count the vectorised passes and any object-path clause checks."""
+        counts = {"satisfied_counts": 0, "satisfied_by": 0, "hard_violations": 0}
+        originals = {
+            (GroundProgramArrays, "satisfied_counts"): GroundProgramArrays.satisfied_counts,
+            (GroundClause, "satisfied_by"): GroundClause.satisfied_by,
+            (GroundProgram, "hard_violations"): GroundProgram.hard_violations,
+        }
+        for (owner, name), original in originals.items():
 
-        def counting_satisfied_by(self, assignment):
-            counts["satisfied_by"] += 1
-            return satisfied_by(self, assignment)
+            def counting(self, assignment, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, assignment)
 
-        def counting_hard_violations(self, assignment):
-            counts["hard_violations"] += 1
-            return hard_violations(self, assignment)
-
-        monkeypatch.setattr(GroundClause, "satisfied_by", counting_satisfied_by)
-        monkeypatch.setattr(GroundProgram, "hard_violations", counting_hard_violations)
+            monkeypatch.setattr(owner, name, counting)
         return counts
 
     @pytest.mark.parametrize("pairs, clauses", [(50, 2_000), (200, 8_000)])
@@ -246,12 +328,11 @@ class TestWorkBound:
         start = [True] * program.num_atoms
         counts = self._count_calls(monkeypatch)
         repaired = repair_hard(program, start)
-        assert counts["hard_violations"] == 0
-        # One seeding pass over the hard clauses, then per flip: one
-        # look-ahead check per candidate atom and one re-check of the single
-        # clause the flipped atom sits in.  The rescanning loop needed about
-        # pairs × clauses calls here.
-        assert counts["satisfied_by"] <= clauses + 3 * pairs
+        # One vectorised seeding pass over all literals; every flip after it
+        # only reads and updates the hard rows of the occurrence CSR, so no
+        # clause is evaluated on the object path.  The rescanning loop
+        # needed about pairs × clauses checks here.
+        assert counts == {"satisfied_counts": 1, "satisfied_by": 0, "hard_violations": 0}
         monkeypatch.undo()
         assert program.is_feasible(repaired)
         assert sum(1 for value in repaired if not value) == pairs
@@ -262,4 +343,5 @@ class TestWorkBound:
         _hard(program, (a, False))
         counts = self._count_calls(monkeypatch)
         assert program.repair_hard_violations([True]) is None
-        assert counts["hard_violations"] == 1
+        # The seeding pass plus one final rescan when the bound runs out.
+        assert counts == {"satisfied_counts": 2, "satisfied_by": 0, "hard_violations": 0}

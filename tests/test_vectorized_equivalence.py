@@ -24,9 +24,12 @@ from repro.datasets import (
     ranieri_extended_graph,
     ranieri_graph,
 )
+from repro.errors import GroundingError
 from repro.kg import TemporalKnowledgeGraph
 from repro.logic import (
     GROUNDING_ENGINES,
+    ZERO_WEIGHT_EPSILON,
+    ClauseKind,
     ConstraintBuilder,
     IndexedGrounder,
     NaiveGrounder,
@@ -424,6 +427,128 @@ class TestPlannerCornerCases:
             graph, rules=(), constraints=[c2_like("hardC2", None), c2_like("softC2", 1.5)]
         )
         assert len(indexed.violations) == 2
+
+
+# --------------------------------------------------------------------------- #
+# Constraint emission: match order, symmetric duplicates, weights
+# --------------------------------------------------------------------------- #
+def _negative_pair_constraint(team):
+    """A two-atom soft constraint of weight -1.0, violated only when some
+    player's ``playsFor`` facts meet ``team`` beside another club."""
+    return (
+        ConstraintBuilder("negativePair")
+        .body(quad("x", "playsFor", "y", "t"), quad("x", "playsFor", "z", "t2"))
+        .when(equal("y", team), not_equal("y", "z"))
+        .soft(-1.0)
+        .build()
+    )
+
+
+class TestConstraintEmission:
+    """The vectorized constraint pass orders and de-duplicates violated
+    matches on columns; these bodies stress that against the scalar loop."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("head", [None, "disjoint"])
+    def test_three_atom_constraint_over_one_predicate(self, seed, head):
+        """Each triple of one player's clubs is matched in all six body
+        orders.  As a pure denial all six are violated and only the first in
+        the naive order (the facts ascending) may survive; with a head
+        condition on the first two atoms only some orders are violated."""
+        graph = random_sports_graph(seed, facts=150)
+        builder = (
+            ConstraintBuilder("threeClubs")
+            .body(
+                quad("x", "playsFor", "y", "t"),
+                quad("x", "playsFor", "z", "t2"),
+                quad("x", "playsFor", "w", "t3"),
+            )
+            .when(not_equal("y", "z"), not_equal("y", "w"), not_equal("z", "w"))
+        )
+        if head is not None:
+            builder = builder.require(allen(head, "t", "t2"))
+        indexed, _ = assert_equivalent(graph, (), [builder.build()])
+        conflict_sets = [
+            frozenset(fact.statement_key for fact in violation.facts)
+            for violation in indexed.violations
+        ]
+        assert conflict_sets
+        assert len(set(conflict_sets)) == len(conflict_sets)
+        if head is None:
+            for violation in indexed.violations:
+                assert list(violation.facts) == sorted(violation.facts)
+
+    def test_body_mixing_evidence_and_derived_facts(self):
+        """A ``worksFor`` block holding evidence rows and rows derived by a
+        rule (a later round), joined against itself and against evidence."""
+        graph = random_sports_graph(13, facts=150)
+        for player, team, span in (
+            ("Player0", "Team2", (1960, 2015)),
+            ("Player3", "Team0", (1955, 2012)),
+            ("Player7", "Team4", (1950, 2020)),
+        ):
+            graph.add((player, "worksFor", team, span, 0.7))
+        rule = (
+            RuleBuilder("coachWorksFor")
+            .body(quad("x", "coach", "y", "t"))
+            .head(quad("x", "worksFor", "y", "t"))
+            .weight(1.1)
+            .build()
+        )
+        two_employers = (
+            ConstraintBuilder("twoEmployers")
+            .body(quad("x", "worksFor", "y", "t"), quad("x", "worksFor", "z", "t2"))
+            .when(not_equal("y", "z"))
+            .require(allen("disjoint", "t", "t2"))
+            .build()
+        )
+        employed_while_playing = (
+            ConstraintBuilder("employedWhilePlaying")
+            .body(quad("x", "worksFor", "y", "t"), quad("x", "playsFor", "z", "t2"))
+            .require(allen("disjoint", "t", "t2"))
+            .soft(0.9)
+            .build()
+        )
+        indexed, _ = assert_equivalent(graph, [rule], [two_employers, employed_while_playing])
+        evidence_keys = {fact.statement_key for fact in graph}
+        mixed = [
+            violation
+            for violation in indexed.violations
+            if len({fact.statement_key in evidence_keys for fact in violation.facts}) == 2
+        ]
+        assert {violation.constraint for violation in mixed} == {
+            "twoEmployers",
+            "employedWhilePlaying",
+        }
+
+    @pytest.mark.parametrize("weight", [1.5, 0.0, -1.5])
+    def test_one_atom_constraint_weights(self, weight):
+        """Positive weights pass through, zero becomes the shared epsilon and
+        a negative weight flips the one literal."""
+        graph = random_sports_graph(41)
+        constraint = (
+            ConstraintBuilder("shortSpell")
+            .body(quad("x", "playsFor", "y", "t"))
+            .require(compare(IntervalDuration(Variable("t")), "<=", 6))
+            .soft(weight)
+            .build()
+        )
+        _, vectorized = assert_equivalent(graph, (), [constraint])
+        clauses = vectorized.program.clauses_of_kind(ClauseKind.CONSTRAINT)
+        assert clauses
+        assert {clause.literals[0][1] for clause in clauses} == {weight < 0}
+        assert {clause.weight for clause in clauses} == {abs(weight) or ZERO_WEIGHT_EPSILON}
+
+    def test_negative_two_atom_constraint_with_a_violation_raises(self):
+        graph = random_sports_graph(42)
+        for engine_class in (IndexedGrounder, VectorizedGrounder):
+            with pytest.raises(GroundingError, match="negativePair"):
+                engine_class(graph, constraints=[_negative_pair_constraint("Team1")]).ground()
+
+    def test_negative_two_atom_constraint_without_violations_grounds(self):
+        graph = random_sports_graph(42)
+        indexed, _ = assert_equivalent(graph, (), [_negative_pair_constraint("NoSuchTeam")])
+        assert not indexed.violations
 
 
 # --------------------------------------------------------------------------- #
