@@ -640,17 +640,16 @@ def _command_serve(args: argparse.Namespace) -> int:
         restored = recovery.sessions_restored if recovery is not None else 0
         durability = f", wal={args.wal_dir} ({restored} sessions recovered)"
     sharding = f", workers={args.workers}" if args.workers else ""
-    # SIGINT and SIGTERM both end serving through KeyboardInterrupt, so the
-    # server and its WAL close and the exit code is 0.  A non-interactive
-    # shell starts background jobs with SIGINT ignored, and Python then
-    # leaves it ignored.  Only the main thread may set handlers.
     previous_handlers = {}
-    if threading.current_thread() is threading.main_thread():
-        previous_handlers = {
-            signum: signal.signal(signum, signal.default_int_handler)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        }
     try:
+        # SIGINT and SIGTERM both end serving through KeyboardInterrupt, so
+        # the server and its WAL close and the exit code is 0.  A
+        # non-interactive shell starts background jobs with SIGINT ignored,
+        # and Python then leaves it ignored.  Only the main thread may set
+        # handlers.
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous_handlers[signum] = signal.signal(signum, signal.default_int_handler)
         print(
             f"serving on {server.url} (solver={args.solver}, "
             f"batch={args.batch_max} @ {args.batch_delay * 1000:.0f} ms, "

@@ -28,6 +28,7 @@ row indices a vectorized join produces.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -125,25 +126,6 @@ class RelationBlock:
         return len(self.facts)
 
     # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
-    def append(self, fact: TemporalFact, subject_id: int, object_id: int, round_number: int) -> int:
-        """Stage one row; returns its row index.
-
-        Appends only touch the staging lists; the numpy columns are rebuilt
-        lazily by :meth:`columns` once the next scan notices new rows, so a
-        round's worth of appends costs one materialisation, not one each.
-        """
-        row = len(self.facts)
-        self.facts.append(fact)
-        self._subjects.append(subject_id)
-        self._objects.append(object_id)
-        self._begins.append(fact.interval.start)
-        self._ends.append(fact.interval.end)
-        self._rounds.append(round_number)
-        return row
-
-    # ------------------------------------------------------------------ #
     # Column access
     # ------------------------------------------------------------------ #
     def columns(self) -> dict[str, np.ndarray]:
@@ -223,39 +205,29 @@ class ColumnarFactStore:
         callers maintaining tags must pass one on every add that can create
         a row, or the tag column falls out of alignment.
         """
-        key = fact.statement_key
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        predicate_id = self.predicates.intern(fact.predicate)
-        block = self._blocks.get(predicate_id)
-        if block is None:
-            block = RelationBlock(fact.predicate)
-            self._blocks[predicate_id] = block
-        block.append(
-            fact,
-            self.entities.intern(fact.subject),
-            self.entities.intern(fact.object),
-            round_number,
-        )
-        if tag is not None:
-            block.tags.append(tag)
-        return True
+        return self.bulk_add((fact,), round_number, None if tag is None else (tag,)) == 1
 
-    def bulk_add(self, facts: Iterable[TemporalFact], round_number: int = 0) -> int:
+    def bulk_add(
+        self,
+        facts: Iterable[TemporalFact],
+        round_number: int = 0,
+        tags: Optional[Iterable[int]] = None,
+    ) -> int:
         """Batch variant of :meth:`add` with the interning loop inlined.
 
         Loading the evidence graph is a fixed per-ground() cost of the
-        vectorized engine, so this path trades the tidy :meth:`add`
-        delegation for local-variable access to the interner and block
-        internals (roughly halving the per-fact overhead).
+        vectorized engine, and so is appending each round's new rule heads,
+        so this path trades the tidy :meth:`add` delegation for
+        local-variable access to the interner and block internals (roughly
+        halving the per-fact overhead).  ``tags`` pairs with ``facts``; each
+        added row appends its fact's tag, as :meth:`add` does.
         """
         keys = self._keys
         entity_ids, entity_terms = self.entities._ids, self.entities._terms
         predicate_ids, predicate_terms = self.predicates._ids, self.predicates._terms
         blocks = self._blocks
         added = 0
-        for fact in facts:
+        for fact, tag in zip(facts, repeat(None) if tags is None else tags):
             key = fact.statement_key
             if key in keys:
                 continue
@@ -289,6 +261,8 @@ class ColumnarFactStore:
             block._begins.append(interval.start)
             block._ends.append(interval.end)
             block._rounds.append(round_number)
+            if tag is not None:
+                block.tags.append(tag)
             added += 1
         return added
 

@@ -1,9 +1,14 @@
 """Array-native compiled view of a ground program.
 
-:class:`GroundProgramArrays` lowers a :class:`~repro.logic.ground.GroundProgram`
-into the same interned-id / numpy-block layout the columnar grounding engine
-uses (``kg/columnar.py``, ``logic/vectorized.py``), so MAP solver kernels can
-stay vectorized end-to-end instead of walking per-clause Python objects:
+:class:`GroundProgramArrays` is a :class:`~repro.logic.ground.GroundProgram`'s
+clause columns as numpy arrays, the same interned-id / numpy-block layout the
+columnar grounding engine uses (``kg/columnar.py``, ``logic/vectorized.py``),
+so MAP solver kernels stay vectorized end-to-end instead of walking
+per-clause Python objects.  :meth:`GroundProgramArrays.from_program` copies
+the columns (no clause object is read or built) and the program keeps the
+result until its next clause is added.  The arrays hold no reference back to
+the program: a program keeps its CSR, so a back-reference would make a cycle
+that only a full garbage collection frees.  The view holds:
 
 * a clause→literal CSR matrix (``clause_offsets`` / ``literal_atoms`` /
   ``literal_signs``) plus the flat ``literal_clauses`` inverse, giving both
@@ -29,7 +34,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
+from operator import is_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +43,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ..errors import GroundingError
-from .ground import GroundProgram
+from .ground import GroundAtom, GroundProgram
 
 
 def ragged_slices(offsets: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -86,9 +92,6 @@ class GroundProgramArrays:
     #: Original per-clause Python weights (``None`` for hard), in clause
     #: order — the bit-identity source for :meth:`objective`.
     weight_list: list[Optional[float]]
-    #: Originating program, kept for atom metadata (facts, ``derived_by``)
-    #: and for solvers that fall back to object-path evaluation.
-    program: Optional[GroundProgram] = None
 
     _occurrence: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False
@@ -100,47 +103,40 @@ class GroundProgramArrays:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_program(cls, program: GroundProgram) -> "GroundProgramArrays":
-        """Lower an object-graph program into the CSR layout.
+        """The CSR of ``program``'s clause columns, cached on the program.
 
-        Clause order, literal order within a clause, and weights are
-        preserved exactly, so every array evaluation can be mapped back to
-        the object path index-for-index.
+        Clause order, literal order within a clause, and weights are the
+        program's exactly, so every array evaluation maps back to the object
+        path index-for-index.  The cached arrays are returned again until a
+        clause or atom is added; callers must not write to them.
         """
-        num_clauses = len(program.clauses)
-        lengths = np.fromiter(
-            (len(clause.literals) for clause in program.clauses),
-            dtype=np.int64,
-            count=num_clauses,
-        )
+        cached = program._arrays
+        if (
+            cached is not None
+            and cached.num_atoms == program.num_atoms
+            and cached.num_clauses == program.num_clauses
+        ):
+            return cached
+        lengths = np.array(program._clause_lengths, dtype=np.int64)
+        num_clauses = lengths.size
         clause_offsets = np.zeros(num_clauses + 1, dtype=np.int64)
         np.cumsum(lengths, out=clause_offsets[1:])
-        total = int(clause_offsets[-1])
-
-        literals = list(chain.from_iterable(clause.literals for clause in program.clauses))
-        literal_atoms = np.fromiter((index for index, _ in literals), dtype=np.int64, count=total)
-        literal_signs = np.fromiter((positive for _, positive in literals), dtype=bool, count=total)
-        literal_clauses = np.repeat(np.arange(num_clauses, dtype=np.int64), lengths)
-
-        weight_list = [clause.weight for clause in program.clauses]
-        is_hard = np.fromiter(
-            (weight is None for weight in weight_list), dtype=bool, count=num_clauses
-        )
-        weights = np.fromiter(
-            (0.0 if weight is None else weight for weight in weight_list),
-            dtype=np.float64,
-            count=num_clauses,
-        )
-        return cls(
-            num_atoms=len(program.atoms),
+        weight_list = program._clause_weights[:]
+        is_hard = np.fromiter(map(is_, weight_list, repeat(None)), dtype=bool, count=num_clauses)
+        weights = np.array(weight_list, dtype=np.float64)
+        weights[is_hard] = 0.0
+        arrays = cls(
+            num_atoms=program.num_atoms,
             clause_offsets=clause_offsets,
-            literal_atoms=literal_atoms,
-            literal_signs=literal_signs,
-            literal_clauses=literal_clauses,
+            literal_atoms=np.array(program._literal_atoms, dtype=np.int64),
+            literal_signs=np.array(program._literal_signs, dtype=bool),
+            literal_clauses=np.repeat(np.arange(num_clauses, dtype=np.int64), lengths),
             weights=weights,
             is_hard=is_hard,
             weight_list=weight_list,
-            program=program,
         )
+        program._arrays = arrays
+        return arrays
 
     # ------------------------------------------------------------------ #
     # Views
@@ -234,7 +230,9 @@ class GroundProgramArrays:
         soft_satisfied = np.flatnonzero(mask & ~self.is_hard)
         return ordered_weight_sum(self.weight_list, soft_satisfied)
 
-    def repair_hard_violations(self, assignment: Sequence[bool]) -> Optional[list[bool]]:
+    def repair_hard_violations(
+        self, assignment: Sequence[bool], atoms: Sequence[GroundAtom]
+    ) -> Optional[list[bool]]:
         """Greedily flip atoms of ``assignment`` until no hard clause is violated.
 
         Each step satisfies the first violated hard clause in clause order by
@@ -253,6 +251,9 @@ class GroundProgramArrays:
         row.  A repair thus costs a few vectorised passes over the literals
         plus the hard degrees of the candidate and flipped atoms.
 
+        ``atoms`` is the program's atom table; the key reads the log weight
+        of each candidate's fact from it.
+
         Returns the repaired copy, or ``None`` when ``num_clauses + 1`` flips
         leave a hard clause violated (checked by one final rescan).
         """
@@ -269,7 +270,6 @@ class GroundProgramArrays:
         hard_offsets = np.concatenate(([0], np.cumsum(hard)))[offsets].tolist()
         hard_clauses = occurrence_clauses[hard].tolist()
         hard_signs = occurrence_signs[hard].tolist()
-        atoms = self.program.atoms
 
         queue = sorted(violated)  # a sorted list is already a min-heap
         for _ in range(self.num_clauses + 1):

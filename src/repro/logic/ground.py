@@ -9,16 +9,34 @@ program is exactly weighted MaxSAT, which is how both back-ends consume it:
   (MaxWalkSAT);
 * the PSL path relaxes the Boolean variables to ``[0, 1]`` and replaces each
   clause by its Łukasiewicz hinge loss.
+
+A :class:`GroundProgram` stores its clauses once, as columns: per clause the
+literal count, the weight (``None`` when hard) and a code into a table of
+``(kind, origin)`` pairs; per literal the atom index and the sign.
+:meth:`GroundProgram.add_clause` appends one normalised clause;
+:meth:`GroundProgram.extend_clauses` appends many straight from arrays (the
+vectorized grounder's path, which builds no clause object).  The solver
+kernels read the columns as a CSR
+(:meth:`~repro.logic.arrays.GroundProgramArrays.from_program`), and
+:attr:`GroundProgram.clauses` is a read-only list of :class:`GroundClause`
+objects built from the columns on first access, for the object solvers,
+sessions, lint, listings and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..errors import GroundingError
 from ..kg import TemporalFact
+
+if TYPE_CHECKING:
+    from .arrays import GroundProgramArrays
 
 #: Weight substituted for zero-weight soft clauses.  A weight of exactly zero
 #: carries no information but would make the clause indistinguishable from a
@@ -118,13 +136,46 @@ class GroundClause:
         return f"({parts}) [{weight}, {self.kind.value}:{self.origin}]"
 
 
-@dataclass
-class GroundProgram:
-    """The full propositional MAP problem produced by the grounder."""
+class _ClauseView(list):
+    """The read-only list :attr:`GroundProgram.clauses` returns.
 
-    atoms: list[GroundAtom] = field(default_factory=list)
-    clauses: list[GroundClause] = field(default_factory=list)
-    _atom_index: dict[tuple, int] = field(default_factory=dict)
+    Reads run at list speed; every mutator raises, because the program's
+    columns, not this list, are its clause storage.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("GroundProgram.clauses is read-only; add clauses with add_clause")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+
+class GroundProgram:
+    """The full propositional MAP problem produced by the grounder.
+
+    Atoms are a list of :class:`GroundAtom`; clauses live in columns (see
+    the module docstring).  ``_arrays`` caches the program's CSR
+    (:class:`~repro.logic.arrays.GroundProgramArrays`) until the next clause
+    is added; the CSR holds no reference back to the program.
+    """
+
+    def __init__(self) -> None:
+        self.atoms: list[GroundAtom] = []
+        self._atom_index: dict[tuple, int] = {}
+        self._clause_lengths = array("q")
+        self._clause_weights: list[Optional[float]] = []
+        self._clause_codes = array("q")
+        self._literal_atoms = array("q")
+        self._literal_signs = array("b")
+        self._origins: list[tuple[ClauseKind, str]] = []
+        self._origin_codes: dict[tuple[ClauseKind, str], int] = {}
+        # The materialised prefix of the clause view, and how many literals
+        # it covers (where the next clause to build starts).
+        self._view = _ClauseView()
+        self._view_literals = 0
+        self._arrays: Optional["GroundProgramArrays"] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -159,6 +210,16 @@ class GroundProgram:
         index = self._atom_index.get(fact.statement_key)
         return self.atoms[index] if index is not None else None
 
+    def origin_code(self, kind: ClauseKind, origin: str) -> int:
+        """Code of ``(kind, origin)`` in the program's clause-origin table."""
+        entry = (kind, origin)
+        code = self._origin_codes.get(entry)
+        if code is None:
+            code = len(self._origins)
+            self._origins.append(entry)
+            self._origin_codes[entry] = code
+        return code
+
     def add_clause(
         self,
         literals: Iterable[tuple[int, bool]],
@@ -170,7 +231,8 @@ class GroundProgram:
 
         Soft unit clauses with negative weight are normalised by flipping the
         literal (``w·sat(l) ≡ const + (−w)·sat(¬l)``), so downstream encoders
-        only ever see positive soft weights.
+        only ever see positive soft weights.  When the clause view is fully
+        built, the returned clause object is appended to it.
         """
         items = tuple(literals)
         for index, _ in items:
@@ -188,8 +250,42 @@ class GroundProgram:
         # epsilon so they stay soft (see ZERO_WEIGHT_EPSILON).
         weight = nonzero_weight(weight)
         clause = GroundClause(items, weight, kind, origin)
-        self.clauses.append(clause)
+        if len(self._view) == len(self._clause_weights):
+            list.append(self._view, clause)
+            self._view_literals += len(items)
+        code = self._origin_codes.get((kind, origin))
+        self._clause_lengths.append(len(items))
+        self._clause_weights.append(weight)
+        self._clause_codes.append(self.origin_code(kind, origin) if code is None else code)
+        literal_atoms, literal_signs = self._literal_atoms, self._literal_signs
+        for index, positive in items:
+            literal_atoms.append(index)
+            literal_signs.append(positive)
+        self._arrays = None
         return clause
+
+    def extend_clauses(
+        self,
+        lengths: np.ndarray,
+        literal_atoms: np.ndarray,
+        literal_signs: np.ndarray,
+        weights: list[Optional[float]],
+        codes: np.ndarray,
+    ) -> None:
+        """Append clauses straight to the columns, building no clause object.
+
+        The caller has already normalised them as :meth:`add_clause` would:
+        atom indexes exist, negative unit weights are flipped, zero weights
+        are :data:`ZERO_WEIGHT_EPSILON` and non-unit soft weights positive.
+        :class:`GroundClause` re-checks the last two when the view is built.
+        ``codes`` come from :meth:`origin_code`.
+        """
+        self._clause_lengths.frombytes(np.asarray(lengths, dtype=np.int64).tobytes())
+        self._clause_weights.extend(weights)
+        self._clause_codes.frombytes(np.asarray(codes, dtype=np.int64).tobytes())
+        self._literal_atoms.frombytes(np.asarray(literal_atoms, dtype=np.int64).tobytes())
+        self._literal_signs.frombytes(np.asarray(literal_signs, dtype=bool).tobytes())
+        self._arrays = None
 
     # ------------------------------------------------------------------ #
     # Views
@@ -203,7 +299,50 @@ class GroundProgram:
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self._clause_weights)
+
+    @property
+    def clauses(self) -> list[GroundClause]:
+        """The clauses as :class:`GroundClause` objects, in clause order.
+
+        Read-only.  Built from the columns on first access; clauses added
+        later extend the list instead of rebuilding it.
+        """
+        view = self._view
+        start = len(view)
+        if start < len(self._clause_weights):
+            position = self._view_literals
+            atoms = self._literal_atoms[position:].tolist()
+            signs = [sign == 1 for sign in self._literal_signs[position:]]
+            origins = self._origins
+            built = []
+            offset = 0
+            for length, weight, code in zip(
+                self._clause_lengths[start:],
+                self._clause_weights[start:],
+                self._clause_codes[start:],
+            ):
+                stop = offset + length
+                kind, origin = origins[code]
+                literals = tuple(zip(atoms[offset:stop], signs[offset:stop]))
+                built.append(GroundClause(literals, weight, kind, origin))
+                offset = stop
+            list.extend(view, built)
+            self._view_literals = position + offset
+        return view
+
+    def clause(self, index: int) -> GroundClause:
+        """Clause ``index`` as an object, without building the whole view."""
+        if index < len(self._view):
+            return self._view[index]
+        from .arrays import GroundProgramArrays  # arrays.py builds on this module
+
+        offsets = GroundProgramArrays.from_program(self).clause_offsets
+        start, stop = offsets[index : index + 2].tolist()
+        signs = [sign == 1 for sign in self._literal_signs[start:stop]]
+        literals = tuple(zip(self._literal_atoms[start:stop].tolist(), signs))
+        kind, origin = self._origins[self._clause_codes[index]]
+        return GroundClause(literals, self._clause_weights[index], kind, origin)
 
     def evidence_atoms(self) -> list[GroundAtom]:
         return [atom for atom in self.atoms if atom.is_evidence]
@@ -259,7 +398,7 @@ class GroundProgram:
         """
         from .arrays import GroundProgramArrays  # arrays.py builds on this module
 
-        return GroundProgramArrays.from_program(self).repair_hard_violations(assignment)
+        return GroundProgramArrays.from_program(self).repair_hard_violations(assignment, self.atoms)
 
     def is_feasible(self, assignment: Sequence[bool]) -> bool:
         """True when no hard clause is violated."""
@@ -273,7 +412,7 @@ class GroundProgram:
         zeros to :data:`ZERO_WEIGHT_EPSILON` — so summing all of them is the
         same as summing the positive ones.
         """
-        return sum(clause.weight for clause in self.clauses if clause.weight is not None)
+        return sum(weight for weight in self._clause_weights if weight is not None)
 
     def canonical_signature(self) -> tuple:
         """Order-independent content signature of the program.

@@ -19,11 +19,22 @@ the engine reuses the exact ordering contract those engines share:
   column plays the role of the graph's insertion ticks);
 * per-round matches re-sorted into the naive enumeration order by the facts'
   lexicographic sort keys, with identical firing/violation deduplication.
-  Constraint matches never leave the columns for this: the violated rows
-  are ordered by ``np.lexsort`` over the blocks' rank columns, symmetric
+  Matches never leave the columns for this: a rule's surviving rows of all
+  pivot tables, and a constraint's violated rows, are ordered by
+  ``np.lexsort`` over the blocks' rank columns; symmetric constraint
   duplicates (one set of atoms in another body order) are dropped by a
   stable ``np.unique`` over a composite key of the row-sorted atom-index
-  tags, and clauses and violations are emitted from ``.tolist()`` columns.
+  tags.
+
+Emission writes the program's clause columns directly
+(:meth:`~repro.logic.ground.GroundProgram.extend_clauses`), one block per
+evidence set, per rule and round, and per constraint, so no
+:class:`~repro.logic.ground.GroundClause` is built.  Body atoms come from the
+blocks' row tags.  A rule's head is looked up by statement key in the
+program's atom table; only a head without an atom gets a new atom, its prior
+clause and a store row, and the round's new rows of a rule go into the store
+in one bulk append.  A firing can repeat only under a second rule of the same
+name, so only such rules keep a set of firing signatures.
 
 Conditions (Allen relations, arithmetic comparisons, term equalities) are
 evaluated as numpy masks over the joined columns, short-circuited row-wise in
@@ -37,7 +48,9 @@ never depends on a construct being vectorizable.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -63,7 +76,7 @@ from .expressions import (
     Number,
     TermValue,
 )
-from .ground import ClauseKind, GroundAtom, GroundClause, GroundProgram, nonzero_weight
+from .ground import ClauseKind, GroundAtom, GroundProgram, nonzero_weight
 from .grounding import (
     GROUNDING_ENGINES,
     ConstraintViolation,
@@ -84,11 +97,8 @@ class _NotVectorizable(Exception):
     """Internal signal: evaluate this construct per row instead."""
 
 
-#: Sort key for match entries (their precomputed rank key comes first).
+#: Sort key for match entries (their sort key comes first).
 _first_item = itemgetter(0)
-
-#: Direct slot access to a fact's cached statement key (hot signature path).
-_statement_key_of = attrgetter("_statement_key")
 
 
 # --------------------------------------------------------------------------- #
@@ -158,18 +168,20 @@ class _MatchTable:
         self.rows = rows
         self.blocks = blocks
 
-    def materialize_bodies(self, arity: int, alive: np.ndarray) -> list[tuple[TemporalFact, ...]]:
-        """Body-fact tuples of the alive rows, decoded column-wise.
 
-        One ``map`` over each atom position's row indices plus a ``zip``
-        across positions keeps the per-match Python work at C speed.
-        """
-        per_position = []
-        for position in range(arity):
-            facts = self.blocks[position].facts
-            rows = self.rows[position][alive].tolist()
-            per_position.append(map(facts.__getitem__, rows))
-        return list(zip(*per_position))
+def _body_facts(
+    blocks: dict[int, RelationBlock], rows: Sequence[np.ndarray]
+) -> list[tuple[TemporalFact, ...]]:
+    """Body-fact tuples of matches given as per-position block rows.
+
+    One ``map`` over each atom position's row indices plus a ``zip``
+    across positions keeps the per-match Python work at C speed.
+    """
+    per_position = [
+        map(blocks[position].facts.__getitem__, column.tolist())
+        for position, column in enumerate(rows)
+    ]
+    return list(zip(*per_position))
 
 
 # --------------------------------------------------------------------------- #
@@ -622,46 +634,95 @@ def _instantiate_heads(
 
 
 # --------------------------------------------------------------------------- #
-# Fast program emission
+# Matches as emitted
 # --------------------------------------------------------------------------- #
-def _fast_atom(
-    atoms: list[GroundAtom],
-    atom_index: dict[tuple, int],
-    fact: TemporalFact,
-    is_evidence: bool,
-    derived_by: Optional[str] = None,
-) -> GroundAtom:
-    """Inlined :meth:`GroundProgram.add_atom` (same semantics, fewer layers).
+class _Firings:
+    """One rule's new firings of one round, in emission order.
 
-    Registration is idempotent on the statement key with the same sticky
-    evidence-upgrade rule; only the per-call method/property overhead is
-    shaved, which matters on the per-firing emission path.
+    Row ``i`` of ``body_atoms`` holds firing ``i``'s body atom indexes;
+    ``bodies[i]`` are its body facts and ``heads[i]`` its instantiated head
+    (with the rule's ``derived_confidence``).
     """
-    key = fact.statement_key
-    cached = atom_index.get(key)
-    if cached is not None:
-        atom = atoms[cached]
-        if is_evidence and not atom.is_evidence:
-            # Sticky evidence upgrade; the deriving rule's name is preserved
-            # (same semantics as GroundProgram.add_atom).
-            atom = GroundAtom(atom.index, fact, True, atom.derived_by)
-            atoms[cached] = atom
-        return atom
-    atom = GroundAtom(len(atoms), fact, is_evidence, derived_by)
-    atoms.append(atom)
-    atom_index[key] = atom.index
-    return atom
+
+    __slots__ = ("body_atoms", "bodies", "heads")
+
+    def __init__(
+        self,
+        body_atoms: np.ndarray,
+        bodies: list[tuple[TemporalFact, ...]],
+        heads: list[TemporalFact],
+    ) -> None:
+        self.body_atoms = body_atoms
+        self.bodies = bodies
+        self.heads = heads
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def drop_seen(self, seen: set[tuple]) -> None:
+        """Drop the firings whose signature ``seen`` holds; record the rest.
+
+        A signature is the body atoms and the head's statement key; ``seen``
+        belongs to one rule name, which completes the signature.
+        """
+        keep = []
+        for position, (atoms, head) in enumerate(zip(self.body_atoms.tolist(), self.heads)):
+            signature = (tuple(atoms), head.statement_key)
+            if signature not in seen:
+                seen.add(signature)
+                keep.append(position)
+        if len(keep) < len(self.heads):
+            self.body_atoms = self.body_atoms[keep]
+            self.bodies = [self.bodies[position] for position in keep]
+            self.heads = [self.heads[position] for position in keep]
+
+
+def _vectorized_firings(
+    rule: TemporalRule, compiled: _VectorBody, store: ColumnarFactStore, delta_round: int
+) -> Optional[_Firings]:
+    """New firings of a vectorized body this round, in the naive enumeration order.
+
+    The pivot tables' surviving rows are concatenated and ordered by
+    ``np.lexsort`` over the blocks' rank columns, position 0 primary, which
+    is the lexicographic order of the body facts' sort keys (a body tuple is
+    matched in one pivot table of one round only, so no two rows tie).
+    Body atom indexes come from the blocks' row tags.
+    """
+    arity = len(compiled.atoms)
+    rows: list[list[np.ndarray]] = [[] for _ in range(arity)]
+    heads: list[TemporalFact] = []
+    blocks: dict[int, RelationBlock] = {}
+    for table in _iter_pivot_tables(compiled, store, delta_round):
+        alive = _apply_conditions(rule.conditions, table, store, np.arange(table.size))
+        if alive.size == 0:
+            continue
+        alive, begins, ends = _head_interval_columns(rule, table, store, alive)
+        if alive.size == 0:
+            continue
+        heads.extend(_instantiate_heads(rule, table, store, alive, begins, ends))
+        for position in range(arity):
+            rows[position].append(table.rows[position][alive])
+        blocks = table.blocks
+    if not heads:
+        return None
+    matched = [np.concatenate(parts) for parts in rows]
+    order = np.lexsort([blocks[p].rank_array()[matched[p]] for p in reversed(range(arity))])
+    matched = [column[order] for column in matched]
+    body_atoms = np.column_stack([blocks[p].tags_array()[matched[p]] for p in range(arity)])
+    return _Firings(
+        body_atoms, _body_facts(blocks, matched), list(map(heads.__getitem__, order.tolist()))
+    )
 
 
 def _vectorized_violations(
     constraint: TemporalConstraint, compiled: _VectorBody, store: ColumnarFactStore
-) -> tuple[list[list[int]], list[tuple[TemporalFact, ...]]]:
+) -> tuple[np.ndarray, list[tuple[TemporalFact, ...]]]:
     """Violated matches of a vectorized constraint body, as emitted.
 
-    Returns the matches' atom indexes (from the blocks' row tags) and body
-    facts, in the naive enumeration order, with symmetric duplicates (the
-    same set of atoms reached in another body order) dropped.  Both steps
-    run on the match table's columns:
+    Returns the matches' atom indexes (one row per match, from the blocks'
+    row tags) and body facts, in the naive enumeration order, with
+    symmetric duplicates (the same set of atoms reached in another body
+    order) dropped.  Both steps run on the match table's columns:
 
     * the order is lexicographic in the body facts' sort keys, which is
       ``np.lexsort`` over the per-block rank columns with position 0
@@ -672,7 +733,7 @@ def _vectorized_violations(
     """
     table = _full_table(compiled, store)
     if table is None or not table.size:
-        return [], []
+        return np.empty((0, len(compiled.atoms)), dtype=np.int64), []
     arity = len(compiled.atoms)
     alive = np.arange(table.size)
     # Degenerate matches: the same fact filling two body atoms.
@@ -682,7 +743,7 @@ def _vectorized_violations(
                 alive = alive[table.rows[first][alive] != table.rows[second][alive]]
     violated = _violated_rows(constraint, table, store, alive)
     if violated.size == 0:
-        return [], []
+        return np.empty((0, arity), dtype=np.int64), []
     ranks = [table.blocks[p].rank_array()[table.rows[p][violated]] for p in range(arity)]
     violated = violated[np.lexsort(ranks[::-1])]  # lexsort's last key is primary
     tags = np.column_stack(
@@ -693,27 +754,30 @@ def _vectorized_violations(
         _, first_rows = np.unique(conflict_key, return_index=True)
         keep = np.sort(first_rows)
         violated, tags = violated[keep], tags[keep]
-    return tags.tolist(), table.materialize_bodies(arity, violated)
+    return tags, _body_facts(table.blocks, [table.rows[p][violated] for p in range(arity)])
 
 
+# --------------------------------------------------------------------------- #
+# Program emission (straight into the clause columns)
+# --------------------------------------------------------------------------- #
 def _emit_violations(
     program: GroundProgram,
     result: GroundingResult,
     constraint: TemporalConstraint,
-    atom_rows: list[list[int]],
+    atom_rows: np.ndarray,
     bodies: list[tuple[TemporalFact, ...]],
 ) -> None:
-    """Append one constraint clause and one violation per match.
+    """Append one constraint clause per row of ``atom_rows`` and one violation per match.
 
     :meth:`GroundProgram.add_clause`'s weight normalisation, done once per
     constraint: a negative weight flips the literal of a one-atom body and
     is unrepresentable for a longer one (raised only when a match is
     violated), and a zero weight becomes the shared epsilon.
     """
-    if not atom_rows:
+    if not bodies:
         return
     name, weight = constraint.name, constraint.weight
-    arity = len(atom_rows[0])
+    count, arity = atom_rows.shape
     positive, clause_weight = False, weight
     if weight is not None and weight < 0:
         if arity != 1:
@@ -721,11 +785,12 @@ def _emit_violations(
                 f"negative-weight non-unit clause from {name!r} is not representable"
             )
         positive, clause_weight = True, -weight
-    clause_weight = nonzero_weight(clause_weight)
-    signs = (positive,) * arity
-    kind = ClauseKind.CONSTRAINT
-    program.clauses.extend(
-        GroundClause(tuple(zip(row, signs)), clause_weight, kind, name) for row in atom_rows
+    program.extend_clauses(
+        np.full(count, arity),
+        atom_rows.ravel(),
+        np.full(count * arity, positive),
+        [nonzero_weight(clause_weight)] * count,
+        np.full(count, program.origin_code(ClauseKind.CONSTRAINT, name)),
     )
     result.violations.extend(ConstraintViolation(name, facts, weight) for facts in bodies)
 
@@ -740,7 +805,10 @@ class VectorizedGrounder(_GrounderBase):
     the emitted program is bit-for-bit identical (the differential suite in
     ``tests/test_vectorized_equivalence.py`` proves it); the hot join path
     runs as sorted-array merge joins and boolean masks over interned integer
-    columns instead of per-fact Python dictionary probes.
+    columns instead of per-fact Python dictionary probes, and clauses go
+    straight into the program's columns
+    (:meth:`~repro.logic.ground.GroundProgram.extend_clauses`) without a
+    :class:`~repro.logic.ground.GroundClause` object each.
 
     The engine owns the whole pipeline (it overrides :meth:`ground`): when
     every body is vectorizable it never materialises the working-graph copy
@@ -756,24 +824,33 @@ class VectorizedGrounder(_GrounderBase):
         program = GroundProgram()
         result = GroundingResult(program=program)
 
-        # 1. Evidence atoms and their soft unit clauses — bulk construction,
-        # byte-identical to _GrounderBase.ground's add_atom/add_clause loop
-        # (fresh atoms, unit-clause weight normalisation inlined).
+        # 1. Evidence atoms and their soft unit clauses, byte-identical to
+        # _GrounderBase.ground's add_atom/add_clause loop (fresh atoms,
+        # unit-clause weight normalisation inlined).
         atoms = program.atoms
         atom_index = program._atom_index
-        clauses = program.clauses
         keep_bias = self.keep_bias
+        signs: list[bool] = []
+        weights: list[float] = []
         for fact in self.graph:
             index = len(atoms)
             atoms.append(GroundAtom(index, fact, True, None))
             atom_index[fact.statement_key] = index
             weight = fact.log_weight + keep_bias
-            literal = (index, True)
             if weight < 0:
-                literal, weight = (index, False), -weight
+                signs.append(False)
+                weights.append(-weight)
             else:
-                weight = nonzero_weight(weight)
-            clauses.append(GroundClause((literal,), weight, ClauseKind.EVIDENCE, "evidence"))
+                signs.append(True)
+                weights.append(nonzero_weight(weight))
+        count = len(atoms)
+        program.extend_clauses(
+            np.ones(count, dtype=np.int64),
+            np.arange(count, dtype=np.int64),
+            np.array(signs, dtype=bool),
+            weights,
+            np.full(count, program.origin_code(ClauseKind.EVIDENCE, "evidence")),
+        )
 
         chain_rules = bool(self.derive_facts and self.rules)
         compiled_rules = [_VectorBody(rule.body) for rule in self.rules] if chain_rules else []
@@ -784,89 +861,72 @@ class VectorizedGrounder(_GrounderBase):
         # The columnar store is the working state; the row-oriented working
         # graph is only maintained alongside it for fallback bodies.
         working = self.graph.copy(name=f"{self.graph.name}-working") if needs_graph else None
-        store = ColumnarFactStore(self.graph, round_number=0)
-        evidence_keys = set(store._keys)
-        # Tag every evidence row with its ground-atom index (evidence atoms
-        # were created in graph order, so the atom table maps keys to them).
-        for block in store.blocks():
-            block.tags = [atom_index[fact.statement_key] for fact in block.facts]
+        # Tag every evidence row with its ground-atom index: evidence atom i
+        # is the graph's i-th fact, which is the i-th row the store adds.
+        store = ColumnarFactStore()
+        store.bulk_add(self.graph, round_number=0, tags=range(count))
 
         if chain_rules:
-            result.rounds = self._chain_rounds(
-                program, result, store, working, compiled_rules, evidence_keys
-            )
-        self._constraint_pass(program, result, store, working, compiled_constraints, evidence_keys)
+            result.rounds = self._chain_rounds(program, result, store, working, compiled_rules)
+        self._constraint_pass(program, result, store, working, compiled_constraints)
         return result
 
     # ------------------------------------------------------------------ #
-    def _rule_matches_vectorized(
+    def _chain_rounds(
         self,
-        rule: TemporalRule,
-        compiled: _VectorBody,
+        program: GroundProgram,
+        result: GroundingResult,
         store: ColumnarFactStore,
-        delta_round: int,
-        seen_firings: set[tuple],
-    ) -> list[tuple]:
-        """Matches of one rule this round, in the naive enumeration order.
+        working: Optional[TemporalKnowledgeGraph],
+        compiled_bodies: list[_VectorBody],
+    ) -> int:
+        """Forward-chain the rules to the semi-naive fix point.
 
-        Each entry is ``(rank_key, body_facts, head_fact, body_atom_indexes)``
-        — the rank key orders matches identically to the scalar engines'
-        ``_body_sort_key`` (per-block sort-key ranks compare like the keys
-        themselves), and the atom indexes come from the blocks' row tags so
-        emission can skip per-fact atom-table probes.
+        Each round first collects every rule's new firings against the
+        store as the previous round left it, then emits them rule by rule.
+        A body tuple is matched in one round only (the one after its last
+        fact arrived), so a firing can repeat only under another rule of the
+        same name.  Such rules share a set of firing signatures, and a
+        repeated firing is dropped, as in the scalar engines.
         """
-        arity = len(compiled.atoms)
-        matches: list[tuple] = []
-        for pivot_table in _iter_pivot_tables(compiled, store, delta_round):
-            alive = np.arange(pivot_table.size)
-            alive = _apply_conditions(rule.conditions, pivot_table, store, alive)
-            if alive.size == 0:
-                continue
-            alive, begins, ends = _head_interval_columns(rule, pivot_table, store, alive)
-            if alive.size == 0:
-                continue
-            head_facts = _instantiate_heads(rule, pivot_table, store, alive, begins, ends)
-            bodies = pivot_table.materialize_bodies(arity, alive)
-            ranks = zip(
-                *(
-                    pivot_table.blocks[p].rank_array()[pivot_table.rows[p][alive]].tolist()
-                    for p in range(arity)
-                )
-            )
-            indexes = zip(
-                *(
-                    pivot_table.blocks[p].tags_array()[pivot_table.rows[p][alive]].tolist()
-                    for p in range(arity)
-                )
-            )
-            rule_name = rule.name
-            for body_facts, head_fact, rank_key, atom_indexes in zip(
-                bodies, head_facts, ranks, indexes
-            ):
-                signature = (
-                    rule_name,
-                    tuple(map(_statement_key_of, body_facts)),
-                    head_fact.statement_key,
-                )
-                if signature in seen_firings:
+        names = Counter(rule.name for rule in self.rules)
+        seen: dict[str, set[tuple]] = {name: set() for name, count in names.items() if count > 1}
+        rounds_used = 0
+        delta_since = 0  # insertion-tick cursor, for fallback bodies only
+        for round_number in range(1, self.max_rounds + 1):
+            round_mark = working.mark() if working is not None else 0
+            batches: list[tuple[TemporalRule, _Firings]] = []
+            for rule, compiled in zip(self.rules, compiled_bodies):
+                if compiled.dead:
                     continue
-                seen_firings.add(signature)
-                matches.append((rank_key, body_facts, head_fact, atom_indexes))
-        matches.sort(key=_first_item)
-        return matches
+                if compiled.fallback:
+                    firings = self._fallback_firings(rule, compiled, program, working, delta_since)
+                else:
+                    firings = _vectorized_firings(rule, compiled, store, round_number - 1)
+                if firings is not None and rule.name in seen:
+                    firings.drop_seen(seen[rule.name])
+                if firings:
+                    batches.append((rule, firings))
+            if not batches:
+                break
+            rounds_used = round_number
+            for rule, firings in batches:
+                self._emit_firings(program, result, store, working, rule, firings, round_number)
+            delta_since = round_mark
+        return rounds_used
 
-    def _rule_matches_fallback(
+    def _fallback_firings(
         self,
         rule: TemporalRule,
         compiled: _VectorBody,
+        program: GroundProgram,
         working: TemporalKnowledgeGraph,
         delta_since: int,
-        seen_firings: set[tuple],
-    ) -> list[tuple]:
+    ) -> Optional[_Firings]:
         """Variable-predicate bodies: the indexed engine's backtracking join.
 
-        Entries mirror :meth:`_rule_matches_vectorized` with the body sort
-        key itself as the rank key and no precomputed atom indexes.
+        Returns what :func:`_vectorized_firings` returns, ordered by the body
+        sort keys; every body fact is in the working graph, so it has an atom.
         """
         matches: list[tuple] = []
         for substitution, body_facts in _delta_matches(compiled.plans, working, delta_since):
@@ -880,124 +940,90 @@ class VectorizedGrounder(_GrounderBase):
                 interval=head_interval,
                 confidence=rule.derived_confidence,
             )
-            signature = (
-                rule.name,
-                tuple(fact.statement_key for fact in body_facts),
-                head_fact.statement_key,
-            )
-            if signature in seen_firings:
-                continue
-            seen_firings.add(signature)
-            matches.append((_body_sort_key(body_facts), body_facts, head_fact, None))
+            matches.append((_body_sort_key(body_facts), body_facts, head_fact))
+        if not matches:
+            return None
         matches.sort(key=_first_item)
-        return matches
+        atom_index = program._atom_index
+        body_atoms = np.array(
+            [[atom_index[fact.statement_key] for fact in body] for _, body, _ in matches],
+            dtype=np.int64,
+        )
+        return _Firings(body_atoms, [body for _, body, _ in matches], [h for *_, h in matches])
 
-    # ------------------------------------------------------------------ #
-    def _chain_rounds(
+    def _emit_firings(
         self,
         program: GroundProgram,
         result: GroundingResult,
         store: ColumnarFactStore,
         working: Optional[TemporalKnowledgeGraph],
-        compiled_bodies: list[_VectorBody],
-        evidence_keys: set[tuple],
-    ) -> int:
-        seen_firings: set[tuple] = set()
-        prior_added: set[int] = set()
-        rounds_used = 0
-        delta_since = 0  # insertion-tick cursor, for fallback bodies only
-        for round_number in range(1, self.max_rounds + 1):
-            round_mark = working.mark() if working is not None else 0
-            delta_round = round_number - 1
-            round_matches: list[tuple[TemporalRule, list[tuple]]] = []
-            any_matches = False
-            for rule, compiled in zip(self.rules, compiled_bodies):
-                if compiled.dead:
-                    continue
-                # Both helpers return matches already re-established in the
-                # naive enumeration order (lexicographic in the body facts),
-                # so all engines emit identical programs.
-                if compiled.fallback:
-                    matches = self._rule_matches_fallback(
-                        rule, compiled, working, delta_since, seen_firings
-                    )
-                else:
-                    matches = self._rule_matches_vectorized(
-                        rule, compiled, store, delta_round, seen_firings
-                    )
-                if matches:
-                    any_matches = True
-                    round_matches.append((rule, matches))
+        rule: TemporalRule,
+        firings: _Firings,
+        round_number: int,
+    ) -> None:
+        """Append one round's firings of ``rule`` to the program and the store.
 
-            if not any_matches:
-                break
-            rounds_used = round_number
-            atoms = program.atoms
-            atom_index = program._atom_index
-            clauses = program.clauses
-            firings = result.firings
-            derived_prior = self.derived_prior
-            for rule, matches in round_matches:
-                rule_name = rule.name
-                rule_weight = rule.weight
-                # add_clause's unit normalisation, hoisted: rule clauses have
-                # ≥ 2 literals, so negative weights are unrepresentable and a
-                # zero weight becomes the shared epsilon.
-                if rule_weight is not None and rule_weight < 0:
-                    raise GroundingError(
-                        f"negative-weight non-unit clause from {rule_name!r} "
-                        "is not representable"
-                    )
-                clause_weight = nonzero_weight(rule_weight)
-                prior_origin = f"prior:{rule_name}"
-                for _, body_facts, head_fact, atom_indexes in matches:
-                    head_atom = _fast_atom(
-                        atoms,
-                        atom_index,
-                        head_fact,
-                        head_fact.statement_key in evidence_keys,
-                        rule_name,
-                    )
-                    head_index = head_atom.index
-                    if (
-                        not head_atom.is_evidence
-                        and derived_prior > 0
-                        and head_index not in prior_added
-                    ):
-                        prior_added.add(head_index)
-                        # -prior on (x, True) normalises to +prior on (x, False).
-                        clauses.append(
-                            GroundClause(
-                                ((head_index, False),),
-                                derived_prior,
-                                ClauseKind.PRIOR,
-                                prior_origin,
-                            )
-                        )
-                    if (store.add(head_fact, round_number, tag=head_index) and working is not None):
-                        working.add(head_fact)
-                    if atom_indexes is None:  # fallback matches carry no row tags
-                        literals = [
-                            (
-                                _fast_atom(
-                                    atoms,
-                                    atom_index,
-                                    fact,
-                                    fact.statement_key in evidence_keys,
-                                ).index,
-                                False,
-                            )
-                            for fact in body_facts
-                        ]
-                        literals.append((head_index, True))
-                    else:
-                        literals = [*((index, False) for index in atom_indexes), (head_index, True)]
-                    clauses.append(
-                        GroundClause(tuple(literals), clause_weight, ClauseKind.RULE, rule_name)
-                    )
-                    firings.append(RuleFiring(rule_name, body_facts, head_fact, rule_weight))
-            delta_since = round_mark
-        return rounds_used
+        A head whose statement key has no atom yet gets a new derived atom,
+        a prior clause and a store row (one bulk append per call, mirrored
+        into the working graph when fallback bodies keep one).  Each firing
+        then emits, in order, the prior of its new head atom (if any) and
+        its rule clause ``¬b₁ ∨ … ∨ ¬bₖ ∨ h``.
+        """
+        name, weight = rule.name, rule.weight
+        # add_clause's normalisation, hoisted: rule clauses have ≥ 2
+        # literals, so a negative weight is unrepresentable and a zero
+        # weight becomes the shared epsilon.
+        if weight is not None and weight < 0:
+            raise GroundingError(
+                f"negative-weight non-unit clause from {name!r} is not representable"
+            )
+        atoms, atom_index = program.atoms, program._atom_index
+        heads = firings.heads
+        head_atoms: list[int] = []
+        fresh: list[int] = []  # firings whose head got a new atom
+        for position, head in enumerate(heads):
+            key = head.statement_key
+            index = atom_index.get(key)
+            if index is None:
+                index = len(atoms)
+                atoms.append(GroundAtom(index, head, False, name))
+                atom_index[key] = index
+                fresh.append(position)
+            head_atoms.append(index)
+        if fresh:
+            new_facts = [heads[position] for position in fresh]
+            store.bulk_add(new_facts, round_number, tags=[head_atoms[p] for p in fresh])
+            if working is not None:
+                working.add_all(new_facts)
+
+        # Firing i owns the literal row [h, b₁ … bₖ, h]: its first entry is
+        # the prior (¬h), kept only for a new head atom, and the rest is the
+        # rule clause.
+        count = len(heads)
+        prior = np.zeros(count, dtype=bool)
+        if self.derived_prior > 0:
+            prior[fresh] = True
+        head_column = np.array(head_atoms, dtype=np.int64)
+        literal_rows = np.column_stack((head_column, firings.body_atoms, head_column))
+        literal_keep = np.ones(literal_rows.shape, dtype=bool)
+        literal_keep[:, 0] = prior
+        sign_rows = np.zeros(literal_rows.shape, dtype=bool)
+        sign_rows[:, -1] = True
+        clause_keep = np.column_stack((prior, np.ones(count, dtype=bool)))
+        is_rule = np.broadcast_to(np.array([0, 1]), clause_keep.shape)[clause_keep]
+        program.extend_clauses(
+            np.array([1, literal_rows.shape[1] - 1])[is_rule],
+            literal_rows[literal_keep],
+            sign_rows[literal_keep],
+            np.array([self.derived_prior, nonzero_weight(weight)], dtype=object)[is_rule].tolist(),
+            np.array(
+                [
+                    program.origin_code(ClauseKind.PRIOR, f"prior:{name}"),
+                    program.origin_code(ClauseKind.RULE, name),
+                ]
+            )[is_rule],
+        )
+        result.firings.extend(map(RuleFiring, repeat(name), firings.bodies, heads, repeat(weight)))
 
     # ------------------------------------------------------------------ #
     def _constraint_pass(
@@ -1007,14 +1033,13 @@ class VectorizedGrounder(_GrounderBase):
         store: ColumnarFactStore,
         working: Optional[TemporalKnowledgeGraph],
         compiled_constraints: list[_VectorBody],
-        evidence_keys: set[tuple],
     ) -> None:
         for constraint, compiled in zip(self.constraints, compiled_constraints):
             if compiled.dead:
                 continue
             if compiled.fallback:
                 atom_rows, bodies = self._fallback_violations(
-                    constraint, compiled, program, working, evidence_keys
+                    constraint, compiled, program, working
                 )
             else:
                 atom_rows, bodies = _vectorized_violations(constraint, compiled, store)
@@ -1026,12 +1051,12 @@ class VectorizedGrounder(_GrounderBase):
         compiled: _VectorBody,
         program: GroundProgram,
         working: TemporalKnowledgeGraph,
-        evidence_keys: set[tuple],
-    ) -> tuple[list[list[int]], list[tuple[TemporalFact, ...]]]:
+    ) -> tuple[np.ndarray, list[tuple[TemporalFact, ...]]]:
         """Variable-predicate bodies: the indexed engine's backtracking join.
 
         Returns what :func:`_vectorized_violations` returns, ordered and
-        de-duplicated match by match like the scalar engines.
+        de-duplicated match by match like the scalar engines.  Every body
+        fact is in the working graph, so it has an atom.
         """
         matches: list[tuple] = []
         for substitution, facts in _full_matches(compiled.plans, working):
@@ -1040,26 +1065,23 @@ class VectorizedGrounder(_GrounderBase):
                 continue
             if not constraint.violated_by(substitution):
                 continue
-            matches.append((_body_sort_key(facts), tuple(facts), tuple(sorted(keys))))
+            matches.append((_body_sort_key(facts), tuple(facts), keys))
         # Sort before deduplicating: of two symmetric matches the naive
         # enumeration keeps the lexicographically first one.
         matches.sort(key=_first_item)
-        atoms, atom_index = program.atoms, program._atom_index
+        atom_index = program._atom_index
         seen: set[tuple] = set()
         atom_rows: list[list[int]] = []
         bodies: list[tuple[TemporalFact, ...]] = []
-        for _, facts, sorted_keys in matches:
-            if sorted_keys in seen:
+        for _, facts, keys in matches:
+            signature = tuple(sorted(keys))
+            if signature in seen:
                 continue
-            seen.add(sorted_keys)
-            atom_rows.append(
-                [
-                    _fast_atom(atoms, atom_index, fact, fact.statement_key in evidence_keys).index
-                    for fact in facts
-                ]
-            )
+            seen.add(signature)
+            atom_rows.append([atom_index[key] for key in keys])
             bodies.append(facts)
-        return atom_rows, bodies
+        shape = (len(bodies), len(constraint.body))
+        return np.array(atom_rows, dtype=np.int64).reshape(shape), bodies
 
 
 #: Make the vectorized engine selectable wherever the other engines are.

@@ -196,7 +196,7 @@ class ArrayMaxWalkSATSolver(MaxWalkSATSolver):
                 fold_best(state)
 
         assert best_assignment is not None
-        repaired = arrays.repair_hard_violations(best_assignment.tolist())
+        repaired = arrays.repair_hard_violations(best_assignment.tolist(), program.atoms)
         if repaired is None:
             raise InfeasibleProgramError(
                 "MaxWalkSAT could not find an assignment satisfying all hard constraints"

@@ -367,7 +367,7 @@ class ILPMapSolver(MAPSolver):
         if violated.size:
             raise SolverError(
                 f"{self.name}: produced an assignment violating "
-                f"{violated.size} hard clause(s); first: {program.clauses[int(violated[0])]}"
+                f"{violated.size} hard clause(s); first: {program.clause(int(violated[0]))}"
             )
         soft_satisfied = satisfied & ~arrays.is_hard
         objective = ordered_weight_sum(arrays.weight_list, np.flatnonzero(soft_satisfied))

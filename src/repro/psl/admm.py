@@ -91,7 +91,7 @@ class ADMMSolver(MAPSolver):
         else:
             consensus = np.ones(program.num_atoms, dtype=float)
         truth_values, iterations = self._admm(matrix, consensus)
-        assignment = round_solution(program, truth_values, arrays=arrays)
+        assignment = round_solution(program, truth_values)
         elapsed = time.perf_counter() - started
         soft_energy = float(matrix.penalties(truth_values)[~matrix.hard].sum())
         stats = SolverStats(

@@ -152,18 +152,15 @@ def reinsert(arrays: GroundProgramArrays, assignment: list[bool]) -> list[bool]:
 
 
 def round_solution(
-    program: GroundProgram,
-    truth_values: Sequence[float],
-    cutoff: float = 0.5,
-    arrays: Optional[GroundProgramArrays] = None,
+    program: GroundProgram, truth_values: Sequence[float], cutoff: float = 0.5
 ) -> tuple[bool, ...]:
     """Threshold, hard repair and re-insertion: the final Boolean assignment.
 
-    ``arrays`` is ``program``'s columnar view when the caller already built
-    it (the ADMM solver does); otherwise it is built here.  The repair and
-    re-insertion both run on it.
+    The repair and re-insertion both run on ``program``'s CSR
+    (:meth:`GroundProgramArrays.from_program`, which the ADMM solver has
+    already built and the program keeps).
     """
-    if arrays is None:
-        arrays = GroundProgramArrays.from_program(program)
-    assignment = _feasible(arrays.repair_hard_violations(threshold(truth_values, cutoff=cutoff)))
+    arrays = GroundProgramArrays.from_program(program)
+    thresholded = threshold(truth_values, cutoff=cutoff)
+    assignment = _feasible(arrays.repair_hard_violations(thresholded, program.atoms))
     return tuple(reinsert(arrays, assignment))

@@ -651,12 +651,31 @@ class TecoreHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, service: ServiceCore) -> None:
         self.service = service
+        # ``close`` may only wait for a serving loop that runs in another
+        # thread: ``shutdown`` waits for a loop to finish, and blocks for
+        # ever when none runs.  The lock orders a loop's start against
+        # ``close``.
+        self._lock = threading.Lock()
+        self._loop_thread: threading.Thread | None = None
+        self._closed = False
         super().__init__((service.config.host, service.config.port), _RequestHandler)
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until :meth:`close`; returns at once after it."""
+        with self._lock:
+            if self._closed:
+                return
+            self._loop_thread = threading.current_thread()
+        try:
+            super().serve_forever(poll_interval)
+        finally:
+            with self._lock:
+                self._loop_thread = None
 
     def run_in_thread(self) -> threading.Thread:
         """Start serving on a daemon thread (tests and embedded use)."""
@@ -665,8 +684,17 @@ class TecoreHTTPServer(ThreadingHTTPServer):
         return thread
 
     def close(self) -> None:
-        """Stop serving and release the batcher and the listening socket."""
-        self.shutdown()
+        """Stop serving and release the batcher and the listening socket.
+
+        Waits for a serving loop that runs in another thread; a loop in the
+        calling thread has already returned (a signal ended it), and a
+        server that never served has none.
+        """
+        with self._lock:
+            self._closed = True
+            loop = self._loop_thread
+        if loop is not None and loop is not threading.current_thread():
+            self.shutdown()
         self.server_close()
         self.service.close()
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ExpressivityError
-from ..logic.ground import GroundProgram
+from ..logic.arrays import GroundProgramArrays
+from ..logic.ground import GroundClause, GroundProgram
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +83,9 @@ def check_expressivity(program: GroundProgram, capabilities: SolverCapabilities)
     * overall clause length, when bounded.
 
     When the capabilities bound none of these (the MLN back-ends), every
-    check is vacuous and the clauses are not walked at all.
+    check is vacuous and returns at once.  Otherwise the bounds are tested
+    on the program's CSR, and only the first offending clause is built as an
+    object, to word the error.
     """
     if (
         capabilities.supports_hard_constraints
@@ -89,34 +94,53 @@ def check_expressivity(program: GroundProgram, capabilities: SolverCapabilities)
         and capabilities.max_clause_length is None
     ):
         return
-    for clause in program.clauses:
-        if clause.is_hard and not capabilities.supports_hard_constraints:
-            raise ExpressivityError(
-                f"solver {capabilities.name!r} does not support hard constraints "
-                f"(clause from {clause.origin!r})"
-            )
-        positives = sum(1 for _, positive in clause.literals if positive)
-        negatives = len(clause.literals) - positives
-        if negatives and not capabilities.supports_negative_clauses:
-            raise ExpressivityError(
-                f"solver {capabilities.name!r} does not support negated literals "
-                f"(clause from {clause.origin!r})"
-            )
-        if (
-            capabilities.max_positive_literals_per_clause is not None
-            and positives > capabilities.max_positive_literals_per_clause
-        ):
-            raise ExpressivityError(
-                f"solver {capabilities.name!r} allows at most "
-                f"{capabilities.max_positive_literals_per_clause} positive literal(s) "
-                f"per clause, but clause from {clause.origin!r} has {positives}"
-            )
-        if (
-            capabilities.max_clause_length is not None
-            and len(clause.literals) > capabilities.max_clause_length
-        ):
-            raise ExpressivityError(
-                f"solver {capabilities.name!r} allows clauses of length at most "
-                f"{capabilities.max_clause_length}, got {len(clause.literals)} "
-                f"from {clause.origin!r}"
-            )
+    arrays = GroundProgramArrays.from_program(program)
+    lengths = np.diff(arrays.clause_offsets)
+    positives = np.bincount(
+        arrays.literal_clauses, weights=arrays.literal_signs, minlength=arrays.num_clauses
+    )
+    offending = np.zeros(arrays.num_clauses, dtype=bool)
+    if not capabilities.supports_hard_constraints:
+        offending |= arrays.is_hard
+    if not capabilities.supports_negative_clauses:
+        offending |= positives < lengths
+    if capabilities.max_positive_literals_per_clause is not None:
+        offending |= positives > capabilities.max_positive_literals_per_clause
+    if capabilities.max_clause_length is not None:
+        offending |= lengths > capabilities.max_clause_length
+    if offending.any():
+        _check_clause(program.clause(int(np.argmax(offending))), capabilities)
+
+
+def _check_clause(clause: GroundClause, capabilities: SolverCapabilities) -> None:
+    """Raise the error :func:`check_expressivity` words for ``clause``."""
+    if clause.is_hard and not capabilities.supports_hard_constraints:
+        raise ExpressivityError(
+            f"solver {capabilities.name!r} does not support hard constraints "
+            f"(clause from {clause.origin!r})"
+        )
+    positives = sum(1 for _, positive in clause.literals if positive)
+    negatives = len(clause.literals) - positives
+    if negatives and not capabilities.supports_negative_clauses:
+        raise ExpressivityError(
+            f"solver {capabilities.name!r} does not support negated literals "
+            f"(clause from {clause.origin!r})"
+        )
+    if (
+        capabilities.max_positive_literals_per_clause is not None
+        and positives > capabilities.max_positive_literals_per_clause
+    ):
+        raise ExpressivityError(
+            f"solver {capabilities.name!r} allows at most "
+            f"{capabilities.max_positive_literals_per_clause} positive literal(s) "
+            f"per clause, but clause from {clause.origin!r} has {positives}"
+        )
+    if (
+        capabilities.max_clause_length is not None
+        and len(clause.literals) > capabilities.max_clause_length
+    ):
+        raise ExpressivityError(
+            f"solver {capabilities.name!r} allows clauses of length at most "
+            f"{capabilities.max_clause_length}, got {len(clause.literals)} "
+            f"from {clause.origin!r}"
+        )

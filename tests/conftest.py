@@ -23,6 +23,7 @@ from repro.datasets import (
 from repro.kg import TemporalKnowledgeGraph, make_fact
 from repro.logic import (
     ClauseKind,
+    GroundClause,
     GroundProgram,
     ground,
     running_example_constraints,
@@ -63,6 +64,20 @@ def small_noisy_footballdb():
 @pytest.fixture
 def empty_graph():
     return TemporalKnowledgeGraph(name="empty")
+
+
+@pytest.fixture
+def built_clauses(monkeypatch):
+    """Every :class:`GroundClause` constructed while the test runs, in order."""
+    built = []
+    check = GroundClause.__post_init__
+
+    def spy(clause):
+        built.append(clause)
+        check(clause)
+
+    monkeypatch.setattr(GroundClause, "__post_init__", spy)
+    return built
 
 
 @pytest.fixture

@@ -530,6 +530,21 @@ class TestServeCommand:
                 process.wait()
             process.stdout.close()
 
+    def test_close_without_a_serving_loop_returns(self):
+        # A signal that lands between "serving on" and serve_forever()
+        # leaves no loop; close() must not wait for one, and a loop that
+        # starts after it must return at once.
+        from repro.serve import ServerConfig, make_server
+
+        server = make_server(repro.TeCoRe.from_pack("running-example"), ServerConfig(port=0))
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() waited for a serving loop that never ran"
+        loop = server.run_in_thread()
+        loop.join(timeout=10)
+        assert not loop.is_alive(), "a loop started after close() kept serving"
+
     def test_cli_serve_requires_program(self, capsys):
         from repro.cli import main
 

@@ -1,5 +1,6 @@
 """Unit tests for solver capabilities and expressivity checks."""
 
+import numpy as np
 import pytest
 
 from repro.core.registry import solver_capabilities
@@ -13,18 +14,6 @@ from repro.solvers import (
     SolverCapabilities,
     check_expressivity,
 )
-
-
-class _WalkCounter(list):
-    """A clause list that counts how often it is iterated."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
 
 
 def _program_with_clause(literals, weight):
@@ -88,14 +77,24 @@ class TestCheckExpressivity:
         check_expressivity(running_example_grounding.program, MLN_CAPABILITIES)
         check_expressivity(running_example_grounding.program, PSL_CAPABILITIES)
 
-    def test_unbounded_capabilities_skip_the_clause_walk(self):
+    def test_unbounded_capabilities_skip_the_clause_walk(self, built_clauses):
         # Nothing in MLN_CAPABILITIES can reject a clause, so the check
-        # returns without iterating them; PSL still walks and rejects.
-        program = _program_with_clause([(0, True), (1, True)], 2.5)
-        program.clauses = _WalkCounter(program.clauses)
+        # builds no clause object; PSL tests the program's CSR and builds
+        # only the clause it rejects, to word the error.
+        program = GroundProgram()
+        for index in range(2):
+            program.add_atom(make_fact(f"s{index}", "p", "o", (1, 2), 0.9), is_evidence=True)
+        code = program.origin_code(ClauseKind.RULE, "test")
+        program.extend_clauses(
+            np.array([2, 2]),
+            np.array([0, 1, 0, 1]),
+            np.array([False, True, True, True]),
+            [1.0, 2.5],
+            np.array([code, code]),
+        )
         check_expressivity(program, MLN_CAPABILITIES)
         check_expressivity(program, solver_capabilities("nrockit"))
-        assert program.clauses.walks == 0
-        with pytest.raises(ExpressivityError):
+        assert built_clauses == []
+        with pytest.raises(ExpressivityError, match="clause from 'test' has 2"):
             check_expressivity(program, PSL_CAPABILITIES)
-        assert program.clauses.walks == 1
+        assert [clause.literals for clause in built_clauses] == [((0, True), (1, True))]

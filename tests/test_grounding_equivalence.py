@@ -10,7 +10,9 @@ graphs, both order-independently (canonical signatures) and bit-for-bit
 """
 
 import random
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from repro.datasets import (
@@ -36,6 +38,52 @@ from repro.logic import (
     running_example_rules,
     sports_pack,
 )
+from repro.logic.arrays import GroundProgramArrays
+
+
+def object_walk_arrays(program):
+    """The CSR of ``program`` by a walk over its clause objects.
+
+    The lowering ``GroundProgramArrays.from_program`` did before programs
+    stored their clauses as columns; the oracle the columns must equal.
+    """
+    clauses = program.clauses
+    lengths = np.fromiter((len(clause.literals) for clause in clauses), dtype=np.int64)
+    clause_offsets = np.zeros(len(clauses) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=clause_offsets[1:])
+    literals = list(chain.from_iterable(clause.literals for clause in clauses))
+    weight_list = [clause.weight for clause in clauses]
+    return GroundProgramArrays(
+        num_atoms=len(program.atoms),
+        clause_offsets=clause_offsets,
+        literal_atoms=np.fromiter((index for index, _ in literals), dtype=np.int64),
+        literal_signs=np.fromiter((positive for _, positive in literals), dtype=bool),
+        literal_clauses=np.repeat(np.arange(len(clauses), dtype=np.int64), lengths),
+        weights=np.fromiter(
+            (0.0 if weight is None else weight for weight in weight_list), dtype=np.float64
+        ),
+        is_hard=np.fromiter((weight is None for weight in weight_list), dtype=bool),
+        weight_list=weight_list,
+    )
+
+
+def assert_csr_matches_object_walk(program):
+    """``program``'s CSR equals the object walk, column for column, bit for bit."""
+    actual = GroundProgramArrays.from_program(program)
+    expected = object_walk_arrays(program)
+    assert actual.num_atoms == expected.num_atoms
+    for column in (
+        "clause_offsets",
+        "literal_atoms",
+        "literal_signs",
+        "literal_clauses",
+        "weights",
+        "is_hard",
+    ):
+        got, want = getattr(actual, column), getattr(expected, column)
+        assert got.dtype == want.dtype and got.shape == want.shape, column
+        assert got.tobytes() == want.tobytes(), column
+    assert list(map(repr, actual.weight_list)) == list(map(repr, expected.weight_list))
 
 
 def assert_equivalent(graph, rules, constraints, max_rounds=5):
@@ -64,6 +112,8 @@ def assert_equivalent(graph, rules, constraints, max_rounds=5):
     assert naive.firings == indexed.firings
     assert naive.violations == indexed.violations
     assert naive.rounds == indexed.rounds
+    for grounding in (naive, indexed):
+        assert_csr_matches_object_walk(grounding.program)
     return naive, indexed
 
 

@@ -11,6 +11,7 @@ kind.  Programs must come out **bit-for-bit identical** — same atom and
 clause emission order, same firings, violations and round counts.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -44,6 +45,7 @@ from repro.logic import (
     make_grounder,
     not_equal,
     quad,
+    rule_f1,
     running_example_constraints,
     running_example_rules,
     sports_pack,
@@ -53,7 +55,7 @@ from repro.logic import (
 from repro.logic.constraint import ConstraintKind
 from repro.logic.expressions import IntervalDuration, IntervalEnd, IntervalStart, TermValue
 from repro.logic.terms import Variable
-from test_grounding_equivalence import random_sports_graph
+from test_grounding_equivalence import assert_csr_matches_object_walk, random_sports_graph
 
 
 def assert_equivalent(graph, rules, constraints, max_rounds=5):
@@ -81,6 +83,8 @@ def assert_equivalent(graph, rules, constraints, max_rounds=5):
     assert indexed.firings == vectorized.firings
     assert indexed.violations == vectorized.violations
     assert indexed.rounds == vectorized.rounds
+    for grounding in (indexed, vectorized):
+        assert_csr_matches_object_walk(grounding.program)
     return indexed, vectorized
 
 
@@ -330,6 +334,38 @@ class TestPlannerCornerCases:
         )
         indexed, _ = assert_equivalent(graph, [rule], ())
         assert indexed.firings
+
+    def test_fallback_and_vectorized_rules_in_one_round(self):
+        """A variable-predicate rule chains beside vectorized ones, round by round."""
+        graph = random_sports_graph(34, facts=60)
+        meta = (
+            RuleBuilder("meta")
+            .body(quad("x", var("p"), "y", "t"))
+            .head(quad("x", "worksFor", "y", "t"))
+            .weight(0.5)
+            .build()
+        )
+        pack = sports_pack()
+        indexed, _ = assert_equivalent(graph, [*pack.rules, meta], pack.constraints)
+        assert (len(indexed.firings), indexed.rounds) == (331, 4)
+
+    def test_repeated_rule_name_drops_identical_firings(self):
+        """A second rule named f1 fires nothing f1 has not fired already."""
+        rules = [*running_example_rules(), rule_f1()]
+        indexed, _ = assert_equivalent(
+            ranieri_extended_graph(), rules, running_example_constraints()
+        )
+        assert len(indexed.firings) == 2
+
+    def test_renamed_twin_rule_fires_again(self):
+        """Under another name the same body and head are new firings."""
+        twin = dataclasses.replace(rule_f1(), name="f1twin")
+        indexed, _ = assert_equivalent(
+            random_sports_graph(34, facts=60),
+            [*running_example_rules(), twin],
+            running_example_constraints(),
+        )
+        assert (len(indexed.firings), indexed.program.num_atoms) == (97, 126)
 
     def test_shared_interval_variable_joins_on_interval(self):
         """The same interval variable in two atoms becomes a (begin,end) key."""
