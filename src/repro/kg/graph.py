@@ -1,18 +1,16 @@
 """The uncertain temporal knowledge graph (UTKG) store.
 
-An in-memory, indexed store of :class:`~repro.kg.triple.TemporalFact` values.
+An in-memory store of :class:`~repro.kg.triple.TemporalFact` values.
 It plays the role rdflib / MySQL / H2 play in the original TeCoRe stack:
 holding evidence facts, answering pattern queries during grounding, and
 producing the conflict-free subset after MAP inference.
 
-Indexes maintained:
-
-* by subject, by predicate, by object (for pattern matching);
-* by (subject, predicate) and (predicate, object) — the hot paths of the
-  grounding engine;
-* insertion order (for deterministic iteration and reporting);
-* an insertion *tick* per statement, so the semi-naive grounding engine can
-  join against the delta of facts added since a :meth:`TemporalKnowledgeGraph.mark`.
+Each statement is kept in insertion order with an insertion *tick*, so the
+semi-naive grounding engine can join against the delta of facts added since
+a :meth:`TemporalKnowledgeGraph.mark`.  The pattern indexes (by subject,
+predicate, object, (subject, predicate) and (predicate, object)) are built by
+the first query and maintained from then on; most graphs (the consistent and
+expanded graphs of a repair, session snapshots) are never queried.
 """
 
 from __future__ import annotations
@@ -45,8 +43,37 @@ class Pattern:
         return True
 
 
+class _PatternIndexes:
+    """The five pattern indexes of a graph: term (or term pair) → statement keys."""
+
+    __slots__ = ("subject", "predicate", "object", "subject_predicate", "predicate_object")
+
+    def __init__(self, facts: dict[tuple, TemporalFact]) -> None:
+        self.subject: dict[SubjectTerm, set[tuple]] = defaultdict(set)
+        self.predicate: dict[IRI, set[tuple]] = defaultdict(set)
+        self.object: dict[Term, set[tuple]] = defaultdict(set)
+        self.subject_predicate: dict[tuple[SubjectTerm, IRI], set[tuple]] = defaultdict(set)
+        self.predicate_object: dict[tuple[IRI, Term], set[tuple]] = defaultdict(set)
+        for key, fact in facts.items():
+            self.add(key, fact)
+
+    def add(self, key: tuple, fact: TemporalFact) -> None:
+        self.subject[fact.subject].add(key)
+        self.predicate[fact.predicate].add(key)
+        self.object[fact.object].add(key)
+        self.subject_predicate[(fact.subject, fact.predicate)].add(key)
+        self.predicate_object[(fact.predicate, fact.object)].add(key)
+
+    def discard(self, key: tuple, fact: TemporalFact) -> None:
+        self.subject[fact.subject].discard(key)
+        self.predicate[fact.predicate].discard(key)
+        self.object[fact.object].discard(key)
+        self.subject_predicate[(fact.subject, fact.predicate)].discard(key)
+        self.predicate_object[(fact.predicate, fact.object)].discard(key)
+
+
 class TemporalKnowledgeGraph:
-    """An indexed collection of uncertain temporal facts.
+    """A collection of uncertain temporal facts, indexed on first query.
 
     The graph stores *statements*: two facts that differ only in confidence
     are the same statement, and adding the second replaces the first keeping
@@ -69,17 +96,14 @@ class TemporalKnowledgeGraph:
     ) -> None:
         self.name = name
         self.domain = domain
+        # Statement key → fact, in insertion order: a confidence upgrade
+        # reassigns in place, a remove pops, a re-add appends.
         self._facts: dict[tuple, TemporalFact] = {}
-        self._order: list[tuple] = []
-        self._by_subject: dict[SubjectTerm, set[tuple]] = defaultdict(set)
-        self._by_predicate: dict[IRI, set[tuple]] = defaultdict(set)
-        self._by_object: dict[Term, set[tuple]] = defaultdict(set)
-        self._by_subject_predicate: dict[tuple[SubjectTerm, IRI], set[tuple]] = defaultdict(set)
-        self._by_predicate_object: dict[tuple[IRI, Term], set[tuple]] = defaultdict(set)
         # Monotonic insertion tick per statement key; never reused after a
         # remove, so a tick bound taken via mark() stays a valid delta cursor.
         self._added_at: dict[tuple, int] = {}
         self._tick = 0
+        self._indexes: Optional[_PatternIndexes] = None
         for fact in facts:
             self.add(fact)
 
@@ -105,14 +129,10 @@ class TemporalKnowledgeGraph:
                 self._facts[key] = item
             return self._facts[key]
         self._facts[key] = item
-        self._order.append(key)
-        self._by_subject[item.subject].add(key)
-        self._by_predicate[item.predicate].add(key)
-        self._by_object[item.object].add(key)
-        self._by_subject_predicate[(item.subject, item.predicate)].add(key)
-        self._by_predicate_object[(item.predicate, item.object)].add(key)
         self._added_at[key] = self._tick
         self._tick += 1
+        if self._indexes is not None:
+            self._indexes.add(key, item)
         return item
 
     def add_all(self, facts: Iterable[FactLike]) -> int:
@@ -129,18 +149,17 @@ class TemporalKnowledgeGraph:
         stored = self._facts.pop(key, None)
         if stored is None:
             return False
-        self._order.remove(key)
-        self._by_subject[stored.subject].discard(key)
-        self._by_predicate[stored.predicate].discard(key)
-        self._by_object[stored.object].discard(key)
-        self._by_subject_predicate[(stored.subject, stored.predicate)].discard(key)
-        self._by_predicate_object[(stored.predicate, stored.object)].discard(key)
-        self._added_at.pop(key, None)
+        del self._added_at[key]
+        if self._indexes is not None:
+            self._indexes.discard(key, stored)
         return True
 
     def discard_all(self, facts: Iterable[FactLike]) -> int:
-        """Remove many statements; returns how many were actually present."""
-        return sum(1 for fact in facts if self.remove(fact))
+        """Remove many statements; returns how many were actually present.
+
+        ``facts`` is materialised first, so it may be this graph itself.
+        """
+        return sum(1 for fact in list(facts) if self.remove(fact))
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -149,7 +168,7 @@ class TemporalKnowledgeGraph:
         return len(self._facts)
 
     def __iter__(self) -> Iterator[TemporalFact]:
-        return (self._facts[key] for key in self._order)
+        return iter(self._facts.values())
 
     def __contains__(self, fact: object) -> bool:
         if isinstance(fact, TemporalFact):
@@ -185,16 +204,11 @@ class TemporalKnowledgeGraph:
         )
         object_term = to_term(obj) if obj is not None else None
 
-        keys = self._candidate_keys(subject_term, predicate_term, object_term)
-        pattern = Pattern(subject_term, predicate_term, object_term)
-        result = []
-        for key in keys:
-            fact = self._facts[key]
-            if not pattern.matches(fact):
-                continue
-            if overlapping is not None and not fact.interval.overlaps(overlapping):
-                continue
-            result.append(fact)
+        result = [
+            fact
+            for fact in self.iter_matching(subject_term, predicate_term, object_term)
+            if overlapping is None or fact.interval.overlaps(overlapping)
+        ]
         result.sort(key=TemporalFact.sort_key)
         return result
 
@@ -204,23 +218,34 @@ class TemporalKnowledgeGraph:
         predicate: Optional[IRI],
         obj: Optional[Term],
     ) -> Iterable[tuple]:
-        # Callers must not mutate the graph while consuming the result: the
-        # most selective index set is returned without a defensive copy
-        # (find() materialises immediately; iter_matching documents this).
+        # An unconstrained scan gets a snapshot of the keys; otherwise the
+        # most selective live index set is returned without a copy (see
+        # iter_matching).
+        if subject is None and predicate is None and obj is None:
+            return list(self._facts)
+        indexes = self._pattern_indexes()
         if subject is not None and predicate is not None:
-            return self._by_subject_predicate.get((subject, predicate), ())
+            return indexes.subject_predicate.get((subject, predicate), ())
         if predicate is not None and obj is not None:
-            return self._by_predicate_object.get((predicate, obj), ())
+            return indexes.predicate_object.get((predicate, obj), ())
         candidates: list[set[tuple]] = []
         if subject is not None:
-            candidates.append(self._by_subject.get(subject, set()))
+            candidates.append(indexes.subject.get(subject, set()))
         if predicate is not None:
-            candidates.append(self._by_predicate.get(predicate, set()))
+            candidates.append(indexes.predicate.get(predicate, set()))
         if obj is not None:
-            candidates.append(self._by_object.get(obj, set()))
-        if not candidates:
-            return self._order
+            candidates.append(indexes.object.get(obj, set()))
         return min(candidates, key=len)
+
+    def _pattern_indexes(self) -> _PatternIndexes:
+        """The pattern indexes, built on first use and then kept up to date.
+
+        Assigned only once complete, so no reader sees a half-built one.
+        """
+        indexes = self._indexes
+        if indexes is None:
+            indexes = self._indexes = _PatternIndexes(self._facts)
+        return indexes
 
     # ------------------------------------------------------------------ #
     # Delta views (semi-naive grounding support)
@@ -250,7 +275,8 @@ class TemporalKnowledgeGraph:
         Unlike :meth:`find` this performs no term coercion and no sorting —
         facts come back in index (hash) order, so callers needing determinism
         must order the results themselves.  The graph must not be mutated
-        while the generator is being consumed (it iterates the live index).
+        while the generator is being consumed: a bound pattern iterates a
+        live index set (an all-wildcard scan walks a snapshot of the keys).
         ``since`` (inclusive) and ``before`` (exclusive) bound the insertion
         tick, giving the semi-naive grounder its delta / pre-delta views for
         free.
@@ -281,27 +307,23 @@ class TemporalKnowledgeGraph:
 
     def subjects(self) -> list[SubjectTerm]:
         """Distinct subjects, deterministically ordered."""
-        return sorted((s for s, keys in self._by_subject.items() if keys), key=term_key)
+        index = self._pattern_indexes().subject
+        return sorted((s for s, keys in index.items() if keys), key=term_key)
 
     def predicates(self) -> list[IRI]:
         """Distinct predicates, deterministically ordered."""
-        return sorted((p for p, keys in self._by_predicate.items() if keys), key=lambda p: p.value)
+        index = self._pattern_indexes().predicate
+        return sorted((p for p, keys in index.items() if keys), key=lambda p: p.value)
 
     def objects(self) -> list[Term]:
         """Distinct objects, deterministically ordered."""
-        return sorted((o for o, keys in self._by_object.items() if keys), key=term_key)
+        index = self._pattern_indexes().object
+        return sorted((o for o, keys in index.items() if keys), key=term_key)
 
     def entities(self) -> list[Term]:
         """Distinct subjects and IRI objects (the constants of the Herbrand base)."""
-        seen: set[tuple[int, str]] = set()
-        result: list[Term] = []
-        for term in list(self.subjects()) + [o for o in self.objects() if isinstance(o, IRI)]:
-            key = term_key(term)
-            if key not in seen:
-                seen.add(key)
-                result.append(term)
-        result.sort(key=term_key)
-        return result
+        iri_objects = (o for o in self.objects() if isinstance(o, IRI))
+        return sorted({*self.subjects(), *iri_objects}, key=term_key)
 
     # ------------------------------------------------------------------ #
     # Whole-graph operations
@@ -324,26 +346,13 @@ class TemporalKnowledgeGraph:
     def copy(self, name: str | None = None) -> "TemporalKnowledgeGraph":
         """Shallow copy of the graph (facts are immutable, so this is safe).
 
-        Clones the internal indexes directly instead of re-validating and
-        re-indexing every fact; insertion ticks are preserved, so delta
-        cursors taken on the copy behave as on the original.
+        Copies the fact and tick dicts instead of re-validating every fact;
+        insertion ticks are preserved, so delta cursors taken on the copy
+        behave as on the original.  No pattern index is cloned: a copy
+        that is queried builds its own.
         """
         clone = TemporalKnowledgeGraph(name=name or self.name, domain=self.domain)
         clone._facts = dict(self._facts)
-        clone._order = list(self._order)
-        clone._by_subject = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_subject.items() if v)
-        )
-        clone._by_predicate = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_predicate.items() if v)
-        )
-        clone._by_object = defaultdict(set, ((k, set(v)) for k, v in self._by_object.items() if v))
-        clone._by_subject_predicate = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_subject_predicate.items() if v)
-        )
-        clone._by_predicate_object = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_predicate_object.items() if v)
-        )
         clone._added_at = dict(self._added_at)
         clone._tick = self._tick
         return clone
@@ -353,27 +362,15 @@ class TemporalKnowledgeGraph:
     ) -> "TemporalKnowledgeGraph":
         """Clone of the graph minus the given statement keys (bulk removal).
 
-        Index-level: clones the indexes once and discards the dropped keys
-        from their buckets, so the cost is ``O(n + d)`` rather than the
-        ``O(n · d)`` of repeated :meth:`remove` calls (which each rebuild the
-        insertion-order list).  Unknown keys are ignored; insertion ticks of
-        surviving facts are preserved, so delta cursors stay valid.  This is
-        the hot path of incremental result assembly (the consistent subset
-        after a MAP repair).
+        One :meth:`copy` plus one dict pop per key, so the cost is
+        ``O(n + d)``.  Unknown keys are ignored; the surviving facts keep
+        their order and insertion ticks, so delta cursors stay valid.  This
+        is the consistent subset of every MAP repair.
         """
-        drop = {key for key in keys if key in self._facts}
         clone = self.copy(name=name or f"{self.name}-without")
-        if not drop:
-            return clone
-        for key in drop:
-            fact = clone._facts.pop(key)
-            clone._by_subject[fact.subject].discard(key)
-            clone._by_predicate[fact.predicate].discard(key)
-            clone._by_object[fact.object].discard(key)
-            clone._by_subject_predicate[(fact.subject, fact.predicate)].discard(key)
-            clone._by_predicate_object[(fact.predicate, fact.object)].discard(key)
-            clone._added_at.pop(key, None)
-        clone._order = [key for key in clone._order if key not in drop]
+        for key in keys:
+            if clone._facts.pop(key, None) is not None:
+                del clone._added_at[key]
         return clone
 
     def filter(

@@ -47,6 +47,12 @@ class TestAddRemove:
         )
         assert removed == 1
 
+    def test_discard_all_of_the_graph_itself_removes_every_fact(self, career_graph):
+        assert career_graph.discard_all(career_graph) == 4
+        assert len(career_graph) == 0
+        assert list(career_graph) == []
+        assert career_graph.find(predicate="coach") == []
+
     def test_add_all_returns_new_count(self):
         graph = TemporalKnowledgeGraph()
         added = graph.add_all(
