@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..kg import TemporalFact, TemporalKnowledgeGraph
-from ..logic import ConstraintViolation
+from ..logic import ConflictTable
 from ..solvers import MAPSolution, SolverStats
 
 
@@ -66,6 +66,17 @@ class ResolutionStatistics:
             "threshold": self.threshold,
             "inferred_below_threshold": self.inferred_below_threshold,
         }
+
+
+def conflict_statistics(conflicts: ConflictTable) -> dict[str, int]:
+    """The :class:`ResolutionStatistics` conflict counters of a result's violations."""
+    hard = conflicts.hard_count
+    return {
+        "conflicting_facts": len(conflicts.facts),
+        "violations": len(conflicts),
+        "hard_violations": hard,
+        "soft_violations": len(conflicts) - hard,
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +147,10 @@ class ResolutionResult:
     removed_facts / inferred_facts:
         Evidence facts dropped, and derived facts added, by the MAP state.
     violations / conflicting_facts:
-        The grounded constraint violations found in the *input* and the
-        distinct input facts participating in them (Figure 8's counters).
+        The grounded constraint violations found in the *input* (a read-only
+        :class:`~repro.logic.ConflictTable`, whose objects are built when it
+        is first read) and the distinct input facts participating in them
+        (Figure 8's counters).
     solution:
         The raw MAP solution (assignment, objective, solver statistics).
     statistics:
@@ -154,7 +167,7 @@ class ResolutionResult:
     expanded_graph: TemporalKnowledgeGraph
     removed_facts: tuple[TemporalFact, ...]
     inferred_facts: tuple[TemporalFact, ...]
-    violations: tuple[ConstraintViolation, ...]
+    violations: ConflictTable
     conflicting_facts: tuple[TemporalFact, ...]
     solution: MAPSolution
     statistics: ResolutionStatistics
@@ -183,10 +196,7 @@ class ResolutionResult:
 
     def violations_by_constraint(self) -> dict[str, int]:
         """Number of grounded violations per constraint name."""
-        counts: dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.constraint] = counts.get(violation.constraint, 0) + 1
-        return counts
+        return self.violations.by_constraint()
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (used by the CLI and benchmark harnesses)."""

@@ -46,11 +46,16 @@ from ..kg import TemporalKnowledgeGraph
 from ..kg.triple import FactLike
 from ..logic.decompose import _UnionFind
 from ..logic.ground import ClauseKind, GroundProgram, nonzero_weight
-from ..logic.grounding import ConstraintViolation
+from ..logic.grounding import ConflictTable
 from ..logic.incremental import EmissionPlan, GroundingDelta, IncrementalGrounder
 from ..solvers import MAPSolution, SolverStats
 from .registry import make_solver, solver_capabilities, solver_family
-from .result import DeltaStatistics, ResolutionResult, ResolutionStatistics
+from .result import (
+    DeltaStatistics,
+    ResolutionResult,
+    ResolutionStatistics,
+    conflict_statistics,
+)
 from .threshold import ThresholdFilter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tecore ← session)
@@ -582,19 +587,15 @@ class ResolutionSession:
         expanded = consistent.copy(name=f"{snapshot.name}-inferred")
         expanded.add_all(inferred)
 
-        violations = tuple(
-            ConstraintViolation(
-                grounder.constraints[record.constraint_index].name,
+        constraints = grounder.constraints
+        conflicts = ConflictTable.from_violations(
+            (
+                constraints[record.constraint_index].name,
+                constraints[record.constraint_index].weight,
                 grounder.fresh_facts(record.facts),
-                grounder.constraints[record.constraint_index].weight,
             )
             for record in plan.violations
         )
-        conflicting_by_key: dict[tuple, object] = {}
-        for violation in violations:
-            for fact in violation.facts:
-                conflicting_by_key.setdefault(fact.statement_key, fact)
-        conflicting = tuple(conflicting_by_key.values())
         runtime = time.perf_counter() - started
 
         statistics = ResolutionStatistics(
@@ -602,10 +603,7 @@ class ResolutionSession:
             consistent_facts=len(consistent),
             removed_facts=len(removed),
             inferred_facts=len(inferred),
-            conflicting_facts=len(conflicting),
-            violations=len(violations),
-            hard_violations=sum(1 for violation in violations if violation.is_hard),
-            soft_violations=sum(1 for violation in violations if not violation.is_hard),
+            **conflict_statistics(conflicts),
             objective=solution.objective,
             runtime_seconds=runtime,
             solver=self._system.solver,
@@ -620,8 +618,8 @@ class ResolutionSession:
             expanded_graph=expanded,
             removed_facts=removed,
             inferred_facts=tuple(inferred),
-            violations=violations,
-            conflicting_facts=conflicting,
+            violations=conflicts,
+            conflicting_facts=conflicts.facts,
             solution=solution,
             statistics=statistics,
             inferred_below_threshold=tuple(below_threshold),

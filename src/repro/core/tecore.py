@@ -33,7 +33,12 @@ from ..kg import TemporalKnowledgeGraph
 from ..logic import DEFAULT_ENGINE, TemporalConstraint, TemporalRule, load_pack, parse_program
 from ..solvers import MAPSolution
 from .registry import available_solvers, make_solver
-from .result import BatchResolution, ResolutionResult, ResolutionStatistics
+from .result import (
+    BatchResolution,
+    ResolutionResult,
+    ResolutionStatistics,
+    conflict_statistics,
+)
 from .threshold import ThresholdFilter
 from .translator import TecoreTranslator, TranslatedProgram
 
@@ -322,7 +327,10 @@ class TeCoRe:
         by :meth:`TemporalKnowledgeGraph.without_statements`: the kept facts,
         their order, the domain and the name are those a fact-by-fact filter
         gives, but each kept fact also keeps its insertion tick from
-        ``graph`` instead of being re-added.
+        ``graph`` instead of being re-added.  The violations, their counts
+        and the conflicting facts come from the grounding's violation table
+        (:meth:`~repro.logic.ViolationTable.conflicts`), which holds no
+        reference to the program.
         """
         program = translated.program
         threshold_filter = ThresholdFilter(self.threshold)
@@ -337,8 +345,7 @@ class TeCoRe:
         expanded = consistent.copy(name=f"{graph.name}-inferred")
         expanded.add_all(inferred)
 
-        violations = tuple(translated.grounding.violations)
-        conflicting = tuple(translated.grounding.conflicting_facts())
+        conflicts = translated.grounding.violations.conflicts()
         runtime = time.perf_counter() - started
 
         statistics = ResolutionStatistics(
@@ -346,10 +353,7 @@ class TeCoRe:
             consistent_facts=len(consistent),
             removed_facts=len(removed),
             inferred_facts=len(inferred),
-            conflicting_facts=len(conflicting),
-            violations=len(violations),
-            hard_violations=sum(1 for violation in violations if violation.is_hard),
-            soft_violations=sum(1 for violation in violations if not violation.is_hard),
+            **conflict_statistics(conflicts),
             objective=solution.objective,
             runtime_seconds=runtime,
             solver=self.solver,
@@ -364,8 +368,8 @@ class TeCoRe:
             expanded_graph=expanded,
             removed_facts=removed,
             inferred_facts=tuple(inferred),
-            violations=violations,
-            conflicting_facts=conflicting,
+            violations=conflicts,
+            conflicting_facts=conflicts.facts,
             solution=solution,
             statistics=statistics,
             inferred_below_threshold=tuple(below_threshold),

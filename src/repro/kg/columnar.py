@@ -9,32 +9,48 @@ that representation:
 
 * a :class:`TermInterner` mapping RDF terms (and predicates) to dense integer
   ids — equal terms always receive the same id, so equality joins over terms
-  become equality joins over ``int64`` arrays;
-* a :class:`RelationBlock` per predicate holding the facts of that relation
+  become equality joins over ``int64`` arrays.  It keeps each id's
+  :func:`~repro.kg.term.term_key` and, on request, each id's rank in
+  ``term_key`` order;
+* a :class:`RelationBlock` per predicate holding the rows of that relation
   as parallel numpy columns: subject id, object id, interval begin tick,
-  interval end tick, and the forward-chaining round the fact entered the
-  store (0 for evidence) — the semi-naive delta windows of the grounder are
-  plain boolean masks over the round column;
-* the :class:`ColumnarFactStore` tying the two together, with incremental
-  appends (derived facts arrive round by round), per-row tags and rank
-  columns for the engine's emission and ordering contract, and the
-  merge-join primitives (:func:`merge_join`, :func:`composite_keys` and
-  the one-sided :func:`composite_key`).
+  interval end tick, the forward-chaining round the row entered the store
+  (0 for evidence) — the semi-naive delta windows of the grounder are
+  plain boolean masks over the round column — and an integer tag (the
+  grounder's ground-atom index of the row);
+* the :class:`ColumnarFactStore` tying the two together: the evidence is
+  loaded in one pass (:meth:`ColumnarFactStore.load`), derived rows arrive
+  as id columns (:meth:`ColumnarFactStore.append`), and each block ranks its
+  rows from the columns (:meth:`RelationBlock.rank_array`); plus the
+  merge-join primitives (:func:`merge_join`, :func:`composite_keys` and the
+  one-sided :func:`composite_key`).
 
-The store keeps a reference to each original :class:`TemporalFact`, so
-consumers can recover full fact objects (and their cached sort keys) from the
-row indices a vectorized join produces.
+The store holds no fact objects and no statement keys.  A row is ids only;
+whoever needs the fact behind a row keeps it under the row's tag (the
+grounder's atom table), and de-duplicates statements there.  A block holds
+no reference to its store, so dropping a store frees it without waiting for
+the cycle collector.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from operator import attrgetter, ne
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .term import IRI, Term
+from .term import IRI, Term, term_key
 from .triple import TemporalFact
+
+#: Names of a relation block's columns, in :meth:`RelationBlock.append` order.
+_COLUMN_NAMES = ("subject", "object", "begin", "end", "round", "tag")
+
+_subject = attrgetter("subject")
+_object = attrgetter("object")
+_predicate = attrgetter("predicate")
+_begin = attrgetter("interval.start")
+_end = attrgetter("interval.end")
 
 
 class TermInterner:
@@ -42,14 +58,18 @@ class TermInterner:
 
     Ids are assigned in first-seen order and never reused; two terms compare
     equal exactly when they intern to the same id (terms are immutable value
-    objects), which is the property the vectorized joins rely on.
+    objects), which is the property the vectorized joins rely on.  Nothing
+    may depend on the numbering itself.
     """
 
-    __slots__ = ("_ids", "_terms")
+    __slots__ = ("_ids", "_terms", "_keys", "_ranks")
 
     def __init__(self) -> None:
         self._ids: dict[Term, int] = {}
         self._terms: list[Term] = []
+        #: ``term_key`` of each id (the statement-key component of the term).
+        self._keys: list[tuple] = []
+        self._ranks: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -62,6 +82,19 @@ class TermInterner:
         assigned = len(self._terms)
         self._ids[term] = assigned
         self._terms.append(term)
+        self._keys.append(term_key(term))
+        return assigned
+
+    def intern_all(self, terms: Iterable[Term]) -> list[int]:
+        """Ids of ``terms`` in order (one ``dict.setdefault`` per term)."""
+        ids = self._ids
+        setdefault = ids.setdefault
+        assigned = [setdefault(term, len(ids)) for term in terms]
+        known = len(self._terms)
+        if len(ids) > known:
+            fresh = list(islice(ids, known, None))
+            self._terms.extend(fresh)
+            self._keys.extend(map(term_key, fresh))
         return assigned
 
     def lookup(self, term: Term) -> Optional[int]:
@@ -80,191 +113,187 @@ class TermInterner:
         """Bulk id → term decoding (C-speed ``map`` over the id list)."""
         return list(map(self._terms.__getitem__, term_ids))
 
+    def keys(self, term_ids: Iterable[int]) -> Iterator[tuple]:
+        """The ``term_key`` of each id (lazily, for building statement keys)."""
+        return map(self._keys.__getitem__, term_ids)
+
+    def ranks(self) -> np.ndarray:
+        """Each id's rank in ``term_key`` order (equal keys share a rank).
+
+        Recomputed only after the interner has grown: new terms can fall
+        between old ones, but never reorder them.
+        """
+        size = len(self._keys)
+        if self._ranks is None or len(self._ranks) != size:
+            keys = self._keys
+            order = sorted(range(size), key=keys.__getitem__)
+            ordered = list(map(keys.__getitem__, order))
+            steps = np.ones(size, dtype=np.int64)
+            steps[1:] = np.fromiter(map(ne, ordered[1:], ordered), dtype=bool, count=size - 1)
+            ranks = np.empty(size, dtype=np.int64)
+            ranks[np.asarray(order, dtype=np.int64)] = np.cumsum(steps) - 1
+            self._ranks = ranks
+        return self._ranks
+
 
 class RelationBlock:
-    """All facts of one predicate as parallel columns.
+    """All rows of one predicate as parallel ``int64`` columns.
 
-    Appends go to Python staging lists; the numpy columns are (re)materialised
-    lazily on first access after a mutation.  The grounding workload appends
-    in round-sized batches and then scans many times per round, so the
-    amortised conversion cost is negligible next to the joins it enables.
+    Appends are kept as column chunks and concatenated on the first read
+    after a mutation.  The grounding workload appends in round-sized
+    batches and then scans many times per round, so the amortised
+    concatenation cost is negligible next to the joins it enables.
     """
 
-    __slots__ = (
-        "predicate",
-        "facts",
-        "_subjects",
-        "_objects",
-        "_begins",
-        "_ends",
-        "_rounds",
-        "_columns",
-        "_materialized",
-        "tags",
-        "_tags_array",
-        "_ranks",
-    )
+    __slots__ = ("predicate", "_chunks", "_columns", "_size", "_ranks")
 
     def __init__(self, predicate: IRI) -> None:
         self.predicate = predicate
-        #: Row-aligned fact objects (for recovering matches from row indices).
-        self.facts: list[TemporalFact] = []
-        self._subjects: list[int] = []
-        self._objects: list[int] = []
-        self._begins: list[int] = []
-        self._ends: list[int] = []
-        self._rounds: list[int] = []
+        self._chunks: list[tuple[np.ndarray, ...]] = []
         self._columns: Optional[dict[str, np.ndarray]] = None
-        self._materialized = 0
-        #: Optional row-aligned integer tags (the vectorized grounding engine
-        #: stores each row's ground-atom index here).
-        self.tags: list[int] = []
-        self._tags_array: Optional[np.ndarray] = None
+        self._size = 0
         self._ranks: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.facts)
+        return self._size
+
+    def append(
+        self,
+        subjects: np.ndarray,
+        objects: np.ndarray,
+        begins: np.ndarray,
+        ends: np.ndarray,
+        rounds: np.ndarray,
+        tags: np.ndarray,
+    ) -> None:
+        """Append rows given as equal-length ``int64`` columns."""
+        self._chunks.append((subjects, objects, begins, ends, rounds, tags))
+        self._size += len(subjects)
+        self._columns = None
 
     # ------------------------------------------------------------------ #
     # Column access
     # ------------------------------------------------------------------ #
     def columns(self) -> dict[str, np.ndarray]:
-        """The materialised ``int64`` columns (subject/object/begin/end/round)."""
-        if self._columns is None or self._materialized != len(self.facts):
-            self._columns = {
-                "subject": np.asarray(self._subjects, dtype=np.int64),
-                "object": np.asarray(self._objects, dtype=np.int64),
-                "begin": np.asarray(self._begins, dtype=np.int64),
-                "end": np.asarray(self._ends, dtype=np.int64),
-                "round": np.asarray(self._rounds, dtype=np.int64),
-            }
-            self._materialized = len(self.facts)
+        """The columns by name: subject, object, begin, end, round and tag."""
+        if self._columns is None:
+            chunks = self._chunks
+            merged = chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
+            self._chunks = [merged]
+            self._columns = dict(zip(_COLUMN_NAMES, merged))
         return self._columns
 
     def column(self, name: str) -> np.ndarray:
         return self.columns()[name]
 
     def tags_array(self) -> np.ndarray:
-        """The row tags as an ``int64`` array (lazily rebuilt after appends)."""
-        if self._tags_array is None or len(self._tags_array) != len(self.tags):
-            self._tags_array = np.asarray(self.tags, dtype=np.int64)
-        return self._tags_array
+        """The row tags (the grounder's atom index of each row)."""
+        return self.columns()["tag"]
 
-    def rank_array(self) -> np.ndarray:
-        """Per-row rank in the block's fact sort-key order.
+    def rank_array(self, term_ranks: np.ndarray) -> np.ndarray:
+        """Per-row rank in the order of the rows' fact sort keys.
 
-        Comparing two rows by rank is equivalent to comparing their facts'
-        lexicographic :meth:`~repro.kg.triple.TemporalFact.sort_key` (keys
-        are unique within a block), which lets callers order whole match
-        sets numerically instead of comparing nested key tuples.  The rows
-        are sorted by the facts' cached key tuples directly: ``sorted`` only
-        calls ``<``, which for facts *is* the key comparison, so the order
-        is the same without a ``TemporalFact.__lt__`` call per comparison.
+        ``term_ranks`` is the entity interner's :meth:`TermInterner.ranks`.
+        The rows are ordered by ``(rank[subject], rank[object], begin,
+        end)``, which is the statement-key order; statement keys are unique
+        within a block, so it is the order of the facts'
+        :meth:`~repro.kg.triple.TemporalFact.sort_key` too.  Comparing two
+        rows by rank lets callers order whole match sets numerically.
+        Cached until rows are appended: new terms never reorder old ones.
         """
-        size = len(self.facts)
+        size = self._size
         if self._ranks is None or len(self._ranks) != size:
-            keys = [fact.sort_key() for fact in self.facts]
-            order = sorted(range(size), key=keys.__getitem__)
+            columns = self.columns()
+            order = np.lexsort(
+                (
+                    columns["end"],
+                    columns["begin"],
+                    term_ranks[columns["object"]],
+                    term_ranks[columns["subject"]],
+                )
+            )
             ranks = np.empty(size, dtype=np.int64)
-            ranks[np.asarray(order, dtype=np.int64)] = np.arange(size, dtype=np.int64)
+            ranks[order] = np.arange(size, dtype=np.int64)
             self._ranks = ranks
         return self._ranks
 
 
 class ColumnarFactStore:
-    """Interned, per-relation columnar view of a set of temporal facts.
+    """Interned, per-relation columnar rows of a set of temporal facts.
 
-    Statements are deduplicated by statement key exactly like
-    :class:`~repro.kg.graph.TemporalKnowledgeGraph` does (re-adding an
-    existing statement is a no-op here — the grounder only appends facts it
-    has already admitted into its working graph).
+    The store does not de-duplicate statements: the evidence graph's keys are
+    unique already, and the grounder appends a derived row only for a head
+    that got a new atom.
     """
 
-    def __init__(self, facts: Iterable[TemporalFact] = (), round_number: int = 0) -> None:
+    def __init__(self, facts: Sequence[TemporalFact] = (), round_number: int = 0) -> None:
         self.entities = TermInterner()
         self.predicates = TermInterner()
         self._blocks: dict[int, RelationBlock] = {}
-        self._keys: set[tuple] = set()
-        self.bulk_add(facts, round_number=round_number)
+        self._size = 0
+        self.load(facts, round_number)
 
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, fact: TemporalFact) -> bool:
-        return fact.statement_key in self._keys
+        return self._size
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def add(self, fact: TemporalFact, round_number: int = 0, tag: Optional[int] = None) -> bool:
-        """Add ``fact`` labelled with the round it was derived in.
+    def load(self, facts: Sequence[TemporalFact], round_number: int = 0) -> None:
+        """Append ``facts`` in one pass, tagging each row with its store position.
 
-        Returns True when the statement was new, False when its key was
-        already stored (the row — including any earlier tag — is left
-        untouched in that case).  ``tag`` appends to the row's block tags;
-        callers maintaining tags must pass one on every add that can create
-        a row, or the tag column falls out of alignment.
+        The subjects, then the objects, then the predicates are interned with
+        one ``dict.setdefault`` each, and the rows are grouped into their
+        relation blocks by a stable sort of the predicate ids.  Loading the
+        evidence graph into an empty store tags fact *i* with *i*, its
+        ground-atom index.
         """
-        return self.bulk_add((fact,), round_number, None if tag is None else (tag,)) == 1
+        count = len(facts)
+        if not count:
+            return
+        # One list per field, not a tuple per row: the rows' temporaries
+        # would all be alive at once and set off young collections.
+        entity_ids = self.entities.intern_all([*map(_subject, facts), *map(_object, facts)])
+        self.append(
+            np.asarray(self.predicates.intern_all(map(_predicate, facts)), dtype=np.int64),
+            np.asarray(entity_ids[:count], dtype=np.int64),
+            np.asarray(entity_ids[count:], dtype=np.int64),
+            np.fromiter(map(_begin, facts), dtype=np.int64, count=count),
+            np.fromiter(map(_end, facts), dtype=np.int64, count=count),
+            round_number,
+            np.arange(self._size, self._size + count, dtype=np.int64),
+        )
 
-    def bulk_add(
+    def append(
         self,
-        facts: Iterable[TemporalFact],
-        round_number: int = 0,
-        tags: Optional[Iterable[int]] = None,
-    ) -> int:
-        """Batch variant of :meth:`add` with the interning loop inlined.
+        predicates: np.ndarray,
+        subjects: np.ndarray,
+        objects: np.ndarray,
+        begins: np.ndarray,
+        ends: np.ndarray,
+        round_number: int,
+        tags: np.ndarray,
+    ) -> None:
+        """Append rows given as id columns, labelled with their round.
 
-        Loading the evidence graph is a fixed per-ground() cost of the
-        vectorized engine, and so is appending each round's new rule heads,
-        so this path trades the tidy :meth:`add` delegation for
-        local-variable access to the interner and block internals (roughly
-        halving the per-fact overhead).  ``tags`` pairs with ``facts``; each
-        added row appends its fact's tag, as :meth:`add` does.
+        ``predicates`` holds predicate-interner ids and ``subjects`` and
+        ``objects`` entity-interner ids.  Rows keep their relative order
+        within each relation block.
         """
-        keys = self._keys
-        entity_ids, entity_terms = self.entities._ids, self.entities._terms
-        predicate_ids, predicate_terms = self.predicates._ids, self.predicates._terms
-        blocks = self._blocks
-        added = 0
-        for fact, tag in zip(facts, repeat(None) if tags is None else tags):
-            key = fact.statement_key
-            if key in keys:
-                continue
-            keys.add(key)
-            predicate = fact.predicate
-            predicate_id = predicate_ids.get(predicate)
-            if predicate_id is None:
-                predicate_id = len(predicate_terms)
-                predicate_ids[predicate] = predicate_id
-                predicate_terms.append(predicate)
-            block = blocks.get(predicate_id)
+        count = len(subjects)
+        rounds = np.full(count, round_number, dtype=np.int64)
+        order = np.argsort(predicates, kind="stable")
+        splits = np.flatnonzero(np.diff(predicates[order])) + 1
+        for rows in np.split(order, splits):
+            predicate_id = int(predicates[rows[0]])
+            block = self._blocks.get(predicate_id)
             if block is None:
-                block = RelationBlock(predicate)
-                blocks[predicate_id] = block
-            subject = fact.subject
-            subject_id = entity_ids.get(subject)
-            if subject_id is None:
-                subject_id = len(entity_terms)
-                entity_ids[subject] = subject_id
-                entity_terms.append(subject)
-            obj = fact.object
-            object_id = entity_ids.get(obj)
-            if object_id is None:
-                object_id = len(entity_terms)
-                entity_ids[obj] = object_id
-                entity_terms.append(obj)
-            interval = fact.interval
-            block.facts.append(fact)
-            block._subjects.append(subject_id)
-            block._objects.append(object_id)
-            block._begins.append(interval.start)
-            block._ends.append(interval.end)
-            block._rounds.append(round_number)
-            if tag is not None:
-                block.tags.append(tag)
-            added += 1
-        return added
+                block = RelationBlock(self.predicates.term(predicate_id))
+                self._blocks[predicate_id] = block
+            block.append(
+                subjects[rows], objects[rows], begins[rows], ends[rows], rounds[rows], tags[rows]
+            )
+        self._size += count
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -277,12 +306,8 @@ class ColumnarFactStore:
         return self._blocks.get(predicate_id)
 
     def blocks(self) -> Iterator[RelationBlock]:
-        """All relation blocks (arbitrary but deterministic insertion order)."""
+        """All relation blocks (in order of their predicates' first rows)."""
         return iter(self._blocks.values())
-
-    def iter_facts(self) -> Iterator[TemporalFact]:
-        for block in self._blocks.values():
-            yield from block.facts
 
 
 # --------------------------------------------------------------------------- #

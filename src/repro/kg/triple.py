@@ -28,6 +28,17 @@ class Triple:
         return f"({self.subject}, {self.predicate}, {self.object})"
 
 
+def check_confidence(confidence: object, owner: str = "") -> None:
+    """Raise :class:`InvalidFactError` unless ``confidence`` is a number in ``(0, 1]``.
+
+    ``owner`` prefixes the message (a rule names itself with it).
+    """
+    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        raise InvalidFactError(f"{owner}confidence must be a number")
+    if math.isnan(confidence) or not (0.0 < confidence <= 1.0):
+        raise InvalidFactError(f"{owner}confidence must lie in (0, 1], got {confidence!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TemporalFact:
     """An uncertain temporal fact: a triple + validity interval + confidence.
@@ -58,10 +69,7 @@ class TemporalFact:
             raise InvalidFactError(
                 f"fact interval must be a TimeInterval, got {type(self.interval).__name__}"
             )
-        if not isinstance(self.confidence, (int, float)) or isinstance(self.confidence, bool):
-            raise InvalidFactError("confidence must be a number")
-        if math.isnan(self.confidence) or not (0.0 < self.confidence <= 1.0):
-            raise InvalidFactError(f"confidence must lie in (0, 1], got {self.confidence!r}")
+        check_confidence(self.confidence)
         # All fields are immutable, so the statement key can be computed once;
         # it is the hot lookup key of the grounding engine and atom table.
         statement_key = (

@@ -27,6 +27,15 @@ This module holds the two row-oriented engines and the engine registry:
 * :class:`NaiveGrounder` — the original rescan-everything engine, kept as the
   reference implementation for the differential tests and benchmarks.
 
+A :class:`GroundingResult` keeps its firings and violations in a
+:class:`FiringTable` and a :class:`ViolationTable`: the scalar engines append
+:class:`RuleFiring` and :class:`ConstraintViolation` objects, the vectorized
+engine adds blocks of atom indexes whose objects are built on first read.
+:meth:`ViolationTable.conflicts` turns the violations into the
+:class:`ConflictTable` a resolution result carries: rows over the distinct
+conflicting facts, with the statistics read from the blocks and no
+reference to the program.
+
 One-shot grounding, including the pure conflict *detection* of
 :func:`find_conflicts` (the Figure 8 statistics), uses :data:`DEFAULT_ENGINE`:
 the columnar ``"vectorized"`` engine (:mod:`repro.logic.vectorized`), which
@@ -35,15 +44,19 @@ emits the same program faster.  Sessions ground with ``"incremental"``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from ..errors import GroundingError, LogicError
 from ..kg import IRI, TemporalFact, TemporalKnowledgeGraph
 from ..temporal import TimeInterval
 from .atom import QuadAtom
 from .constraint import TemporalConstraint
-from .ground import ClauseKind, GroundProgram
+from .ground import ClauseKind, GroundAtom, GroundProgram
 from .rule import TemporalRule
 from .substitution import Substitution
 from .terms import Variable
@@ -76,25 +89,261 @@ class ConstraintViolation:
         return f"{self.constraint}: {{{inner}}}"
 
 
+class _RecordTable(Sequence):
+    """A sequence of records filled as objects or as blocks of index rows.
+
+    The scalar engines append record objects.  The vectorized engine adds
+    blocks instead: an owner (a rule or constraint) and rows of indexes, and
+    the table builds the block's objects the first time it is read.  The
+    length is known without building.  A table compares equal to another
+    table, and to a ``list`` (or, for :attr:`_like` ``tuple``, a ``tuple``)
+    holding equal records.
+    """
+
+    __slots__ = ("_items", "_pending", "_pending_size")
+
+    #: The built-in sequence type a table stands in for (equality, slices).
+    _like: type = list
+
+    def __init__(self) -> None:
+        self._items: list = []
+        self._pending: list[tuple] = []
+        self._pending_size = 0
+
+    def _add_block(self, block: tuple, size: int) -> None:
+        self._pending.append(block)
+        self._pending_size += size
+
+    def _build(self) -> list:
+        if self._pending:
+            self._items.extend(self._records(self._pending))
+            self._pending = []
+            self._pending_size = 0
+        return self._items
+
+    def _records(self, blocks: list[tuple]) -> Iterable:
+        """The record objects of ``blocks``, in order."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._items) + self._pending_size
+
+    def __iter__(self) -> Iterator:
+        return iter(self._build())
+
+    def __getitem__(self, index):
+        items = self._build()[index]
+        return self._like(items) if isinstance(index, slice) else items
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _RecordTable):
+            return self._build() == other._build()
+        if isinstance(other, self._like):
+            return self._build() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._like(self._build()))
+
+
+def _fact_table(atoms: Sequence[GroundAtom]) -> list[TemporalFact]:
+    return [atom.fact for atom in atoms]
+
+
+class FiringTable(_RecordTable):
+    """:attr:`GroundingResult.firings`: one :class:`RuleFiring` per rule clause.
+
+    A block is a rule, its firings' body atom indexes (one row each) and
+    their head atom indexes, over the program's atom table.  A firing's head
+    is its head atom's fact when that fact carries the rule's
+    ``derived_confidence``, else a copy with it — the fact the rule
+    instantiated, when an evidence fact or another rule's head got the atom
+    first.
+    """
+
+    __slots__ = ("_atoms",)
+
+    def __init__(self, atoms: Sequence[GroundAtom]) -> None:
+        super().__init__()
+        self._atoms = atoms
+
+    def append(self, firing: RuleFiring) -> None:
+        self._build().append(firing)
+
+    def add_block(self, rule: TemporalRule, body_atoms: np.ndarray, head_atoms: np.ndarray) -> None:
+        self._add_block((rule, body_atoms, head_atoms), len(head_atoms))
+
+    def _records(self, blocks):
+        facts = _fact_table(self._atoms)
+        for rule, body_atoms, head_atoms in blocks:
+            confidence = rule.derived_confidence
+            bodies = zip(*(map(facts.__getitem__, column) for column in body_atoms.T.tolist()))
+            heads = []
+            for head in map(facts.__getitem__, head_atoms.tolist()):
+                if head.confidence != confidence or type(head.confidence) is not type(confidence):
+                    head = head.with_confidence(confidence)
+                heads.append(head)
+            yield from map(RuleFiring, repeat(rule.name), bodies, heads, repeat(rule.weight))
+
+
+class ViolationTable(_RecordTable):
+    """:attr:`GroundingResult.violations`: one :class:`ConstraintViolation` per conflict clause.
+
+    A block is a constraint and its conflicts' atom indexes (one row each,
+    in body order) over the program's atom table.
+    """
+
+    __slots__ = ("_atoms", "_blocks", "_appended")
+
+    def __init__(self, atoms: Sequence[GroundAtom]) -> None:
+        super().__init__()
+        self._atoms = atoms
+        self._blocks: list[tuple[TemporalConstraint, np.ndarray]] = []
+        self._appended = False
+
+    def append(self, violation: ConstraintViolation) -> None:
+        self._build().append(violation)
+        self._appended = True
+
+    def add_block(self, constraint: TemporalConstraint, atom_rows: np.ndarray) -> None:
+        self._blocks.append((constraint, atom_rows))
+        self._add_block((constraint, atom_rows), len(atom_rows))
+
+    def _records(self, blocks):
+        facts = _fact_table(self._atoms)
+        for constraint, atom_rows in blocks:
+            bodies = [tuple(map(facts.__getitem__, row)) for row in atom_rows.tolist()]
+            yield from map(
+                ConstraintViolation, repeat(constraint.name), bodies, repeat(constraint.weight)
+            )
+
+    def conflicts(self) -> "ConflictTable":
+        """The violations as a :class:`ConflictTable` over their own facts.
+
+        For blocks this is array work: the distinct atoms in order of first
+        appearance (``np.unique``), and each row re-indexed into them.
+        """
+        if self._appended or not self._blocks:
+            return ConflictTable.from_violations((v.constraint, v.weight, v.facts) for v in self)
+        flat = np.concatenate([rows.ravel() for _, rows in self._blocks])
+        atoms, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = np.arange(order.size, dtype=np.int64)
+        local = position[inverse.ravel()]
+        facts = tuple(self._atoms[index].fact for index in atoms[order].tolist())
+        blocks = []
+        offset = 0
+        for constraint, rows in self._blocks:
+            stop = offset + rows.size
+            blocks.append(
+                (constraint.name, constraint.weight, local[offset:stop].reshape(rows.shape))
+            )
+            offset = stop
+        return ConflictTable(facts, blocks)
+
+
+class ConflictTable(_RecordTable):
+    """The violations of a :class:`~repro.core.result.ResolutionResult`.
+
+    A read-only sequence that reads like the tuple of
+    :class:`ConstraintViolation` it stands for.  Its blocks are a constraint
+    name, a weight and rows of positions in :attr:`facts`, the distinct
+    conflicting facts in order of first appearance; it holds no reference
+    to the ground program.  The statistics — counts, hard and soft counts,
+    :meth:`by_constraint` — come from the blocks without building objects.
+    """
+
+    __slots__ = ("facts", "_blocks")
+
+    _like = tuple
+
+    def __init__(
+        self,
+        facts: tuple[TemporalFact, ...],
+        blocks: list[tuple[str, Optional[float], np.ndarray]],
+    ) -> None:
+        super().__init__()
+        self.facts = facts
+        self._blocks = blocks
+        for block in blocks:
+            self._add_block(block, len(block[2]))
+
+    @classmethod
+    def from_violations(
+        cls, violations: Iterable[tuple[str, Optional[float], Sequence[TemporalFact]]]
+    ) -> "ConflictTable":
+        """Table of ``(constraint name, weight, facts)`` triples, in order.
+
+        A fact's position is that of the first fact with its statement key.
+        """
+        positions: dict[tuple, int] = {}
+        facts: list[TemporalFact] = []
+        blocks: list[tuple[str, Optional[float], np.ndarray]] = []
+        group: Optional[tuple] = None
+        rows: list[list[int]] = []
+        for name, weight, body in violations:
+            row = []
+            for fact in body:
+                position = positions.get(fact.statement_key)
+                if position is None:
+                    position = positions[fact.statement_key] = len(facts)
+                    facts.append(fact)
+                row.append(position)
+            key = (name, weight, type(weight), len(row))
+            if key != group:
+                if rows:
+                    blocks.append((group[0], group[1], np.array(rows, dtype=np.int64)))
+                group, rows = key, []
+            rows.append(row)
+        if rows:
+            blocks.append((group[0], group[1], np.array(rows, dtype=np.int64)))
+        return cls(tuple(facts), blocks)
+
+    def _records(self, blocks):
+        facts = self.facts
+        for name, weight, rows in blocks:
+            bodies = [tuple(map(facts.__getitem__, row)) for row in rows.tolist()]
+            yield from map(ConstraintViolation, repeat(name), bodies, repeat(weight))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._build()))
+
+    @property
+    def hard_count(self) -> int:
+        """Number of violations of hard constraints."""
+        return sum(len(rows) for _, weight, rows in self._blocks if weight is None)
+
+    def by_constraint(self) -> dict[str, int]:
+        """Number of violations per constraint name, in order of first violation."""
+        counts: dict[str, int] = {}
+        for name, _, rows in self._blocks:
+            if len(rows):
+                counts[name] = counts.get(name, 0) + len(rows)
+        return counts
+
+
 @dataclass
 class GroundingResult:
     """Everything produced by a full grounding pass."""
 
     program: GroundProgram
-    firings: list[RuleFiring] = field(default_factory=list)
-    violations: list[ConstraintViolation] = field(default_factory=list)
     rounds: int = 0
+    firings: FiringTable = field(init=False)
+    violations: ViolationTable = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.firings = FiringTable(self.program.atoms)
+        self.violations = ViolationTable(self.program.atoms)
 
     def derived_facts(self) -> list[TemporalFact]:
         return [atom.fact for atom in self.program.derived_atoms()]
 
     def conflicting_facts(self) -> list[TemporalFact]:
         """Distinct facts participating in at least one violation."""
-        seen: dict[tuple, TemporalFact] = {}
-        for violation in self.violations:
-            for fact in violation.facts:
-                seen.setdefault(fact.statement_key, fact)
-        return list(seen.values())
+        return list(self.violations.conflicts().facts)
 
 
 # --------------------------------------------------------------------------- #
@@ -761,7 +1010,7 @@ def find_conflicts(
     graph: TemporalKnowledgeGraph,
     constraints: Iterable[TemporalConstraint],
     engine: str = DEFAULT_ENGINE,
-) -> list[ConstraintViolation]:
+) -> ViolationTable:
     """Detect conflicts only (no rule chaining, no MAP).
 
     This is what the demo's statistics panel reports: the number of

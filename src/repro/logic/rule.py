@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import UnsafeRuleError
+from ..kg.triple import check_confidence
 from ..temporal import IntervalExpression, TimeInterval
 from .atom import ConditionAtom, QuadAtom
 from .substitution import Substitution
@@ -41,7 +42,8 @@ class TemporalRule:
         absent, the head atom's own interval position is used.
     derived_confidence:
         Confidence assigned to facts derived by this rule (the MAP objective
-        also accounts for the rule weight itself).
+        also accounts for the rule weight itself).  Checked on construction
+        as a fact's confidence is: a number in ``(0, 1]``.
     """
 
     name: str
@@ -55,6 +57,7 @@ class TemporalRule:
     def __post_init__(self) -> None:
         if not self.body:
             raise UnsafeRuleError(f"rule {self.name}: body must contain at least one atom")
+        check_confidence(self.derived_confidence, owner=f"rule {self.name}: derived ")
         self.validate_safety()
 
     # ------------------------------------------------------------------ #

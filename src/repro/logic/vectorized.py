@@ -30,11 +30,19 @@ Emission writes the program's clause columns directly
 (:meth:`~repro.logic.ground.GroundProgram.extend_clauses`), one block per
 evidence set, per rule and round, and per constraint, so no
 :class:`~repro.logic.ground.GroundClause` is built.  Body atoms come from the
-blocks' row tags.  A rule's head is looked up by statement key in the
-program's atom table; only a head without an atom gets a new atom, its prior
-clause and a store row, and the round's new rows of a rule go into the store
-in one bulk append.  A firing can repeat only under a second rule of the same
-name, so only such rules keep a set of firing signatures.
+blocks' row tags.  A rule's heads stay interned id columns (predicate,
+subject, object, begin, end) from the join to the program: each head's
+statement key is built from the interner's term keys and looked up in the
+program's atom table, and only a head without an atom gets a
+:class:`~repro.kg.triple.TemporalFact`, a new atom, its prior clause and a
+store row; the round's new rows of a rule go into the store as id columns in
+one append.  Firings and violations go into the result's
+:class:`~repro.logic.grounding.FiringTable` and
+:class:`~repro.logic.grounding.ViolationTable` as blocks of atom indexes, so
+no :class:`~repro.logic.grounding.RuleFiring` or
+:class:`~repro.logic.grounding.ConstraintViolation` exists until someone
+reads them.  A firing can repeat only under a second rule of the same name,
+so only such rules keep a set of firing signatures (body atoms, head key).
 
 Conditions (Allen relations, arithmetic comparisons, term equalities) are
 evaluated as numpy masks over the joined columns, short-circuited row-wise in
@@ -42,7 +50,9 @@ condition order exactly like the scalar engines; anything the vectorizer does
 not recognise — unknown condition classes, non-numeric ``TermValue`` terms,
 exotic head-interval expressions — degrades to a per-row evaluation of the
 original scalar code path, and bodies with *variable predicates* fall back to
-the indexed engine's backtracking matcher wholesale.  Correctness therefore
+the indexed engine's backtracking matcher wholesale.  Heads these paths
+instantiate as facts (and heads with a variable predicate) are interned into
+the same head id columns, so there is one emission path.  Correctness therefore
 never depends on a construct being vectorizable.
 """
 
@@ -50,7 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,9 +89,7 @@ from .expressions import (
 from .ground import ClauseKind, GroundAtom, GroundProgram, nonzero_weight
 from .grounding import (
     GROUNDING_ENGINES,
-    ConstraintViolation,
     GroundingResult,
-    RuleFiring,
     _BindingsView,
     _body_sort_key,
     _compile_body,
@@ -99,6 +107,9 @@ class _NotVectorizable(Exception):
 
 #: Sort key for match entries (their sort key comes first).
 _first_item = itemgetter(0)
+
+_statement_key = attrgetter("statement_key")
+_value = attrgetter("value")
 
 
 # --------------------------------------------------------------------------- #
@@ -167,21 +178,6 @@ class _MatchTable:
         self.intervals = intervals
         self.rows = rows
         self.blocks = blocks
-
-
-def _body_facts(
-    blocks: dict[int, RelationBlock], rows: Sequence[np.ndarray]
-) -> list[tuple[TemporalFact, ...]]:
-    """Body-fact tuples of matches given as per-position block rows.
-
-    One ``map`` over each atom position's row indices plus a ``zip``
-    across positions keeps the per-match Python work at C speed.
-    """
-    per_position = [
-        map(blocks[position].facts.__getitem__, column.tolist())
-        for position, column in enumerate(rows)
-    ]
-    return list(zip(*per_position))
 
 
 # --------------------------------------------------------------------------- #
@@ -578,59 +574,79 @@ def _head_interval_columns(
     return empty
 
 
-def _instantiate_heads(
+def _predicate_ids(store: ColumnarFactStore, predicates: Sequence) -> list[int]:
+    """Predicate-interner ids of head predicates, checked as ``instantiate`` checks them."""
+    for predicate in predicates:
+        if not isinstance(predicate, IRI):
+            raise LogicError(f"predicate resolved to non-IRI value {predicate!r}")
+    return store.predicates.intern_all(predicates)
+
+
+def _head_columns(
     rule: TemporalRule,
     table: _MatchTable,
     store: ColumnarFactStore,
     alive: np.ndarray,
     begins: np.ndarray,
     ends: np.ndarray,
-) -> list[TemporalFact]:
-    """Head facts for the surviving rows (fast path + scalar fallback)."""
+) -> tuple[np.ndarray, ...]:
+    """The surviving rows' heads as id columns ``(predicate, subject, object, begin, end)``.
+
+    A variable head subject or object takes its body variable's entity
+    column, a constant one its interned id.  A variable head predicate, and
+    a head variable bound to no entity column (an interval variable), leave
+    the rows to :func:`_scalar_head_columns`, whose instantiation checks and
+    raises as the scalar engines do.
+    """
     head = rule.head
     size = alive.size
-    resolved_columns = []
-    fast = True
-    for position in (head.subject, head.predicate, head.object):
-        if isinstance(position, Variable):
-            column = table.entities.get(position.name)
-            if column is None:
-                fast = False  # interval-bound or unbound: scalar path raises
-                break
-            resolved_columns.append(store.entities.terms(column[alive].tolist()))
-        else:
-            resolved_columns.append([position] * size)
-    if not fast:
-        return [
-            head.instantiate(
-                _row_view(table, store, int(match)),
-                interval=TimeInterval(int(begin), int(end)),
-                confidence=rule.derived_confidence,
-            )
-            for match, begin, end in zip(alive, begins, ends)
-        ]
-    facts = []
-    confidence = rule.derived_confidence
-    interval_cache: dict[tuple[int, int], TimeInterval] = {}
-    for subject, predicate, obj, begin, end in zip(
-        *resolved_columns, begins.tolist(), ends.tolist()
+    if isinstance(head.predicate, Variable) or any(
+        isinstance(position, Variable) and position.name not in table.entities
+        for position in (head.subject, head.object)
     ):
-        if not isinstance(predicate, IRI):
-            raise LogicError(f"predicate resolved to non-IRI value {predicate!r}")
-        span = interval_cache.get((begin, end))
-        if span is None:
-            span = TimeInterval(begin, end)
-            interval_cache[(begin, end)] = span
-        facts.append(
-            TemporalFact(
-                subject=subject,
-                predicate=predicate,
-                object=obj,
-                interval=span,
-                confidence=confidence,
-            )
+        return _scalar_head_columns(rule, table, store, alive, begins, ends)
+
+    def entity_column(position) -> np.ndarray:
+        if isinstance(position, Variable):
+            return table.entities[position.name][alive]
+        return np.full(size, store.entities.intern(position), dtype=np.int64)
+
+    predicate = _predicate_ids(store, [head.predicate])[0]
+    return (
+        np.full(size, predicate, dtype=np.int64),
+        entity_column(head.subject),
+        entity_column(head.object),
+        begins,
+        ends,
+    )
+
+
+def _fact_columns(
+    store: ColumnarFactStore, facts: Sequence[TemporalFact]
+) -> tuple[np.ndarray, ...]:
+    """Instantiated heads interned into the id columns :func:`_head_columns` returns."""
+    count = len(facts)
+    ids = store.entities.intern_all([f.subject for f in facts] + [f.object for f in facts])
+    return (
+        np.asarray(_predicate_ids(store, [fact.predicate for fact in facts]), dtype=np.int64),
+        np.asarray(ids[:count], dtype=np.int64),
+        np.asarray(ids[count:], dtype=np.int64),
+        np.asarray([fact.interval.start for fact in facts], dtype=np.int64),
+        np.asarray([fact.interval.end for fact in facts], dtype=np.int64),
+    )
+
+
+def _scalar_head_columns(rule, table, store, alive, begins, ends) -> tuple[np.ndarray, ...]:
+    """Per-row ``instantiate`` of the heads, interned into id columns."""
+    facts = [
+        rule.head.instantiate(
+            _row_view(table, store, int(match)),
+            interval=TimeInterval(int(begin), int(end)),
+            confidence=rule.derived_confidence,
         )
-    return facts
+        for match, begin, end in zip(alive, begins, ends)
+    ]
+    return _fact_columns(store, facts)
 
 
 # --------------------------------------------------------------------------- #
@@ -639,42 +655,56 @@ def _instantiate_heads(
 class _Firings:
     """One rule's new firings of one round, in emission order.
 
-    Row ``i`` of ``body_atoms`` holds firing ``i``'s body atom indexes;
-    ``bodies[i]`` are its body facts and ``heads[i]`` its instantiated head
-    (with the rule's ``derived_confidence``).
+    Row ``i`` of ``body_atoms`` holds firing ``i``'s body atom indexes, and
+    entry ``i`` of the five head columns its head: predicate id, subject id,
+    object id, begin and end.  :meth:`keys` are the heads' statement keys.
     """
 
-    __slots__ = ("body_atoms", "bodies", "heads")
+    __slots__ = ("body_atoms", "heads", "_keys")
 
-    def __init__(
-        self,
-        body_atoms: np.ndarray,
-        bodies: list[tuple[TemporalFact, ...]],
-        heads: list[TemporalFact],
-    ) -> None:
+    def __init__(self, body_atoms: np.ndarray, heads: Sequence[np.ndarray]) -> None:
         self.body_atoms = body_atoms
-        self.bodies = bodies
-        self.heads = heads
+        self.heads = tuple(heads)
+        self._keys: Optional[list[tuple]] = None
 
     def __len__(self) -> int:
-        return len(self.heads)
+        return len(self.body_atoms)
 
-    def drop_seen(self, seen: set[tuple]) -> None:
+    def keys(self, store: ColumnarFactStore) -> list[tuple]:
+        """Each head's ``(key[s], predicate value, key[o], begin, end)``.
+
+        That is the :attr:`~repro.kg.triple.TemporalFact.statement_key` of
+        the fact the head denotes, built from the interner's term keys.
+        """
+        if self._keys is None:
+            predicates, subjects, objects, begins, ends = self.heads
+            self._keys = list(
+                zip(
+                    store.entities.keys(subjects.tolist()),
+                    map(_value, store.predicates.terms(predicates.tolist())),
+                    store.entities.keys(objects.tolist()),
+                    begins.tolist(),
+                    ends.tolist(),
+                )
+            )
+        return self._keys
+
+    def drop_seen(self, seen: set[tuple], store: ColumnarFactStore) -> None:
         """Drop the firings whose signature ``seen`` holds; record the rest.
 
         A signature is the body atoms and the head's statement key; ``seen``
         belongs to one rule name, which completes the signature.
         """
+        keys = self.keys(store)
         keep = []
-        for position, (atoms, head) in enumerate(zip(self.body_atoms.tolist(), self.heads)):
-            signature = (tuple(atoms), head.statement_key)
+        for position, signature in enumerate(zip(map(tuple, self.body_atoms.tolist()), keys)):
             if signature not in seen:
                 seen.add(signature)
                 keep.append(position)
-        if len(keep) < len(self.heads):
+        if len(keep) < len(keys):
             self.body_atoms = self.body_atoms[keep]
-            self.bodies = [self.bodies[position] for position in keep]
-            self.heads = [self.heads[position] for position in keep]
+            self.heads = tuple(column[keep] for column in self.heads)
+            self._keys = [keys[position] for position in keep]
 
 
 def _vectorized_firings(
@@ -686,11 +716,11 @@ def _vectorized_firings(
     ``np.lexsort`` over the blocks' rank columns, position 0 primary, which
     is the lexicographic order of the body facts' sort keys (a body tuple is
     matched in one pivot table of one round only, so no two rows tie).
-    Body atom indexes come from the blocks' row tags.
+    Body atom indexes come from the blocks' row tags, heads stay id columns.
     """
     arity = len(compiled.atoms)
     rows: list[list[np.ndarray]] = [[] for _ in range(arity)]
-    heads: list[TemporalFact] = []
+    heads: list[list[np.ndarray]] = [[] for _ in range(5)]
     blocks: dict[int, RelationBlock] = {}
     for table in _iter_pivot_tables(compiled, store, delta_round):
         alive = _apply_conditions(rule.conditions, table, store, np.arange(table.size))
@@ -699,30 +729,31 @@ def _vectorized_firings(
         alive, begins, ends = _head_interval_columns(rule, table, store, alive)
         if alive.size == 0:
             continue
-        heads.extend(_instantiate_heads(rule, table, store, alive, begins, ends))
+        for parts, column in zip(heads, _head_columns(rule, table, store, alive, begins, ends)):
+            parts.append(column)
         for position in range(arity):
             rows[position].append(table.rows[position][alive])
         blocks = table.blocks
-    if not heads:
+    if not blocks:
         return None
     matched = [np.concatenate(parts) for parts in rows]
-    order = np.lexsort([blocks[p].rank_array()[matched[p]] for p in reversed(range(arity))])
-    matched = [column[order] for column in matched]
-    body_atoms = np.column_stack([blocks[p].tags_array()[matched[p]] for p in range(arity)])
-    return _Firings(
-        body_atoms, _body_facts(blocks, matched), list(map(heads.__getitem__, order.tolist()))
+    term_ranks = store.entities.ranks()
+    order = np.lexsort(
+        [blocks[p].rank_array(term_ranks)[matched[p]] for p in reversed(range(arity))]
     )
+    body_atoms = np.column_stack([blocks[p].tags_array()[matched[p][order]] for p in range(arity)])
+    return _Firings(body_atoms, [np.concatenate(parts)[order] for parts in heads])
 
 
 def _vectorized_violations(
     constraint: TemporalConstraint, compiled: _VectorBody, store: ColumnarFactStore
-) -> tuple[np.ndarray, list[tuple[TemporalFact, ...]]]:
+) -> np.ndarray:
     """Violated matches of a vectorized constraint body, as emitted.
 
     Returns the matches' atom indexes (one row per match, from the blocks'
-    row tags) and body facts, in the naive enumeration order, with
-    symmetric duplicates (the same set of atoms reached in another body
-    order) dropped.  Both steps run on the match table's columns:
+    row tags), in the naive enumeration order, with symmetric duplicates
+    (the same set of atoms reached in another body order) dropped.  Both
+    steps run on the match table's columns:
 
     * the order is lexicographic in the body facts' sort keys, which is
       ``np.lexsort`` over the per-block rank columns with position 0
@@ -731,10 +762,11 @@ def _vectorized_violations(
       a stable ``np.unique(..., return_index=True)`` over one composite key
       of the row-sorted tags.
     """
+    arity = len(compiled.atoms)
+    empty = np.empty((0, arity), dtype=np.int64)
     table = _full_table(compiled, store)
     if table is None or not table.size:
-        return np.empty((0, len(compiled.atoms)), dtype=np.int64), []
-    arity = len(compiled.atoms)
+        return empty
     alive = np.arange(table.size)
     # Degenerate matches: the same fact filling two body atoms.
     for first in range(arity):
@@ -743,8 +775,9 @@ def _vectorized_violations(
                 alive = alive[table.rows[first][alive] != table.rows[second][alive]]
     violated = _violated_rows(constraint, table, store, alive)
     if violated.size == 0:
-        return np.empty((0, arity), dtype=np.int64), []
-    ranks = [table.blocks[p].rank_array()[table.rows[p][violated]] for p in range(arity)]
+        return empty
+    term_ranks = store.entities.ranks()
+    ranks = [table.blocks[p].rank_array(term_ranks)[table.rows[p][violated]] for p in range(arity)]
     violated = violated[np.lexsort(ranks[::-1])]  # lexsort's last key is primary
     tags = np.column_stack(
         [table.blocks[p].tags_array()[table.rows[p][violated]] for p in range(arity)]
@@ -752,9 +785,8 @@ def _vectorized_violations(
     if arity > 1:
         conflict_key = composite_key(list(np.sort(tags, axis=1).T))
         _, first_rows = np.unique(conflict_key, return_index=True)
-        keep = np.sort(first_rows)
-        violated, tags = violated[keep], tags[keep]
-    return tags, _body_facts(table.blocks, [table.rows[p][violated] for p in range(arity)])
+        tags = tags[np.sort(first_rows)]
+    return tags
 
 
 # --------------------------------------------------------------------------- #
@@ -765,19 +797,18 @@ def _emit_violations(
     result: GroundingResult,
     constraint: TemporalConstraint,
     atom_rows: np.ndarray,
-    bodies: list[tuple[TemporalFact, ...]],
 ) -> None:
-    """Append one constraint clause per row of ``atom_rows`` and one violation per match.
+    """Append one constraint clause, and one violation, per row of ``atom_rows``.
 
     :meth:`GroundProgram.add_clause`'s weight normalisation, done once per
     constraint: a negative weight flips the literal of a one-atom body and
     is unrepresentable for a longer one (raised only when a match is
     violated), and a zero weight becomes the shared epsilon.
     """
-    if not bodies:
+    count, arity = atom_rows.shape
+    if not count:
         return
     name, weight = constraint.name, constraint.weight
-    count, arity = atom_rows.shape
     positive, clause_weight = False, weight
     if weight is not None and weight < 0:
         if arity != 1:
@@ -792,7 +823,7 @@ def _emit_violations(
         [nonzero_weight(clause_weight)] * count,
         np.full(count, program.origin_code(ClauseKind.CONSTRAINT, name)),
     )
-    result.violations.extend(ConstraintViolation(name, facts, weight) for facts in bodies)
+    result.violations.add_block(constraint, atom_rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -808,7 +839,8 @@ class VectorizedGrounder(_GrounderBase):
     columns instead of per-fact Python dictionary probes, and clauses go
     straight into the program's columns
     (:meth:`~repro.logic.ground.GroundProgram.extend_clauses`) without a
-    :class:`~repro.logic.ground.GroundClause` object each.
+    :class:`~repro.logic.ground.GroundClause` object each.  Firings and
+    violations go into the result's tables as blocks of atom indexes.
 
     The engine owns the whole pipeline (it overrides :meth:`ground`): when
     every body is vectorizable it never materialises the working-graph copy
@@ -827,28 +859,17 @@ class VectorizedGrounder(_GrounderBase):
         # 1. Evidence atoms and their soft unit clauses, byte-identical to
         # _GrounderBase.ground's add_atom/add_clause loop (fresh atoms,
         # unit-clause weight normalisation inlined).
-        atoms = program.atoms
-        atom_index = program._atom_index
+        facts = list(self.graph)
+        count = len(facts)
+        program.atoms.extend(map(GroundAtom, range(count), facts, repeat(True), repeat(None)))
+        program._atom_index.update(zip(map(_statement_key, facts), range(count)))
         keep_bias = self.keep_bias
-        signs: list[bool] = []
-        weights: list[float] = []
-        for fact in self.graph:
-            index = len(atoms)
-            atoms.append(GroundAtom(index, fact, True, None))
-            atom_index[fact.statement_key] = index
-            weight = fact.log_weight + keep_bias
-            if weight < 0:
-                signs.append(False)
-                weights.append(-weight)
-            else:
-                signs.append(True)
-                weights.append(nonzero_weight(weight))
-        count = len(atoms)
+        raw = [fact.log_weight + keep_bias for fact in facts]
         program.extend_clauses(
             np.ones(count, dtype=np.int64),
             np.arange(count, dtype=np.int64),
-            np.array(signs, dtype=bool),
-            weights,
+            np.array([weight >= 0 for weight in raw], dtype=bool),
+            [-weight if weight < 0 else nonzero_weight(weight) for weight in raw],
             np.full(count, program.origin_code(ClauseKind.EVIDENCE, "evidence")),
         )
 
@@ -861,10 +882,8 @@ class VectorizedGrounder(_GrounderBase):
         # The columnar store is the working state; the row-oriented working
         # graph is only maintained alongside it for fallback bodies.
         working = self.graph.copy(name=f"{self.graph.name}-working") if needs_graph else None
-        # Tag every evidence row with its ground-atom index: evidence atom i
-        # is the graph's i-th fact, which is the i-th row the store adds.
-        store = ColumnarFactStore()
-        store.bulk_add(self.graph, round_number=0, tags=range(count))
+        # Evidence atom i is the graph's i-th fact, which the load tags i.
+        store = ColumnarFactStore(facts)
 
         if chain_rules:
             result.rounds = self._chain_rounds(program, result, store, working, compiled_rules)
@@ -900,11 +919,13 @@ class VectorizedGrounder(_GrounderBase):
                 if compiled.dead:
                     continue
                 if compiled.fallback:
-                    firings = self._fallback_firings(rule, compiled, program, working, delta_since)
+                    firings = self._fallback_firings(
+                        rule, compiled, program, store, working, delta_since
+                    )
                 else:
                     firings = _vectorized_firings(rule, compiled, store, round_number - 1)
                 if firings is not None and rule.name in seen:
-                    firings.drop_seen(seen[rule.name])
+                    firings.drop_seen(seen[rule.name], store)
                 if firings:
                     batches.append((rule, firings))
             if not batches:
@@ -920,6 +941,7 @@ class VectorizedGrounder(_GrounderBase):
         rule: TemporalRule,
         compiled: _VectorBody,
         program: GroundProgram,
+        store: ColumnarFactStore,
         working: TemporalKnowledgeGraph,
         delta_since: int,
     ) -> Optional[_Firings]:
@@ -927,6 +949,7 @@ class VectorizedGrounder(_GrounderBase):
 
         Returns what :func:`_vectorized_firings` returns, ordered by the body
         sort keys; every body fact is in the working graph, so it has an atom.
+        The instantiated heads are interned into the head id columns.
         """
         matches: list[tuple] = []
         for substitution, body_facts in _delta_matches(compiled.plans, working, delta_since):
@@ -949,7 +972,7 @@ class VectorizedGrounder(_GrounderBase):
             [[atom_index[fact.statement_key] for fact in body] for _, body, _ in matches],
             dtype=np.int64,
         )
-        return _Firings(body_atoms, [body for _, body, _ in matches], [h for *_, h in matches])
+        return _Firings(body_atoms, _fact_columns(store, [head for *_, head in matches]))
 
     def _emit_firings(
         self,
@@ -963,11 +986,13 @@ class VectorizedGrounder(_GrounderBase):
     ) -> None:
         """Append one round's firings of ``rule`` to the program and the store.
 
-        A head whose statement key has no atom yet gets a new derived atom,
-        a prior clause and a store row (one bulk append per call, mirrored
+        The heads' statement keys are looked up in the atom table with one
+        ``map``.  A key without an atom gets a new derived atom (its fact
+        built through the :class:`TemporalFact` constructor), a prior clause
+        and a store row, appended as id columns in one call (and mirrored
         into the working graph when fallback bodies keep one).  Each firing
-        then emits, in order, the prior of its new head atom (if any) and
-        its rule clause ``¬b₁ ∨ … ∨ ¬bₖ ∨ h``.
+        then emits, in order, the prior of its new head atom (if any) and its
+        rule clause ``¬b₁ ∨ … ∨ ¬bₖ ∨ h``.
         """
         name, weight = rule.name, rule.weight
         # add_clause's normalisation, hoisted: rule clauses have ≥ 2
@@ -978,28 +1003,57 @@ class VectorizedGrounder(_GrounderBase):
                 f"negative-weight non-unit clause from {name!r} is not representable"
             )
         atoms, atom_index = program.atoms, program._atom_index
-        heads = firings.heads
-        head_atoms: list[int] = []
+        keys = firings.keys(store)
+        head_atoms = list(map(atom_index.get, keys))
         fresh: list[int] = []  # firings whose head got a new atom
-        for position, head in enumerate(heads):
-            key = head.statement_key
-            index = atom_index.get(key)
+        first_new = next_index = len(atoms)
+        for position in [p for p, index in enumerate(head_atoms) if index is None]:
+            key = keys[position]
+            index = atom_index.get(key)  # an earlier firing of this call may have added it
             if index is None:
-                index = len(atoms)
-                atoms.append(GroundAtom(index, head, False, name))
-                atom_index[key] = index
+                index = atom_index[key] = next_index
+                next_index += 1
                 fresh.append(position)
-            head_atoms.append(index)
+            head_atoms[position] = index
         if fresh:
-            new_facts = [heads[position] for position in fresh]
-            store.bulk_add(new_facts, round_number, tags=[head_atoms[p] for p in fresh])
+            predicates, subjects, objects, begins, ends = (
+                column[fresh] for column in firings.heads
+            )
+            spans: dict[tuple[int, int], TimeInterval] = {}  # one object per interval
+            intervals = []
+            for span in zip(begins.tolist(), ends.tolist()):
+                interval = spans.get(span)
+                if interval is None:
+                    interval = spans[span] = TimeInterval(*span)
+                intervals.append(interval)
+            new_facts = list(
+                map(
+                    TemporalFact,
+                    store.entities.terms(subjects.tolist()),
+                    store.predicates.terms(predicates.tolist()),
+                    store.entities.terms(objects.tolist()),
+                    intervals,
+                    repeat(rule.derived_confidence),
+                )
+            )
+            indexes = range(first_new, next_index)
+            atoms.extend(map(GroundAtom, indexes, new_facts, repeat(False), repeat(name)))
+            store.append(
+                predicates,
+                subjects,
+                objects,
+                begins,
+                ends,
+                round_number,
+                np.arange(first_new, next_index, dtype=np.int64),
+            )
             if working is not None:
                 working.add_all(new_facts)
 
         # Firing i owns the literal row [h, b₁ … bₖ, h]: its first entry is
         # the prior (¬h), kept only for a new head atom, and the rest is the
         # rule clause.
-        count = len(heads)
+        count = len(head_atoms)
         prior = np.zeros(count, dtype=bool)
         if self.derived_prior > 0:
             prior[fresh] = True
@@ -1023,7 +1077,7 @@ class VectorizedGrounder(_GrounderBase):
                 ]
             )[is_rule],
         )
-        result.firings.extend(map(RuleFiring, repeat(name), firings.bodies, heads, repeat(weight)))
+        result.firings.add_block(rule, firings.body_atoms, head_column)
 
     # ------------------------------------------------------------------ #
     def _constraint_pass(
@@ -1038,12 +1092,10 @@ class VectorizedGrounder(_GrounderBase):
             if compiled.dead:
                 continue
             if compiled.fallback:
-                atom_rows, bodies = self._fallback_violations(
-                    constraint, compiled, program, working
-                )
+                atom_rows = self._fallback_violations(constraint, compiled, program, working)
             else:
-                atom_rows, bodies = _vectorized_violations(constraint, compiled, store)
-            _emit_violations(program, result, constraint, atom_rows, bodies)
+                atom_rows = _vectorized_violations(constraint, compiled, store)
+            _emit_violations(program, result, constraint, atom_rows)
 
     def _fallback_violations(
         self,
@@ -1051,7 +1103,7 @@ class VectorizedGrounder(_GrounderBase):
         compiled: _VectorBody,
         program: GroundProgram,
         working: TemporalKnowledgeGraph,
-    ) -> tuple[np.ndarray, list[tuple[TemporalFact, ...]]]:
+    ) -> np.ndarray:
         """Variable-predicate bodies: the indexed engine's backtracking join.
 
         Returns what :func:`_vectorized_violations` returns, ordered and
@@ -1065,23 +1117,21 @@ class VectorizedGrounder(_GrounderBase):
                 continue
             if not constraint.violated_by(substitution):
                 continue
-            matches.append((_body_sort_key(facts), tuple(facts), keys))
+            matches.append((_body_sort_key(facts), keys))
         # Sort before deduplicating: of two symmetric matches the naive
         # enumeration keeps the lexicographically first one.
         matches.sort(key=_first_item)
         atom_index = program._atom_index
         seen: set[tuple] = set()
         atom_rows: list[list[int]] = []
-        bodies: list[tuple[TemporalFact, ...]] = []
-        for _, facts, keys in matches:
+        for _, keys in matches:
             signature = tuple(sorted(keys))
             if signature in seen:
                 continue
             seen.add(signature)
             atom_rows.append([atom_index[key] for key in keys])
-            bodies.append(facts)
-        shape = (len(bodies), len(constraint.body))
-        return np.array(atom_rows, dtype=np.int64).reshape(shape), bodies
+        shape = (len(atom_rows), len(constraint.body))
+        return np.array(atom_rows, dtype=np.int64).reshape(shape)
 
 
 #: Make the vectorized engine selectable wherever the other engines are.

@@ -20,11 +20,13 @@ from repro.datasets import (
     ranieri_extended_graph,
     ranieri_graph,
 )
-from repro.kg import TemporalKnowledgeGraph, make_fact
+from repro.kg import TemporalFact, TemporalKnowledgeGraph, make_fact
 from repro.logic import (
     ClauseKind,
+    ConstraintViolation,
     GroundClause,
     GroundProgram,
+    RuleFiring,
     ground,
     running_example_constraints,
     running_example_rules,
@@ -77,6 +79,30 @@ def built_clauses(monkeypatch):
         check(clause)
 
     monkeypatch.setattr(GroundClause, "__post_init__", spy)
+    return built
+
+
+@pytest.fixture
+def built_records(monkeypatch):
+    """Every :class:`RuleFiring`, :class:`ConstraintViolation` and
+    :class:`TemporalFact` constructed while the test runs, in order.
+
+    Clear the list before the call under test: the fixture also sees the
+    facts a test's own set-up builds.
+    """
+    built = []
+
+    def spy_on(cls):
+        construct = cls.__init__
+
+        def spy(record, *args, **kwargs):
+            construct(record, *args, **kwargs)
+            built.append(record)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+
+    for cls in (RuleFiring, ConstraintViolation, TemporalFact):
+        spy_on(cls)
     return built
 
 

@@ -1,10 +1,25 @@
 """Unit tests for the columnar fact store and its join primitives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.kg import ColumnarFactStore, IRI, TermInterner, make_fact
+from repro.kg import (
+    IRI,
+    BlankNode,
+    ColumnarFactStore,
+    Literal,
+    TemporalFact,
+    TermInterner,
+    make_fact,
+)
 from repro.kg.columnar import composite_keys, merge_join
+from repro.logic.vectorized import _fact_columns
+from repro.temporal import TimeInterval
 
 
 def sample_facts():
@@ -32,6 +47,29 @@ class TestTermInterner:
         assert interner.lookup(IRI("missing")) is None
         assert len(interner) == 0
 
+    def test_intern_all_agrees_with_intern(self):
+        interner = TermInterner()
+        a = interner.intern(IRI("A"))
+        ids = interner.intern_all([IRI("B"), IRI("A"), Literal("1", "integer"), IRI("B")])
+        assert ids[1] == a and ids[0] == ids[3] and len(set(ids)) == 3
+        assert interner.intern(Literal("1", "integer")) == ids[2]
+        assert list(interner.keys(ids)) == [
+            (0, "B"),
+            (0, "A"),
+            (1, "integer:1"),
+            (0, "B"),
+        ]
+
+    def test_ranks_follow_term_keys_and_tie_equal_keys(self):
+        interner = TermInterner()
+        # Two distinct literals whose term keys are both (1, "x:a:b").
+        terms = [BlankNode("n"), Literal("b", "x:a"), IRI("Z"), Literal("a:b", "x"), IRI("A")]
+        ids = interner.intern_all(terms)
+        ranks = interner.ranks()[ids].tolist()
+        assert ranks == [3, 2, 1, 2, 0]
+        interner.intern(IRI("M"))  # falls between A and Z
+        assert interner.ranks()[ids].tolist() == [4, 3, 2, 3, 0]
+
 
 class TestColumnarFactStore:
     def test_blocks_and_columns(self):
@@ -46,43 +84,145 @@ class TestColumnarFactStore:
         coach = store.block_for(IRI("coach"))
         assert coach.columns()["subject"][0] == columns["subject"][0]
 
-    def test_statement_dedup(self):
-        store = ColumnarFactStore()
-        fact = make_fact("A", "p", "B", (1, 2), 0.5)
-        assert store.add(fact) is True
-        assert store.add(fact.with_confidence(0.9)) is False  # same statement
-        assert len(store) == 1
-        assert fact in store
-
     def test_round_labels_and_lazy_rebuild(self):
         store = ColumnarFactStore(sample_facts(), round_number=0)
         block = store.block_for(IRI("playsFor"))
         assert block.columns()["round"].tolist() == [0, 0, 0]
-        store.add(make_fact("C", "playsFor", "T3", (1999, 2000), 0.5), round_number=2)
+        store.load([make_fact("C", "playsFor", "T3", (1999, 2000), 0.5)], round_number=2)
         # Columns are rebuilt lazily and include the new row.
         assert block.columns()["round"].tolist() == [0, 0, 0, 2]
         assert block.column("subject").shape == (4,)
 
-    def test_tags_and_tagged_add(self):
-        store = ColumnarFactStore()
-        store.add(make_fact("A", "p", "B", (1, 2), 0.5), 0, tag=7)
-        store.add(make_fact("A", "p", "C", (1, 2), 0.5), 1, tag=9)
-        # Re-adding an existing statement keeps the original tag.
-        assert store.add(make_fact("A", "p", "B", (1, 2), 0.6), 1, tag=42) is False
-        block = store.block_for(IRI("p"))
-        assert block.tags_array().tolist() == [7, 9]
+    def test_load_tags_rows_with_their_position_and_append_takes_tags(self):
+        store = ColumnarFactStore(sample_facts())
+        assert store.block_for(IRI("playsFor")).tags_array().tolist() == [0, 1, 3]
+        assert store.block_for(IRI("coach")).tags_array().tolist() == [2]
+        subject = store.entities.intern(IRI("C"))
+        coach, plays = (store.predicates.lookup(IRI(name)) for name in ("coach", "playsFor"))
+        store.append(
+            np.array([plays, coach, plays]),
+            np.full(3, subject),
+            np.full(3, store.entities.lookup(IRI("T1"))),
+            np.array([1, 2, 3]),
+            np.array([4, 5, 6]),
+            1,
+            np.array([7, 8, 9]),
+        )
+        assert len(store) == 7
+        plays_block = store.block_for(IRI("playsFor"))
+        assert plays_block.tags_array().tolist() == [0, 1, 3, 7, 9]
+        assert plays_block.column("round").tolist() == [0, 0, 0, 1, 1]
+        assert store.block_for(IRI("coach")).tags_array().tolist() == [2, 8]
 
-    def test_rank_array_orders_like_sort_keys(self):
+    def test_blocks_do_not_keep_their_store_alive(self):
         store = ColumnarFactStore(sample_facts())
         block = store.block_for(IRI("playsFor"))
-        ranks = block.rank_array()
-        by_rank = [fact for _, fact in sorted(zip(ranks.tolist(), block.facts))]
-        assert by_rank == sorted(block.facts, key=lambda fact: fact.sort_key())
+        alive = weakref.ref(store)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del store
+            assert alive() is None  # freed by reference counting alone
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(block) == 3
 
-    def test_iter_facts_covers_everything(self):
-        facts = sample_facts()
+
+# --------------------------------------------------------------------------- #
+# rank_array: the columns order rows as the facts' sort keys do
+# --------------------------------------------------------------------------- #
+#: IRIs, literals of several datatypes (two with colliding term keys) and
+#: blank nodes.
+TERMS = [
+    IRI("A"),
+    IRI("B"),
+    IRI("Zed"),
+    IRI("a"),
+    Literal("7", "integer"),
+    Literal("10", "integer"),
+    Literal("1999", "gYear"),
+    Literal("some text"),
+    Literal("b", "x:a"),
+    Literal("a:b", "x"),
+    BlankNode("n1"),
+    BlankNode("n0"),
+]
+#: Terms only the derived rows use, so appending them grows the interner.
+LATE_TERMS = [IRI("M"), Literal("8", "integer"), BlankNode("m"), IRI("0")]
+
+terms = st.sampled_from(TERMS)
+spans = st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda span: (span[0], sum(span)))
+
+
+def facts_over(subjects, objects):
+    return st.lists(
+        st.builds(
+            lambda s, p, o, span, confidence: TemporalFact(
+                s, IRI(p), o, TimeInterval(*span), confidence
+            ),
+            subjects,
+            st.sampled_from(["p", "q"]),
+            objects,
+            spans,
+            st.sampled_from([0.5, 0.9]),
+        ),
+        max_size=30,
+    )
+
+
+def unique_statements(facts, seen):
+    kept = []
+    for fact in facts:
+        if fact.statement_key not in seen:
+            seen.add(fact.statement_key)
+            kept.append(fact)
+    return kept
+
+
+def assert_ranks_order_like_sort_keys(store, facts_by_tag):
+    term_ranks = store.entities.ranks()
+    for block in store.blocks():
+        facts = [facts_by_tag[tag] for tag in block.tags_array().tolist()]
+        ranks = block.rank_array(term_ranks).tolist()
+        rows = range(len(facts))
+        assert sorted(rows, key=ranks.__getitem__) == sorted(
+            rows, key=lambda row: facts[row].sort_key()
+        )
+
+
+def append_by_id(store, facts, round_number):
+    """Append ``facts`` as id columns, as the grounder appends its heads."""
+    tags = np.arange(len(store), len(store) + len(facts), dtype=np.int64)
+    store.append(*_fact_columns(store, facts), round_number, tags)
+
+
+class TestRankArray:
+    @given(
+        evidence=facts_over(terms, terms),
+        derived=facts_over(terms, terms),
+        late=facts_over(st.sampled_from(TERMS + LATE_TERMS), st.sampled_from(TERMS + LATE_TERMS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_array_orders_like_sort_keys(self, evidence, derived, late):
+        seen = set()
+        facts = unique_statements(evidence, seen)
         store = ColumnarFactStore(facts)
-        assert {f.statement_key for f in store.iter_facts()} == {f.statement_key for f in facts}
+        assert_ranks_order_like_sort_keys(store, facts)
+
+        # Derived rows appended by id, over terms the store already has.
+        derived = unique_statements(derived, seen)
+        if derived:
+            append_by_id(store, derived, round_number=1)
+            facts += derived
+        assert_ranks_order_like_sort_keys(store, facts)
+
+        # The interner grows between two rank computations.
+        late = unique_statements(late, seen)
+        if late:
+            append_by_id(store, late, round_number=2)
+            facts += late
+        assert_ranks_order_like_sort_keys(store, facts)
 
 
 class TestMergeJoin:

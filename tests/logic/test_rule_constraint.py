@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.errors import UnsafeRuleError
-from repro.kg import IRI
+from repro.errors import InvalidFactError, UnsafeRuleError
+from repro.kg import IRI, TemporalKnowledgeGraph
 from repro.logic import (
     ConstraintKind,
     RuleBuilder,
     Substitution,
     TemporalConstraint,
     TemporalRule,
+    ground,
     var,
 )
 from repro.logic.builder import (
@@ -121,6 +122,30 @@ class TestTemporalRule:
     def test_builder_requires_head(self):
         with pytest.raises(Exception):
             RuleBuilder("nohead").body(quad("x", "hasP", "y", "t")).build()
+
+    @pytest.mark.parametrize("confidence", [0, 0.0, -0.5, 1.5, float("nan"), True, "0.9", None])
+    def test_invalid_derived_confidence_rejected(self, confidence):
+        """A rule is checked as the facts it derives are, whether or not it fires."""
+        body, head = (quad("x", "hasP", "y", "t"),), quad("x", "hasQ", "y", "t")
+        with pytest.raises(InvalidFactError, match="rule f9: derived confidence"):
+            TemporalRule(name="f9", body=body, head=head, derived_confidence=confidence)
+        builder = RuleBuilder("f9").body(*body).head(head).derived_confidence(confidence)
+        with pytest.raises(InvalidFactError, match="rule f9: derived confidence"):
+            builder.build()
+
+    @pytest.mark.parametrize("confidence", [1, 1.0, 0.5, 1e-9])
+    def test_valid_derived_confidence_accepted(self, confidence):
+        rule = (
+            RuleBuilder("f9")
+            .body(quad("x", "hasP", "y", "t"))
+            .head(quad("x", "hasQ", "y", "t"))
+            .derived_confidence(confidence)
+            .build()
+        )
+        graph = TemporalKnowledgeGraph(name="one")
+        graph.add(("a", "hasP", "b", (1, 2), 0.8))
+        firing = ground(graph, [rule]).firings[0]
+        assert firing.head.confidence == confidence
 
 
 class TestTemporalConstraint:

@@ -367,6 +367,61 @@ class TestPlannerCornerCases:
         )
         assert (len(indexed.firings), indexed.program.num_atoms) == (97, 126)
 
+    def test_rederived_evidence_fact_gets_the_rules_confidence(self):
+        """A head whose atom is another fact's is rebuilt with the rule's confidence.
+
+        ``works`` re-derives an evidence fact of confidence 0.6 and a fact
+        ``alsoWorks`` derived first with 0.8; the firings' heads carry each
+        rule's ``derived_confidence``, the atoms keep their own facts.
+        """
+        graph = TemporalKnowledgeGraph(name="rederived")
+        graph.add(("A", "playsFor", "T", (2000, 2004), 0.7))
+        graph.add(("A", "worksFor", "T", (2000, 2004), 0.6))
+        graph.add(("B", "playsFor", "T", (2001, 2002), 0.8))
+
+        def works(name, confidence):
+            return (
+                RuleBuilder(name)
+                .body(quad("x", "playsFor", "y", "t"))
+                .head(quad("x", "worksFor", "y", "t"))
+                .weight(1.0)
+                .derived_confidence(confidence)
+                .build()
+            )
+
+        rules = [works("alsoWorks", 0.8), works("works", 1)]
+        indexed, vectorized = assert_equivalent(graph, rules, ())
+        assert repr(indexed.firings) == repr(vectorized.firings)
+        heads = [(firing.rule, firing.head.confidence) for firing in vectorized.firings]
+        assert heads == [("alsoWorks", 0.8), ("alsoWorks", 0.8), ("works", 1), ("works", 1)]
+        atoms = [vectorized.program.atom_for(firing.head) for firing in vectorized.firings]
+        assert [atom.fact.confidence for atom in atoms] == [0.6, 0.8, 0.6, 0.8]
+        assert atoms[0].is_evidence and not atoms[1].is_evidence
+
+    def test_variable_head_predicate(self):
+        """A head predicate bound by the body interns into the head's id columns."""
+        graph = TemporalKnowledgeGraph(name="roles")
+        graph.add(("A", "hasRole", "coach", (2000, 2004), 0.7))
+        graph.add(("B", "hasRole", "playsFor", (2001, 2003), 0.8))
+        graph.add(("C", "hasRole", "playsFor", (2002, 2005), 0.9))
+        graph.add(("A", "coach", "Club", (2000, 2004), 0.6))
+        role = (
+            RuleBuilder("role")
+            .body(quad("x", "hasRole", "r", "t"))
+            .head(quad("x", var("r"), "Club", "t"))
+            .weight(1.0)
+            .build()
+        )
+        works = (
+            RuleBuilder("works")
+            .body(quad("x", "playsFor", "y", "t"))
+            .head(quad("x", "worksFor", "y", "t"))
+            .weight(1.0)
+            .build()
+        )
+        indexed, _ = assert_equivalent(graph, [role, works], ())
+        assert (len(indexed.firings), indexed.rounds) == (5, 2)
+
     def test_shared_interval_variable_joins_on_interval(self):
         """The same interval variable in two atoms becomes a (begin,end) key."""
         graph = random_sports_graph(35)
@@ -755,6 +810,21 @@ class TestErrorAndFallbackParity:
                 quad("x", "managed", "y", "t"),
                 interval=IntervalExpression(kind="mystery", left="t"),
             )
+            .weight(1.0)
+            .build()
+        )
+        self.both_raise(graph, [rule], (), LogicError)
+
+    def test_literal_head_predicate_raises(self):
+        from repro.errors import LogicError
+
+        graph = TemporalKnowledgeGraph(name="literal-role")
+        graph.add(("A", "hasRole", "coach", (2000, 2004), 0.7))
+        graph.add(("B", "hasRole", '"a role"', (2001, 2003), 0.8))
+        rule = (
+            RuleBuilder("role")
+            .body(quad("x", "hasRole", "r", "t"))
+            .head(quad("x", var("r"), "Club", "t"))
             .weight(1.0)
             .build()
         )

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import repro
 from repro import TeCoRe
-from repro.datasets import ranieri_graph
+from repro.core.result import ResolutionResult
+from repro.datasets import FootballDBConfig, generate_footballdb, ranieri_graph
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 _SCRIPT = _REPO_ROOT / "tools" / "resolve_digest.py"
@@ -45,3 +46,18 @@ def test_digest_repeats_across_processes_and_tracks_the_graph():
     smaller = graph.copy()
     smaller.remove(next(iter(graph)))
     assert resolve_digest(system, smaller) != digest
+
+
+def test_digest_covers_the_served_payload_key_order(monkeypatch):
+    """Only the `/resolve` payload shows the order of `violations_by_constraint`."""
+    system = TeCoRe.from_pack("sports", solver="nrockit")
+    graph = generate_footballdb(FootballDBConfig(scale=0.01, noise_ratio=0.5, seed=5)).graph
+    digest = resolve_digest(system, graph)
+    counts = system.resolve(graph).violations_by_constraint()
+    assert len(counts) > 1
+
+    def reordered(result):
+        return dict(reversed(result.violations.by_constraint().items()))
+
+    monkeypatch.setattr(ResolutionResult, "violations_by_constraint", reordered)
+    assert resolve_digest(system, graph) != digest

@@ -5,9 +5,10 @@ Each line is a graph's name and a SHA-256 over what resolving it yields:
 the ground program (atoms, and clauses with the ``repr`` of each weight),
 the violations, rule firings and chaining rounds, the MAP assignment, the
 ``repr`` of the objective, the solver statistics, the removed and inferred
-facts, the consistent and expanded graphs with their names, and the result
-statistics.  Run times are left out, so two commits that resolve a graph bit
-for bit print the same line for it.
+facts, the consistent and expanded graphs with their names, the result
+statistics, and the JSON payload ``tecore serve`` answers ``/resolve`` with
+(graphs included, key order kept).  Run times are left out, so two commits
+that resolve a graph bit for bit print the same line for it.
 
 ``repro`` is imported from ``PYTHONPATH``, so one copy of this script
 digests any checkout::
@@ -29,12 +30,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 from typing import Iterable, Optional, Sequence
 
 from repro import TeCoRe
 from repro.datasets import load_dataset
 from repro.kg import TemporalKnowledgeGraph
+from repro.serve.protocol import encode_result, stable_view
 
 
 def _graph_lines(graph: TemporalKnowledgeGraph) -> Iterable[str]:
@@ -78,6 +81,7 @@ def _observables(system: TeCoRe, graph: TemporalKnowledgeGraph) -> Iterable[str]
     statistics = result.statistics.as_dict()
     del statistics["runtime_seconds"]
     yield f"statistics {sorted(statistics.items())!r}"
+    yield f"payload {json.dumps(stable_view(encode_result(result, include_graphs=True)))}"
 
 
 def resolve_digest(system: TeCoRe, graph: TemporalKnowledgeGraph) -> str:
