@@ -10,11 +10,10 @@ every served payload equals the direct ``TeCoRe.resolve`` payload for its
 graph (wall-clock timing fields excluded, see
 ``repro.serve.protocol.stable_view``).
 
-Where the speedup comes from: the front-end's content-keyed response LRU
-answers hot-key repeats without a pipe round-trip; the cold concurrent
-burst that does reach the workers is coalesced and cached by each
-worker's own micro-batcher; and the snapshot-key protocol stops
-re-shipping repeated documents over the pipes — so the stream pays for
+Where the speedup comes from: the front-end's response cache (encoded
+payloads keyed by request body) answers hot-key repeats without a pipe
+round-trip, and the cold concurrent burst that does reach the workers is
+coalesced by each worker's own micro-batcher — so the stream pays for
 roughly ``TENANTS`` solves per worker instead of one per request.  On
 multi-core machines the workers additionally solve the cold burst in
 parallel; the floor below is chosen to hold on a single core (the scaling
@@ -207,19 +206,15 @@ def test_sharded_serving_speedup(benchmark, workload):
         assert len(set(health["worker_pids"])) == WORKERS
 
         _, stats = get_json(address, "/stats")
-        batcher = stats["batcher"]  # summed over the workers
-        sharding = stats["sharding"]
-        frontend = sharding["frontend_cache"]
-        # Conservation: every request was either a front-end cache hit or
-        # went over a worker pipe — and the hot-key stream must hit.
-        assert frontend["hits"] + batcher["requests"] == REQUESTS
-        assert frontend["hits"] > 0, "front-end response cache never hit"
-        # The misses that did reach workers are shared there too (worker-
-        # side coalescing/caching over the concurrent cold burst).
-        assert batcher["resolves"] < batcher["requests"] + frontend["hits"]
+        batcher = stats["batcher"]  # the front-end's cache over the workers
         per_worker = [
             worker["batcher"]["requests"] for worker in stats["workers"]
         ]
+        # Conservation: every request was either a front-end cache hit or
+        # went over a worker pipe — and the hot-key stream must hit.
+        assert batcher["requests"] == REQUESTS
+        assert batcher["response_cache_hits"] + sum(per_worker) == REQUESTS
+        assert batcher["response_cache_hits"] > 0, "front-end response cache never hit"
         assert all(count > 0 for count in per_worker), (
             f"round-robin left a worker idle: {per_worker}"
         )
@@ -294,11 +289,10 @@ def test_sharded_serving_speedup(benchmark, workload):
         f"({len(tenants[0])} facts per graph, FootballDB scale={SCALE} noise={NOISE})",
         f"sharding: {WORKERS} resolver workers, round-robin /resolve, "
         f"per-worker requests {per_worker}, "
-        f"front-end cache {frontend['hits']} hits / {frontend['misses']} misses, "
-        f"{sharding['snapshots']['omitted']} documents elided by snapshot keys",
+        f"front-end cache {batcher['response_cache_hits']} hits / "
+        f"{batcher['response_cache_misses']} misses",
         f"batching (summed): {batcher['batches']} batches, "
         f"{batcher['coalesced']} coalesced, "
-        f"{batcher['response_cache_hits']} response-cache hits, "
         f"{batcher['resolves']} solves",
         f"POST /resolve p99: {resolve_p99:.1f} ms",
         "",
@@ -335,10 +329,8 @@ def test_sharded_serving_speedup(benchmark, workload):
         stats={
             "batches": batcher["batches"],
             "coalesced_requests": batcher["coalesced"],
-            "worker_cache_hits": batcher["response_cache_hits"],
-            "frontend_cache_hits": frontend["hits"],
+            "frontend_cache_hits": batcher["response_cache_hits"],
             "solves": batcher["resolves"],
-            "snapshot_documents_elided": sharding["snapshots"]["omitted"],
             "per_worker_requests": per_worker,
             "resolve_p99_ms": resolve_p99,
         },
@@ -499,7 +491,6 @@ def test_sharded_trace_certificate(trace_setup):
             )
         _, stats = get_json(address, "/stats")
         batcher = stats["batcher"]
-        sharding = stats["sharding"]
     finally:
         server.close()
 
@@ -548,9 +539,7 @@ def test_sharded_trace_certificate(trace_setup):
         "",
         f"trace: {TRACE_CLIENTS} clients x {TRACE_OPS_PER_CLIENT} ops, "
         f"{TRACE_SESSIONS} sessions, zipf_alpha=1.5, bursts of 4 (seed {SEED})",
-        f"sharding: {WORKERS} workers, "
-        f"{sharding['snapshots']['omitted']} documents elided, "
-        f"{len(tagged)} ops worker-tagged",
+        f"sharding: {WORKERS} workers, {len(tagged)} ops worker-tagged",
         f"serving decisions (summed): {batcher['batches']} batches, "
         f"{batcher['coalesced']} coalesced, "
         f"{batcher['response_cache_hits']} response-cache hits, "
@@ -590,7 +579,6 @@ def test_sharded_trace_certificate(trace_setup):
             "coalesced_requests": batcher["coalesced"],
             "response_cache_hits": batcher["response_cache_hits"],
             "solves": batcher["resolves"],
-            "snapshot_documents_elided": sharding["snapshots"]["omitted"],
             "retries": total_retries,
             "checker_search_steps": report.stats["search_steps"],
             "checker_violations": 0,

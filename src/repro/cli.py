@@ -161,14 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=128,
         metavar="N",
-        help="LRU bound on cached /resolve responses by graph content (0 disables)",
+        help="LRU bound on cached /resolve payloads, keyed by request body (0 disables)",
     )
     serve.add_argument(
         "--max-sessions",
         type=int,
         default=64,
         metavar="N",
-        help="LRU bound on concurrently open sessions",
+        help="admission bound on open sessions; a create beyond it answers 503",
     )
     serve.add_argument(
         "--for-seconds",
@@ -243,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="resolver worker processes for sharded serving: sessions get "
-        "consistent-hash worker affinity, /resolve fans out round-robin, "
-        "a killed worker is respawned from a shard-scoped WAL replay "
-        "(0 = in-process, the default; see docs/serving.md)",
+        help="forked resolver worker processes behind the front-end: "
+        "sessions get consistent-hash worker affinity, /resolve goes "
+        "round-robin, a killed worker is respawned from a shard-scoped WAL "
+        "replay (0, the default, serves from one worker in the front-end's "
+        "process; see docs/serving.md)",
     )
 
     chaos = subparsers.add_parser(
@@ -294,8 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="serve the workload with N resolver worker processes "
-        "(0 = in-process)",
+        help="serve the workload with N forked resolver workers "
+        "(0 = one in-process worker)",
     )
     chaos.add_argument(
         "--kill",

@@ -132,10 +132,15 @@ def to_subject(value: Union[SubjectTerm, str]) -> SubjectTerm:
     return term
 
 
-def term_key(term: Term) -> tuple[int, str]:
-    """Total order key across heterogeneous term types (IRIs < literals < bnodes)."""
+def term_key(term: Term) -> tuple[int, str] | tuple[int, str, str]:
+    """Total order key across heterogeneous term types (IRIs < literals < bnodes).
+
+    Injective: distinct terms get distinct keys.  A literal keeps its
+    datatype and lexical form apart, so ``Literal("a:b", "x")`` and
+    ``Literal("b", "x:a")`` stay two terms.
+    """
     if isinstance(term, IRI):
         return (0, term.value)
     if isinstance(term, Literal):
-        return (1, f"{term.datatype}:{term.value}")
+        return (1, term.datatype, term.value)
     return (2, term.label)

@@ -1,14 +1,24 @@
 """The TeCoRe resolution service (``tecore serve``).
 
-A stdlib-only concurrent HTTP layer over the library's serving primitives:
+A stdlib-only concurrent HTTP layer over the library's serving primitives,
+one architecture for every ``--workers`` value: a front-end over resolver
+workers — one in-process worker by default, N forked ones with
+``--workers N``:
 
-* :mod:`repro.serve.server` — the :class:`ThreadingHTTPServer` front-end and
-  endpoint routing (:class:`ResolutionService`);
+* :mod:`repro.serve.server` — the HTTP server, the front-end
+  (:class:`ResolutionService`: routing, WAL, session admission, the
+  response cache, boot recovery) and the worker runtime
+  (:class:`WorkerRuntime`: the endpoint ops, one micro-batcher, one
+  session pool);
+* :mod:`repro.serve.sharding` — how the front-end reaches its workers: the
+  consistent-hash ring, the in-process handle and the pipe handle of a
+  forked worker (respawn and shard-scoped WAL replay);
+* :mod:`repro.serve.worker` — the process loop of a forked worker;
 * :mod:`repro.serve.batcher` — micro-batching of one-shot ``/resolve``
   requests through one shared translator+solver, with flush-on-size /
   flush-on-deadline, request coalescing, and 503 backpressure;
-* :mod:`repro.serve.sessions` — the LRU pool of per-session-locked
-  incremental :class:`~repro.core.session.ResolutionSession` objects;
+* :mod:`repro.serve.sessions` — the per-session-locked pool of incremental
+  :class:`~repro.core.session.ResolutionSession` objects;
 * :mod:`repro.serve.protocol` — the JSON wire codecs (reusing
   :mod:`repro.kg.io.json_io`);
 * :mod:`repro.serve.metrics` — request counters and latency percentiles
@@ -16,12 +26,8 @@ A stdlib-only concurrent HTTP layer over the library's serving primitives:
 * :mod:`repro.serve.wal` — the write-ahead session log behind
   ``tecore serve --wal-dir`` (checksummed frames, fsync policies,
   compaction);
-* :mod:`repro.serve.recovery` — crash recovery by replaying the log
-  through :class:`~repro.core.session.ResolutionSession`;
-* :mod:`repro.serve.sharding` / :mod:`repro.serve.worker` — the
-  multi-process front-end behind ``tecore serve --workers N``: consistent-
-  hash session affinity, per-worker micro-batchers, shard-scoped WAL
-  replay after a worker crash.
+* :mod:`repro.serve.recovery` — folding the log into per-session histories
+  for replay through :class:`~repro.core.session.ResolutionSession`.
 """
 
 from .batcher import (
@@ -36,7 +42,6 @@ from .recovery import (
     compact_records,
     decode_edit_record,
     fold_records,
-    recover_sessions,
 )
 from .wal import WalError, WriteAheadLog
 from .protocol import (
@@ -54,16 +59,18 @@ from .server import (
     ServerConfig,
     ServiceCore,
     TecoreHTTPServer,
+    WorkerRuntime,
     make_server,
 )
 from .sessions import SessionEntry, SessionPool, UnknownSessionError
-from .sharding import ConsistentHashRing, ShardedResolutionService, WorkerHandle
-from .worker import WorkerRuntime, worker_main
+from .sharding import ConsistentHashRing, InProcessWorker, WorkerHandle
+from .worker import worker_main
 
 __all__ = [
     "BatchObserver",
     "ConsistentHashRing",
     "DropConnection",
+    "InProcessWorker",
     "LatencyRecorder",
     "MicroBatcher",
     "ProtocolError",
@@ -76,7 +83,6 @@ __all__ = [
     "ServiceOverloadedError",
     "SessionEntry",
     "SessionPool",
-    "ShardedResolutionService",
     "TecoreHTTPServer",
     "UnknownSessionError",
     "WalError",
@@ -92,7 +98,6 @@ __all__ = [
     "fold_records",
     "graph_content_key",
     "make_server",
-    "recover_sessions",
     "stable_view",
     "worker_main",
 ]

@@ -22,12 +22,12 @@ Batching policy
   single resolve: resolution is a pure function of that content, so every
   coalesced requester receives the bit-identical result it would have
   gotten from its own solve.  This is the classic collapsed-forwarding
-  optimisation for hot-key traffic;
-* **response caching** — the same purity argument extends across batch
-  windows: resolved results are kept in a content-keyed LRU (reusing the
-  generic :class:`~repro.core.session.ComponentSolutionCache` machinery),
-  so a repeat of a recently served graph returns immediately without even
-  entering the queue.  ``cache_size=0`` disables it.
+  optimisation for hot-key traffic.
+
+Repeats across batch windows are the front-end's business: it keeps the
+one response cache, of encoded payloads keyed by the request body (see
+:class:`~repro.serve.server.ResolutionService`), so a hit never reaches a
+batcher.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from collections import deque
 from typing import Any, Optional
 
 from ..core.result import ResolutionResult
-from ..core.session import ComponentSolutionCache
 from ..core.tecore import SharedResolver
 from ..errors import TecoreError
 from ..kg import TemporalKnowledgeGraph
@@ -75,17 +74,12 @@ class _PendingRequest:
 class BatchObserver:
     """Observation seam for the concurrency-correctness harness.
 
-    An observer sees the *client-visible* serving decisions the batcher makes
-    for tagged requests: which submissions were answered straight from the
-    response cache, and which groups of in-flight requests were coalesced
-    onto a single solve.  Both callbacks run on serving threads (``submit``
-    callers and the flush worker respectively) and must be cheap and
-    exception-free; tags are the opaque values callers passed to
+    An observer sees the *client-visible* serving decision the batcher makes
+    for tagged requests: which groups of in-flight requests were coalesced
+    onto a single solve.  The callback runs on the flush worker and must be
+    cheap and exception-free; tags are the opaque values callers passed to
     :meth:`MicroBatcher.submit`.
     """
-
-    def on_cache_hit(self, tag: Any) -> None:  # pragma: no cover - interface
-        """A tagged submission was served from the content-keyed cache."""
 
     def on_flush(self, groups: list[list[Any]]) -> None:  # pragma: no cover - interface
         """One batch flushed; ``groups`` holds the tags of each coalesced
@@ -110,12 +104,9 @@ class MicroBatcher:
         beyond it raise :class:`ServiceOverloadedError`.
     coalesce:
         Serve content-identical graphs within a batch with one solve.
-    cache_size:
-        LRU bound on recently served results, keyed by graph content
-        (0 disables response caching).
     observer:
-        Optional :class:`BatchObserver` notified of cache hits and
-        coalesced-group membership (the history recorder's seam).
+        Optional :class:`BatchObserver` notified of coalesced-group
+        membership (the history recorder's seam).
     injector:
         Optional fault-injection seam (see :mod:`repro.verify.faults`);
         fires at ``batcher.submit`` (before queueing, on the caller's
@@ -130,7 +121,6 @@ class MicroBatcher:
         max_delay: float = 0.01,
         queue_limit: int = 64,
         coalesce: bool = True,
-        cache_size: int = 128,
         observer: Optional[BatchObserver] = None,
         injector: Any = None,
     ) -> None:
@@ -140,16 +130,11 @@ class MicroBatcher:
             raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._resolver = resolver
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.queue_limit = queue_limit
         self.coalesce = coalesce
-        self.cache: Optional[ComponentSolutionCache] = (
-            ComponentSolutionCache(max_entries=cache_size) if cache_size else None
-        )
         self.observer = observer
         self.injector = injector
         self._lock = threading.Lock()
@@ -178,32 +163,24 @@ class MicroBatcher:
         tag: Any = None,
         shed_depth: Optional[int] = None,
     ) -> ResolutionResult:
-        """Serve one graph: response cache, else enqueue and await its batch.
+        """Serve one graph: enqueue it and await its batch.
 
         ``tag`` is an opaque correlation value (e.g. a history-recorder
         operation id) echoed back through the :class:`BatchObserver`
-        callbacks; it never influences serving decisions.
+        callback; it never influences serving decisions.
 
         ``shed_depth`` lowers the admission bound for *this* submission
         below ``queue_limit`` — graceful degradation: the service sheds
         one-shot ``/resolve`` traffic at a shallower queue depth so session
         edits (which never enter this queue) keep their request threads.
-        The response cache is consulted before admission, so repeats of
-        recently served graphs are answered even under full saturation.
         """
         if self.injector is not None:
             self.injector.fire("batcher.submit", tag=tag)
-        pending = _PendingRequest(graph, self.coalesce or self.cache is not None, tag)
+        pending = _PendingRequest(graph, self.coalesce, tag)
         with self._wakeup:
             if self._closed:
                 raise TecoreError("micro-batcher is closed")
             self.requests_total += 1
-            if self.cache is not None:
-                cached = self.cache.get(pending.key)
-                if cached is not None:
-                    if self.observer is not None and tag is not None:
-                        self.observer.on_cache_hit(tag)
-                    return cached
             limit = self.queue_limit
             if shed_depth is not None:
                 limit = min(limit, shed_depth)
@@ -272,21 +249,10 @@ class MicroBatcher:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
-            cache_stats: dict[str, Any] = {"response_cache": "disabled"}
-            if self.cache is not None:
-                lookups = self.cache.hits + self.cache.misses
-                cache_stats = {
-                    "response_cache_entries": len(self.cache),
-                    "response_cache_hits": self.cache.hits,
-                    "response_cache_misses": self.cache.misses,
-                    "response_cache_hit_rate": (
-                        round(self.cache.hits / lookups, 4) if lookups else 0.0
-                    ),
-                }
             return {
-                **cache_stats,
                 "requests": self.requests_total,
                 "rejected": self.rejected_total,
+                "enqueued": self.enqueued_total,
                 "batches": self.batches_flushed,
                 "resolves": self.resolves_total,
                 "coalesced": self.coalesced_total,
@@ -349,11 +315,6 @@ class MicroBatcher:
                     pending.result = result
                 flushed_groups = [[pending.tag] for pending in batch]
                 resolves = len(batch)
-            if self.cache is not None:
-                with self._lock:
-                    for pending in batch:
-                        if pending.result is not None and pending.key is not None:
-                            self.cache.put(pending.key, pending.result)
         except BaseException as exc:  # noqa: BLE001 - delivered to the waiters
             for pending in batch:
                 pending.error = exc

@@ -1,14 +1,18 @@
-"""Crash recovery for the serving tier: replay the WAL into sessions.
+"""Crash recovery for the serving tier: fold the WAL into per-session histories.
 
-On a ``tecore serve --wal-dir`` startup, the active log segment is scanned
-(tolerating a torn tail, see :mod:`repro.serve.wal`), folded into
-per-session histories, and every surviving session is rebuilt by replaying
-its logged edits **through** :class:`~repro.core.session.ResolutionSession`
-— i.e. through the same :class:`~repro.logic.incremental.IncrementalGrounder`
-delta path that served the original requests.  Because incremental
-resolution is pinned bit-identical to from-scratch resolution, a recovered
-session's ``GET /sessions/{id}/result`` payload is bit-identical to the one
-an uncrashed process would serve.
+On a ``tecore serve --wal-dir`` startup, and when a forked worker is
+respawned, the front-end (:class:`~repro.serve.server.ResolutionService`)
+scans the active log segment (tolerating a torn tail, see
+:mod:`repro.serve.wal`), folds it with :func:`fold_records`, and sends each
+surviving session to its owning worker as a ``restore`` op.  The worker
+rebuilds the session and replays its logged edits **through**
+:class:`~repro.core.session.ResolutionSession` — i.e. through the same
+:class:`~repro.logic.incremental.IncrementalGrounder` delta path that
+served the original requests.  Because incremental resolution is pinned
+bit-identical to from-scratch resolution, a recovered session's
+``GET /sessions/{id}/result`` payload is bit-identical to the one an
+uncrashed process would serve.  Boot and respawn share this one path for
+every ``--workers`` value.
 
 Replay semantics
 ----------------
@@ -25,11 +29,10 @@ Replay semantics
 * ``resolve`` records are a durability audit of accepted one-shot
   resolutions; they carry no session state and fold away.
 * When more live sessions survive in the log than ``max_sessions``, only
-  the most recently active ones are restored (the same LRU policy the pool
-  applies online); the rest are reported as ``sessions_skipped``.
+  the most recently active ones are restored (the admission bound the
+  front-end applies online); the rest are reported as ``sessions_skipped``.
 
-Sessions are restored in last-activity order so the pool's LRU order after
-recovery matches the order clients most recently touched them.
+Sessions are restored in last-activity order.
 
 :func:`compact_records` is the fold function behind periodic log
 compaction: it replays each live session's edits onto a plain graph
@@ -40,17 +43,12 @@ cost by the number of live sessions instead of the length of the history.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping
 
 from ..errors import TecoreError
 from ..kg import TemporalFact, TemporalKnowledgeGraph
 from ..kg.io import json_io
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.tecore import TeCoRe
-    from .sessions import SessionPool
 
 
 @dataclass
@@ -155,8 +153,8 @@ def decode_edit_record(
     """Decode one WAL ``edit`` record into ``(adds, removes)`` fact lists.
 
     The record shape is the change-stream JSON form (``adds``/``removes``
-    fact dictionaries); this is also how edits travel to resolver workers
-    during sharded crash recovery (see :mod:`repro.serve.worker`).
+    fact dictionaries); this is also how edits travel to a worker's
+    ``restore`` op during crash recovery.
     """
     adds = [
         json_io.fact_from_dict(entry, index, source="wal:adds")
@@ -171,61 +169,6 @@ def decode_edit_record(
 
 def _decode_graph(fold: SessionFold) -> TemporalKnowledgeGraph:
     return json_io.from_dict(fold.graph_doc, name=str(fold.graph_doc.get("name", "session")))
-
-
-def recover_sessions(
-    system: "TeCoRe",
-    pool: "SessionPool",
-    records: Iterable[Mapping[str, Any]],
-    wal_dir: str,
-    torn_tail: bool = False,
-) -> RecoveryReport:
-    """Rebuild the session pool from a scanned record stream.
-
-    Each surviving session is re-created through ``system.session`` (the
-    initial resolve) and its logged edits are replayed through
-    ``session.apply`` — the exact code path that served them live.  A
-    session whose replay raises unexpectedly is dropped and reported in
-    ``sessions_failed`` rather than poisoning the startup.
-    """
-    started = time.perf_counter()
-    records = list(records)
-    report = RecoveryReport(wal_dir=wal_dir, records_scanned=len(records), torn_tail=torn_tail)
-    state = fold_records(records)
-    report.sessions_deleted = len(state.deleted)
-    report.resolves_logged = state.resolves
-    survivors = sorted(state.sessions.values(), key=lambda fold: fold.last_seq)
-    if len(survivors) > pool.max_sessions:
-        report.sessions_skipped = len(survivors) - pool.max_sessions
-        survivors = survivors[-pool.max_sessions :]
-    for fold in survivors:
-        try:
-            graph = _decode_graph(fold)
-            entry = pool.restore(
-                fold.session_id,
-                graph,
-                warm_start=fold.warm_start,
-                cache_size=fold.cache_size,
-                edits_applied=fold.base_edits,
-            )
-        except TecoreError:
-            report.sessions_failed.append(fold.session_id)
-            continue
-        for edit in fold.edits:
-            try:
-                adds, removes = decode_edit_record(edit)
-                entry.session.apply(adds=adds, removes=removes)
-            except TecoreError:
-                # The same edit failed the same validation when served live
-                # (validation precedes any mutation), so skipping it keeps
-                # replay aligned with the live history.
-                report.edits_skipped += 1
-                continue
-            entry.edits_applied += 1
-            report.edits_replayed += 1
-        report.sessions_restored += 1
-    report.duration_seconds = time.perf_counter() - started
-    return report
 
 
 def _fold_edit(
@@ -286,18 +229,3 @@ def compact_records(
             }
         )
     return snapshots
-
-
-def recover_from_dir(
-    system: "TeCoRe", pool: "SessionPool", wal_dir: str
-) -> Optional[RecoveryReport]:
-    """Scan ``wal_dir``'s active segment and replay it into ``pool``.
-
-    Returns ``None`` when the directory holds no log yet (fresh start).
-    """
-    from .wal import scan_wal_dir
-
-    records, torn, segment = scan_wal_dir(wal_dir)
-    if segment is None:
-        return None
-    return recover_sessions(system, pool, records, wal_dir, torn_tail=torn)

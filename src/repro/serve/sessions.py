@@ -13,9 +13,10 @@ threaded HTTP server:
   applied one at a time against a consistent grounder state while edits to
   different sessions proceed in parallel.
 
-The pool is LRU-bounded: creating a session beyond ``max_sessions`` evicts
-the least recently *used* one (creates, edits, and result reads all count
-as use).  A **deleted** session is closed under its own lock
+The serving front-end admits at most ``max_sessions`` sessions, so a served
+pool never fills; the pool's own LRU bound (creating a session beyond
+``max_sessions`` evicts the least recently *used* one) is a guard behind
+that admission.  A **deleted** session is closed under its own lock
 (:attr:`SessionEntry.closed`), and handlers re-check the flag after
 acquiring the lock: the ``DELETE`` response reports the session's final
 fact and edit counts, so an in-flight edit that loses the lock race must
@@ -168,9 +169,8 @@ class SessionPool:
     def discard(self, session_id: str) -> None:
         """Unroute a session if still present (no error when evicted).
 
-        The durable delete path closes the entry under its own lock *after*
-        logging the tombstone, then unroutes it here — by which time an LRU
-        eviction may already have dropped it from the map.
+        The delete op closes the entry under its own lock, then unroutes it
+        here.
         """
         with self._lock:
             if self._entries.pop(session_id, None) is not None:

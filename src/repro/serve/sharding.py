@@ -1,57 +1,42 @@
-"""Sharded multi-process serving: one front-end over N resolver workers.
+"""How the front-end reaches its resolver workers.
 
-``tecore serve --workers N`` splits the serving tier HTAP-style (the
-Polynesia architecture from the related-work survey): a **front-end**
-process owns the listening socket, the write-ahead log, and admission
-control, while ``N`` **resolver worker** processes (forked via
-:mod:`multiprocessing`, see :mod:`repro.serve.worker`) each hold a session
-shard backed by the incremental grounder, with the micro-batcher running
-per worker::
+:class:`~repro.serve.server.ResolutionService` is the one front-end for
+every ``tecore serve --workers`` value.  It talks to each worker through a
+handle with one surface — :meth:`call` an op, :meth:`admit`/:meth:`release`
+a ``/resolve`` slot, ``alive``/``ready`` flags — of one of two kinds:
+
+* :class:`InProcessWorker` (``--workers 0``, the default): one
+  :class:`~repro.serve.server.WorkerRuntime` in the front-end's own
+  process.  A call is a direct call on the request thread: no pipe, no
+  pickling, no thread hop.
+* :class:`WorkerHandle` (``--workers N``): one forked worker process
+  (:func:`repro.serve.worker.worker_main`) behind a
+  :mod:`multiprocessing` pipe, with a reader thread that hands each
+  response to the request thread waiting for it.
+
+::
 
                        ┌────────────────────────────┐
       HTTP clients ──▶ │ front-end                  │
                        │  socket · WAL · admission  │
-                       │  consistent-hash ring      │
+                       │  response cache · ring     │
                        └──┬─────────┬─────────┬─────┘
-                    pipe  │         │         │   (change-stream edits,
-                          ▼         ▼         ▼    snapshot keys, restores)
+                    pipe  │         │         │   (documents, change-stream
+                          ▼         ▼         ▼    edits, restores)
                        worker 0  worker 1  worker 2
                        batcher   batcher   batcher
                        sessions  sessions  sessions
 
-Routing
--------
-* Sessions are placed by **consistent hashing** on the session id
-  (:class:`ConsistentHashRing`), so every edit/read/delete of a session
-  lands on the same worker — the grounder state it needs lives exactly
-  there, and a ring change moves only ~1/N of the sessions.
-* One-shot ``/resolve`` requests fan out **round-robin** over the ready
-  workers; each worker's own micro-batcher coalesces and caches them.
-  Repeated base-graph documents are replaced by a **snapshot key** once a
-  worker has seen them (the worker-side LRU answers the internal
-  :data:`~repro.serve.worker.SNAPSHOT_MISS` when it has not), and the
-  front-end keeps its own content-keyed LRU of served responses
-  (``config.response_cache``, the same bound the in-process batcher uses)
-  so a hot-key repeat skips the worker round-trip entirely — resolution
-  is deterministic and ``/resolve`` is stateless, which is exactly the
-  argument the single-process response cache rests on.
+Sessions are placed by **consistent hashing** on the session id
+(:class:`ConsistentHashRing`), so every edit/read/delete of a session lands
+on the worker holding its grounder state, and a ring change moves only
+~1/N of the sessions; one-shot ``/resolve`` requests go **round-robin**
+over the ready workers.  With one worker, every key maps to it.
 
-Durability and crash recovery
------------------------------
-The WAL protocol is unchanged (log-before-apply, see
-:mod:`repro.serve.server`): the front-end appends the mutation record,
-*then* forwards the request to the owning worker.  A per-session front-end
-lock keeps the per-session log order equal to the apply order.  When a
-worker dies (e.g. SIGKILL), the monitor thread respawns it and replays
-**only its shard**: the live log is folded
-(:func:`repro.serve.recovery.fold_records`), the folds owned by the dead
-worker's ring node are shipped over the fresh pipe as ``restore``
-messages, and only after replay does the front-end re-admit traffic to the
-worker — responses are bit-identical per
-:func:`~repro.serve.protocol.stable_view` because replay goes through the
-same ``session.apply`` delta path that served the edits live.
-
-Failure mapping (what clients observe):
+A forked worker can die on its own (e.g. SIGKILL).  Its handle then fails
+every pending call with :class:`WorkerDiedError`; the front-end's monitor
+thread respawns it and replays its shard from the write-ahead log before
+re-admitting traffic.  What clients observe:
 
 =============================================  ===========================
 worker dead/replaying before the WAL append    503 + Retry-After (no
@@ -60,7 +45,7 @@ worker died *after* the append (mutating op)   connection dropped with no
                                                response — the operation is
                                                pending; recovery replays
                                                the logged record
-one-shot resolve failure                       503 (stateless, retryable)
+one-shot resolve or read failure               503 (stateless, retryable)
 =============================================  ===========================
 
 The dropped connection is deliberate: a 503 would promise "not applied"
@@ -68,44 +53,28 @@ and a 200 would promise "applied", but recovery decides later.  The
 serializability checker's pending-operation semantics admit exactly this
 ("a pending edit may take effect at any legal point of the serialization,
 or not at all"), and the chaos clients never resend a mutating request
-whose connection dropped.
-
-Session capacity is enforced by **admission** here (a create beyond
-``max_sessions`` answers 503) rather than by the single-process LRU
-eviction — a front-end that silently forgets sessions it logged could not
-keep its routing table authoritative.
+whose connection dropped.  The in-process worker cannot die apart from the
+front-end, so none of this arises at ``--workers 0``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import multiprocessing
-import secrets
 import threading
-import time
 from bisect import bisect_right, insort
-from collections import OrderedDict
-from dataclasses import replace
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from ..core.tecore import TeCoRe
 from ..errors import TecoreError
-from ..kg.io import json_io
-from .batcher import RequestDeadlineExceeded, ServiceOverloadedError
-from .protocol import ProtocolError, decode_edits, decode_graph, decode_json
-from .recovery import RecoveryReport, fold_records
-from .server import _SESSION_ROUTE, DropConnection, ServerConfig, ServiceCore
-from .sessions import UnknownSessionError
-from .wal import WriteAheadLog, scan_wal_dir
-from .worker import SNAPSHOT_MISS, worker_main
+from .batcher import RequestDeadlineExceeded
+from .worker import worker_main
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.tecore import TeCoRe
+    from .server import ServerConfig, WorkerRuntime
 
 #: Virtual nodes per worker on the hash ring.
 RING_REPLICAS = 64
-
-#: Snapshot keys remembered per worker on the front-end side (mirrors the
-#: worker's own LRU size; a stale entry just costs one resend round-trip).
-SNAPSHOT_KEYS_PER_WORKER = 64
 
 #: Grace added to worker call timeouts over the request's own budget, so
 #: the worker's in-band 504 (which carries the precise error) wins the race
@@ -128,8 +97,8 @@ class ConsistentHashRing:
     Adding or removing one node moves only the keys of the arcs that node
     owns — about ``1/len(nodes)`` of the key space — which is what keeps a
     worker-count change from reshuffling every session (the rebalance
-    property the unit tests pin).  Not thread-safe by itself; the sharded
-    service builds it once and never mutates it while serving.
+    property the unit tests pin).  Not thread-safe by itself; the
+    front-end builds it once and never mutates it while serving.
     """
 
     def __init__(self, nodes: Iterable[str] = (), replicas: int = RING_REPLICAS) -> None:
@@ -186,21 +155,6 @@ class _PendingCall:
         self.failed = False
 
 
-class _SessionRoute:
-    """Front-end routing entry: owning ring node plus the ordering lock.
-
-    The lock serialises mutating requests to one session *before* the WAL
-    append, so the per-session record order in the log is exactly the
-    order the worker applies them — the invariant shard replay relies on.
-    """
-
-    __slots__ = ("node", "lock")
-
-    def __init__(self, node: str) -> None:
-        self.node = node
-        self.lock = threading.Lock()
-
-
 class WorkerHandle:
     """One resolver worker process and its front-end bookkeeping.
 
@@ -222,7 +176,6 @@ class WorkerHandle:
         self.alive = False
         self.ready = False
         self.inflight = 0
-        self._snapshot_keys: "dict[str, None]" = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -245,7 +198,6 @@ class WorkerHandle:
             self._conn = parent_conn
             self.process = process
             self.generation += 1
-            self._snapshot_keys = {}
             self.alive = True
             self.ready = False
         reader = threading.Thread(
@@ -356,7 +308,7 @@ class WorkerHandle:
         self.mark_dead(conn)
 
     # ------------------------------------------------------------------ #
-    # Admission and snapshot bookkeeping
+    # Admission
     # ------------------------------------------------------------------ #
     def admit(self, limit: int) -> bool:
         """Reserve one in-flight resolve slot (False when saturated)."""
@@ -370,656 +322,53 @@ class WorkerHandle:
         with self._lock:
             self.inflight -= 1
 
-    def knows_snapshot(self, key: str) -> bool:
-        with self._lock:
-            return key in self._snapshot_keys
-
-    def learn_snapshot(self, key: str) -> None:
-        with self._lock:
-            self._snapshot_keys[key] = None
-            while len(self._snapshot_keys) > SNAPSHOT_KEYS_PER_WORKER:
-                self._snapshot_keys.pop(next(iter(self._snapshot_keys)))
-
-    def forget_snapshot(self, key: str) -> None:
-        with self._lock:
-            self._snapshot_keys.pop(key, None)
+    @property
+    def queue_depth(self) -> int:
+        """Resolves in flight to this worker: the front-end's view of its queue."""
+        return self.inflight
 
 
-def _sum_counters(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Key-wise sum of numeric counters (rates are recomputed by callers)."""
-    totals: dict[str, Any] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if key.endswith("_rate"):
-                continue
-            totals[key] = totals.get(key, 0) + value
-    return totals
+class InProcessWorker:
+    """The one worker of ``--workers 0``: a runtime called on the request thread.
 
-
-class ShardedResolutionService(ServiceCore):
-    """The multi-process front-end behind ``tecore serve --workers N``.
-
-    Drop-in for :class:`~repro.serve.server.ResolutionService` under
-    :class:`~repro.serve.server.TecoreHTTPServer`: same endpoints, same
-    wire format, same WAL protocol — but every resolve/edit executes in
-    one of the forked resolver workers.  See the module docstring for the
-    architecture and failure semantics.
+    The :class:`WorkerHandle` surface over a
+    :class:`~repro.serve.server.WorkerRuntime` in the front-end's process.
+    It cannot die apart from the front-end, so it is always ready and never
+    respawned.  It admits every ``/resolve``: its batcher's ``queue_limit``
+    and ``shed_resolve_at`` alone answer 503.  An exception that escapes
+    :meth:`~repro.serve.server.WorkerRuntime.dispatch` (an injected crash)
+    reaches the request thread unchanged.
     """
 
-    def __init__(
-        self,
-        system: TeCoRe,
-        config: ServerConfig | None = None,
-        recorder: Any = None,
-        injector: Any = None,
-    ) -> None:
-        super().__init__(system, config, recorder=recorder, injector=injector)
-        if self.config.workers < 1:
-            raise ValueError(
-                f"sharded service needs workers >= 1, got {self.config.workers}"
-            )
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise TecoreError(
-                "sharded serving requires the 'fork' multiprocessing start "
-                "method; use --workers 0 on this platform"
-            ) from exc
-        # Workers run batcher/pool shards only: no WAL (durability is the
-        # front-end's), no second lint pass, and workers=0 so a worker can
-        # never recursively shard.
-        self._worker_config = replace(self.config, wal_dir=None, lint="off", workers=0)
-        self.handles = [WorkerHandle(index) for index in range(self.config.workers)]
-        self._by_node = {handle.node: handle for handle in self.handles}
-        self.ring = ConsistentHashRing(handle.node for handle in self.handles)
-        self._routes: dict[str, _SessionRoute] = {}
-        self._routes_lock = threading.Lock()
-        self._round_robin = itertools.count()
-        # Front-end response cache: body bytes → served 200 payload.  Keyed
-        # stricter than the workers' graph-content key (the raw body also
-        # captures include_graphs etc.), so a hit is always bit-identical
-        # to what the worker would re-serve.
-        self._responses: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-        self._responses_lock = threading.Lock()
-        self.response_cache_hits = 0
-        self.response_cache_misses = 0
-        self._stopping = False
-        self._monitor_wake = threading.Event()
-        self.respawns_total = 0
-        self.dropped_connections_total = 0
-        self.snapshot_omitted_total = 0
-        self.snapshot_resent_total = 0
-        self.last_replay: dict[str, Any] | None = None
+    index = 0
+    node = "w0"
+    pid = None
+    generation = 1
+    alive = True
+    ready = True
+    inflight = 0
 
-        # Scan the log *before* opening it for appends (mirrors the
-        # single-process boot order), then fork workers and replay each
-        # shard into its owner over the pipes.
-        boot_records: list[dict[str, Any]] = []
-        boot_torn = False
-        has_log = False
-        if self.config.wal_dir is not None:
-            boot_records, boot_torn, segment = scan_wal_dir(self.config.wal_dir)
-            has_log = segment is not None
-            self.wal = WriteAheadLog(
-                self.config.wal_dir,
-                fsync_policy=self.config.fsync_policy,
-                fsync_batch=self.config.fsync_batch,
-                fsync_interval=self.config.fsync_interval,
-                injector=injector,
-            )
-        for handle in self.handles:
-            self._spawn(handle)
-        if has_log:
-            self.recovery = self._replay_boot(boot_records, boot_torn)
-        else:
-            for handle in self.handles:
-                handle.mark_ready()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="tecore-shard-monitor", daemon=True
-        )
-        self._monitor.start()
+    def __init__(self, runtime: WorkerRuntime) -> None:
+        self.runtime = runtime
 
-    def close(self) -> None:
-        self._stopping = True
-        self._monitor_wake.set()
-        self._monitor.join(timeout=5.0)
-        for handle in self.handles:
-            handle.stop()
-        if self.wal is not None:
-            self.wal.close()
-
-    # ------------------------------------------------------------------ #
-    # Worker lifecycle
-    # ------------------------------------------------------------------ #
-    def _spawn(self, handle: WorkerHandle) -> None:
-        # Pipe hygiene: the forked child inherits every *other* worker's
-        # parent-side connection; pass them along so the child closes its
-        # copies — otherwise one worker's EOF could be masked by a sibling
-        # still holding the write end.
-        inherited = [
-            other.connection
-            for other in self.handles
-            if other is not handle and other.connection is not None
-        ]
-        handle.start(self._ctx, self.system, self._worker_config, inherited)
-
-    def _monitor_loop(self) -> None:
-        """Detect dead workers and bring them back (shard replay included)."""
-        while not self._stopping:
-            self._monitor_wake.wait(0.05)
-            for handle in self.handles:
-                if self._stopping:
-                    return
-                process = handle.process
-                if process is None:
-                    continue
-                if handle.alive and not process.is_alive():
-                    handle.mark_dead()
-                if not handle.alive:
-                    try:
-                        self._respawn(handle)
-                    except TecoreError:
-                        # Replay failed (e.g. the fresh worker died too);
-                        # routing keeps answering 503 and the next tick
-                        # retries from scratch.
-                        handle.mark_dead()
-
-    def _respawn(self, handle: WorkerHandle) -> None:
-        process = handle.process
-        if process is not None:
-            process.join(timeout=5.0)  # reap the killed child
-            if process.is_alive():  # pragma: no cover - hung, not dead
-                process.terminate()
-                process.join(timeout=5.0)
-        records: list[dict[str, Any]] = []
-        torn = False
-        if self.wal is not None:
-            records, torn = self.wal.records()
-        self._spawn(handle)
-        report = self._replay_shard(handle, records, torn)
-        handle.mark_ready()  # re-admit only after the shard is rebuilt
-        self.respawns_total += 1
-        self.last_replay = report.as_dict()
-
-    def _replay_boot(self, records: list[dict[str, Any]], torn: bool) -> RecoveryReport:
-        """Start-up recovery: replay every shard into its owning worker."""
-        combined = RecoveryReport(
-            wal_dir=self.config.wal_dir or "",
-            records_scanned=len(records),
-            torn_tail=torn,
-        )
-        started = time.perf_counter()
-        for handle in self.handles:
-            try:
-                report = self._replay_shard(handle, records, torn)
-            except TecoreError:
-                handle.mark_dead()  # the monitor retries this worker
-                continue
-            handle.mark_ready()
-            combined.sessions_restored += report.sessions_restored
-            combined.sessions_skipped += report.sessions_skipped
-            combined.sessions_failed.extend(report.sessions_failed)
-            combined.edits_replayed += report.edits_replayed
-            combined.edits_skipped += report.edits_skipped
-            combined.sessions_deleted = report.sessions_deleted
-            combined.resolves_logged = report.resolves_logged
-        combined.duration_seconds = time.perf_counter() - started
-        return combined
-
-    def _replay_shard(
-        self, handle: WorkerHandle, records: list[dict[str, Any]], torn: bool
-    ) -> RecoveryReport:
-        """Restore the sessions owned by ``handle``'s ring node from the log."""
-        started = time.perf_counter()
-        report = RecoveryReport(
-            wal_dir=self.config.wal_dir or "",
-            records_scanned=len(records),
-            torn_tail=torn,
-        )
-        state = fold_records(records)
-        report.sessions_deleted = len(state.deleted)
-        report.resolves_logged = state.resolves
-        owned = [
-            fold
-            for fold in state.sessions.values()
-            if self.ring.lookup(fold.session_id) == handle.node
-        ]
-        owned.sort(key=lambda fold: fold.last_seq)
-        if len(owned) > self.config.max_sessions:
-            report.sessions_skipped = len(owned) - self.config.max_sessions
-            owned = owned[-self.config.max_sessions :]
-        restored: set[str] = set()
-        for fold in owned:
-            try:
-                status, payload = handle.call(
-                    "restore",
-                    {
-                        "session_id": fold.session_id,
-                        "graph": fold.graph_doc,
-                        "warm_start": fold.warm_start,
-                        "cache_size": fold.cache_size,
-                        "edits_applied": fold.base_edits,
-                        "edits": fold.edits,
-                    },
-                    timeout=RESTORE_TIMEOUT,
-                )
-            except (WorkerDiedError, RequestDeadlineExceeded):
-                handle.mark_dead()
-                raise
-            if status != 200:
-                # The same failure the live create would have hit (e.g. a
-                # solver error); drop the session rather than the worker.
-                report.sessions_failed.append(fold.session_id)
-                continue
-            restored.add(fold.session_id)
-            report.sessions_restored += 1
-            report.edits_replayed += int(payload.get("edits_replayed", 0))
-            report.edits_skipped += int(payload.get("edits_skipped", 0))
-        with self._routes_lock:
-            for sid in [
-                sid
-                for sid, route in self._routes.items()
-                if route.node == handle.node and sid not in restored
-            ]:
-                del self._routes[sid]
-            for sid in restored:
-                self._routes.setdefault(sid, _SessionRoute(handle.node))
-        report.duration_seconds = time.perf_counter() - started
-        return report
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-    def _dispatch(
-        self,
-        method: str,
-        path: str,
-        query: str,
-        body: bytes,
-        op: Any = None,
-        deadline: float | None = None,
+    def call(
+        self, op: str, payload: Mapping[str, Any], timeout: float | None = None
     ) -> tuple[int, dict[str, Any]]:
-        if self.injector is not None:
-            self.injector.fire("server.dispatch", method=method, path=path)
-        if path == "/healthz" and method == "GET":
-            return 200, self._health()
-        if path == "/stats" and method == "GET":
-            return 200, self._stats()
-        if path == "/resolve" and method == "POST":
-            return self._resolve(body, op, deadline)
-        if path == "/sessions" and method == "POST":
-            return self._create_session(decode_json(body), op)
-        match = _SESSION_ROUTE.match(path)
-        if match:
-            sid, tail = match.group("sid"), match.group("tail")
-            if tail == "/edits" and method == "POST":
-                return self._apply_edits(sid, decode_json(body), op, deadline)
-            if tail == "/result" and method == "GET":
-                return self._session_result(sid, query, op, deadline)
-            if tail is None and method == "DELETE":
-                return self._delete_session(sid, op, deadline)
-        return 404, {"error": f"no endpoint {method} {path}"}
+        """Run one op directly; ``timeout`` bounds only a pipe, so it is unused."""
+        return self.runtime.dispatch(op, payload)
 
-    def _route(self, sid: str) -> tuple[_SessionRoute, WorkerHandle]:
-        with self._routes_lock:
-            route = self._routes.get(sid)
-        if route is None:
-            raise UnknownSessionError(f"no session {sid!r}")
-        return route, self._by_node[route.node]
+    def admit(self, limit: int) -> bool:
+        return True
 
-    def _acquire_route(self, route: _SessionRoute, deadline: float | None) -> None:
-        """Take the per-session ordering lock within the deadline (else 504)."""
-        remaining = self._remaining(deadline)
-        if remaining is None:
-            route.lock.acquire()
-        elif not route.lock.acquire(timeout=remaining):
-            raise RequestDeadlineExceeded(
-                f"request deadline of {self.config.request_deadline:g}s exceeded "
-                "waiting for the session lock"
-            )
+    def release(self) -> None:
+        pass
 
-    def _require_ready(self, handle: WorkerHandle) -> None:
-        """503 (retryable, pre-WAL, nothing applied) unless admitting."""
-        if not (handle.alive and handle.ready):
-            raise ServiceOverloadedError(
-                f"resolver worker {handle.index} is restarting; retry"
-            )
+    def mark_ready(self) -> None:
+        pass
 
-    # ------------------------------------------------------------------ #
-    # Endpoints
-    # ------------------------------------------------------------------ #
-    def _resolve(
-        self, body: bytes, op: Any = None, deadline: float | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        document = decode_json(body)
-        timeout = self.config.request_timeout
-        remaining = self._remaining(deadline)
-        if remaining is not None:
-            timeout = min(timeout, remaining)
-        key = hashlib.blake2b(body, digest_size=16).hexdigest()
-        if self.config.response_cache > 0:
-            with self._responses_lock:
-                cached = self._responses.get(key)
-                if cached is not None:
-                    self._responses.move_to_end(key)
-                    self.response_cache_hits += 1
-                    return 200, cached
-                self.response_cache_misses += 1
-        handle = self._pick_worker()
-        if op is not None:
-            op.worker = handle.index
-        try:
-            payload: dict[str, Any] = {"snapshot_key": key, "timeout": timeout}
-            if handle.knows_snapshot(key):
-                self.snapshot_omitted_total += 1
-            else:
-                payload["document"] = dict(document)
-            try:
-                status, response = handle.call(
-                    "resolve", payload, timeout=timeout + CALL_TIMEOUT_GRACE
-                )
-                if status == SNAPSHOT_MISS:
-                    # The worker's LRU dropped the document (or a respawn
-                    # cleared it and our key set was stale): resend inline.
-                    handle.forget_snapshot(key)
-                    self.snapshot_resent_total += 1
-                    payload["document"] = dict(document)
-                    status, response = handle.call(
-                        "resolve", payload, timeout=timeout + CALL_TIMEOUT_GRACE
-                    )
-            except WorkerDiedError as exc:
-                # Stateless: nothing was logged and nothing survives the
-                # worker, so a retryable 503 is honest.
-                raise ServiceOverloadedError(
-                    f"resolver worker died serving /resolve; retry ({exc})"
-                ) from exc
-        finally:
-            handle.release()
-        if status == 200:
-            handle.learn_snapshot(key)
-            if self.config.response_cache > 0:
-                with self._responses_lock:
-                    self._responses[key] = response
-                    self._responses.move_to_end(key)
-                    while len(self._responses) > self.config.response_cache:
-                        self._responses.popitem(last=False)
-            if self.wal is not None:
-                # Audit record of an accepted resolve (appended after
-                # success, folded away by compaction) — same shape as the
-                # single-process service's.
-                inner = document.get("graph", document)
-                if not isinstance(inner, Mapping):  # pragma: no cover - 400 upstream
-                    inner = {}
-                self.wal.append(
-                    {
-                        "kind": "resolve",
-                        "name": str(inner.get("name", "request")),
-                        "facts": len(inner.get("facts") or []),
-                    }
-                )
-        return status, response
+    @property
+    def queue_depth(self) -> int:
+        return self.runtime.batcher.queue_depth
 
-    def _pick_worker(self) -> WorkerHandle:
-        """Round-robin over ready workers with an in-flight admission cap."""
-        count = len(self.handles)
-        start = next(self._round_robin)
-        for offset in range(count):
-            handle = self.handles[(start + offset) % count]
-            if handle.admit(self.config.queue_limit):
-                return handle
-        raise ServiceOverloadedError(
-            "all resolver workers are saturated or restarting; retry"
-        )
-
-    def _create_session(
-        self, document: Mapping[str, Any], op: Any = None
-    ) -> tuple[int, dict[str, Any]]:
-        # Validate before admitting or logging (same error precedence as
-        # the single-process path: graph first, then cache_size).
-        graph = decode_graph(document, default_name="session")
-        cache_size = document.get("cache_size", 8192)
-        if not isinstance(cache_size, int) or cache_size < 1:
-            raise ProtocolError(
-                f"cache_size must be a positive integer, got {cache_size!r}"
-            )
-        warm_start = bool(document.get("warm_start"))
-        session_id = secrets.token_hex(8)
-        handle = self._by_node[self.ring.lookup(session_id)]
-        if op is not None:
-            op.worker = handle.index
-        route = _SessionRoute(handle.node)
-        with self._routes_lock:
-            if len(self._routes) >= self.config.max_sessions:
-                raise ServiceOverloadedError(
-                    f"session capacity ({self.config.max_sessions}) reached; "
-                    "delete sessions or retry later"
-                )
-            self._routes[session_id] = route
-        logged = False
-        try:
-            self._require_ready(handle)
-            if self.wal is not None:
-                # Log-before-apply with the id pinned, as in the
-                # single-process service.
-                self.wal.append(
-                    {
-                        "kind": "create",
-                        "session_id": session_id,
-                        "graph": json_io.to_dict(graph),
-                        "warm_start": warm_start,
-                        "cache_size": cache_size,
-                    }
-                )
-            logged = True
-            status, response = handle.call(
-                "create", {"document": dict(document), "session_id": session_id}
-            )
-        except WorkerDiedError as exc:
-            if logged:
-                # The create is durable but unacknowledged: recovery will
-                # restore it, the client must treat it as pending.
-                self.dropped_connections_total += 1
-                raise DropConnection(str(exc)) from exc
-            with self._routes_lock:
-                self._routes.pop(session_id, None)
-            raise ServiceOverloadedError(
-                f"resolver worker died before the create was logged; retry ({exc})"
-            ) from exc
-        except BaseException:
-            with self._routes_lock:
-                self._routes.pop(session_id, None)
-            raise
-        if status != 201:
-            with self._routes_lock:
-                self._routes.pop(session_id, None)
-        return status, response
-
-    def _apply_edits(
-        self,
-        sid: str,
-        document: Mapping[str, Any],
-        op: Any = None,
-        deadline: float | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        adds, removes = decode_edits(document)  # 400 before anything routes
-        route, handle = self._route(sid)
-        if op is not None:
-            op.worker = handle.index
-        self._acquire_route(route, deadline)
-        try:
-            with self._routes_lock:
-                if self._routes.get(sid) is not route:
-                    # Lost the race against DELETE: its response already
-                    # pinned the session's final state.
-                    raise UnknownSessionError(f"no session {sid!r}")
-            self._require_ready(handle)
-            if self.wal is not None:
-                # Log-before-apply under the route lock: per-session log
-                # order is exactly the worker's apply order.
-                self.wal.append(
-                    {
-                        "kind": "edit",
-                        "session_id": sid,
-                        "adds": [json_io.fact_to_dict(fact) for fact in adds],
-                        "removes": [json_io.fact_to_dict(fact) for fact in removes],
-                    }
-                )
-            try:
-                status, response = handle.call(
-                    "edit", {"session_id": sid, "document": dict(document)}
-                )
-            except WorkerDiedError as exc:
-                self.dropped_connections_total += 1
-                raise DropConnection(str(exc)) from exc
-        finally:
-            route.lock.release()
-        return status, response
-
-    def _session_result(
-        self, sid: str, query: str, op: Any = None, deadline: float | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        route, handle = self._route(sid)
-        if op is not None:
-            op.worker = handle.index
-        self._require_ready(handle)
-        include_graphs = "include_graphs=1" in query or "include_graphs=true" in query
-        timeout = self.config.request_timeout
-        remaining = self._remaining(deadline)
-        if remaining is not None:
-            timeout = min(timeout, remaining)
-        try:
-            return handle.call(
-                "read",
-                {"session_id": sid, "include_graphs": include_graphs},
-                timeout=timeout + CALL_TIMEOUT_GRACE,
-            )
-        except WorkerDiedError as exc:
-            raise ServiceOverloadedError(
-                f"resolver worker died serving the read; retry ({exc})"
-            ) from exc
-
-    def _delete_session(
-        self, sid: str, op: Any = None, deadline: float | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        route, handle = self._route(sid)
-        if op is not None:
-            op.worker = handle.index
-        self._acquire_route(route, deadline)
-        try:
-            with self._routes_lock:
-                if self._routes.get(sid) is not route:
-                    raise UnknownSessionError(f"no session {sid!r}")
-            self._require_ready(handle)
-            if self.wal is not None:
-                # Tombstone-before-unroute, as in the single-process path.
-                self.wal.append({"kind": "delete", "session_id": sid})
-            try:
-                status, response = handle.call("delete", {"session_id": sid})
-            except WorkerDiedError as exc:
-                # The tombstone is durable: the session can never be
-                # resurrected, so unroute it and leave the op pending.
-                with self._routes_lock:
-                    self._routes.pop(sid, None)
-                self.dropped_connections_total += 1
-                raise DropConnection(str(exc)) from exc
-        finally:
-            route.lock.release()
-        with self._routes_lock:
-            self._routes.pop(sid, None)
-        return status, response
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def _health(self) -> dict[str, Any]:
-        alive = sum(1 for handle in self.handles if handle.alive)
-        ready = sum(1 for handle in self.handles if handle.ready)
-        with self._routes_lock:
-            sessions = len(self._routes)
-        health = {
-            "status": "ok" if ready else "degraded",
-            "solver": self.system.solver,
-            "engine": self.system.engine,
-            "uptime_seconds": round(time.monotonic() - self.started, 3),
-            "sessions": sessions,
-            "queue_depth": sum(handle.inflight for handle in self.handles),
-            "durable": self.wal is not None,
-            "workers": len(self.handles),
-            "workers_alive": alive,
-            "workers_ready": ready,
-            "worker_pids": [handle.pid for handle in self.handles],
-            "respawns": self.respawns_total,
-        }
-        if self.recovery is not None:
-            health["recovered_sessions"] = self.recovery.sessions_restored
-        return health
-
-    def _stats(self) -> dict[str, Any]:
-        workers: list[dict[str, Any]] = []
-        for handle in self.handles:
-            info: dict[str, Any] = {
-                "index": handle.index,
-                "node": handle.node,
-                "pid": handle.pid,
-                "alive": handle.alive,
-                "ready": handle.ready,
-                "generation": handle.generation,
-                "inflight": handle.inflight,
-            }
-            if handle.alive:
-                try:
-                    status, payload = handle.call("stats", {}, timeout=5.0)
-                    if status == 200:
-                        info.update(payload)
-                except TecoreError:
-                    pass  # a worker mid-crash just reports its flags
-            workers.append(info)
-        batcher = _sum_counters(worker.get("batcher", {}) for worker in workers)
-        hits = batcher.get("response_cache_hits", 0)
-        lookups = hits + batcher.get("response_cache_misses", 0)
-        batcher["response_cache_hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-        sessions = _sum_counters(worker.get("sessions", {}) for worker in workers)
-        sessions["max_sessions"] = self.config.max_sessions
-        hits = sessions.get("component_cache_hits", 0)
-        lookups = hits + sessions.get("component_cache_misses", 0)
-        sessions["component_cache_hit_rate"] = (
-            round(hits / lookups, 4) if lookups else 0.0
-        )
-        with self._routes_lock:
-            sessions["routed"] = len(self._routes)
-        snapshots = _sum_counters(worker.get("snapshots", {}) for worker in workers)
-        snapshots["omitted"] = self.snapshot_omitted_total
-        snapshots["resent"] = self.snapshot_resent_total
-        hits, misses = self.response_cache_hits, self.response_cache_misses
-        with self._responses_lock:
-            cache_entries = len(self._responses)
-        frontend_cache = {
-            "entries": cache_entries,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
-        }
-        stats = {
-            "uptime_seconds": round(time.monotonic() - self.started, 3),
-            "endpoints": self.metrics.snapshot(),
-            "batcher": batcher,
-            "sessions": sessions,
-            "workers": workers,
-            "sharding": {
-                "workers": len(self.handles),
-                "ring_replicas": self.ring.replicas,
-                "respawns": self.respawns_total,
-                "dropped_connections": self.dropped_connections_total,
-                "snapshots": snapshots,
-                "frontend_cache": frontend_cache,
-            },
-        }
-        if self.last_replay is not None:
-            stats["sharding"]["last_replay"] = self.last_replay
-        if self.wal is not None:
-            stats["wal"] = self.wal.snapshot()
-        if self.recovery is not None:
-            stats["recovery"] = self.recovery.as_dict()
-        return stats
+    def stop(self) -> None:
+        self.runtime.close()

@@ -311,7 +311,7 @@ class WriteAheadLog:
     def records(self) -> tuple[list[dict[str, Any]], bool]:
         """Read the active segment back; returns ``(records, torn_tail)``.
 
-        Used by sharded crash recovery to replay one worker's shard while
+        Used to replay a respawned worker's shard while
         the log keeps serving appends: the read happens under the log's own
         lock after a flush, so it observes every record appended before the
         call and never a half-written frame (``torn_tail`` can only report

@@ -1,12 +1,11 @@
-"""Resolver worker process of the sharded serving tier.
+"""The process loop of a forked resolver worker (``tecore serve --workers N``).
 
-One worker = one :func:`worker_main` loop over a :class:`multiprocessing`
-pipe, holding its own :class:`~repro.serve.batcher.MicroBatcher` (so
-micro-batching and the response cache run *per worker*) and its own
-:class:`~repro.serve.sessions.SessionPool` shard.  The front-end
-(:class:`~repro.serve.sharding.ShardedResolutionService`) routes sessions
-here by consistent hashing on the session id and fans one-shot ``/resolve``
-requests out round-robin.
+One forked worker = one :func:`worker_main` loop over a
+:mod:`multiprocessing` pipe, serving a
+:class:`~repro.serve.server.WorkerRuntime` — the same endpoint ops,
+micro-batcher and session pool the front-end calls directly at
+``--workers 0``.  The front-end (:class:`~repro.serve.server.ResolutionService`)
+reaches it through a :class:`~repro.serve.sharding.WorkerHandle`.
 
 Wire protocol (over the pipe; everything is plain picklable data):
 
@@ -14,23 +13,16 @@ Wire protocol (over the pipe; everything is plain picklable data):
   ``resolve`` / ``create`` / ``edit`` / ``read`` / ``delete`` / ``restore``
   / ``stats`` / ``ping`` / ``shutdown``;
 * worker → parent: ``(request_id, status, payload)`` with ``status`` the
-  HTTP status the front-end relays (worker-side errors are mapped to the
-  same codes :class:`~repro.serve.server.ResolutionService` uses).
+  HTTP status the front-end relays, from
+  :meth:`~repro.serve.server.WorkerRuntime.dispatch`.
 
-Edits travel in the change-stream JSON shape (``adds``/``removes`` fact
-dictionaries, see :mod:`repro.kg.io.changestream`) — both live requests
-(the decoded ``POST .../edits`` body is forwarded verbatim) and the WAL
-``edit`` records replayed through the ``restore`` op after a worker crash.
+Documents travel inline: a ``/resolve`` or create carries its graph
+document, an edit its change-stream JSON (``adds``/``removes`` fact
+dictionaries, see :mod:`repro.kg.io.changestream`), and a ``restore`` the
+WAL fold of one session (see :mod:`repro.serve.recovery`).
 
-Snapshot sharing: one-shot resolve payloads may carry a ``snapshot_key``
-instead of the full graph document.  The worker keeps a small LRU of
-recently seen documents by key; on a miss it answers the internal
-:data:`SNAPSHOT_MISS` status and the front-end re-sends the document.  Hot
-base-graph snapshots therefore cross the pipe once per worker, not once
-per request.
-
-:func:`worker_main` is equally runnable on a plain thread — the in-process
-unit tests drive it over a pipe without forking.
+:func:`worker_main` is equally runnable on a plain thread — the unit tests
+drive it over a pipe without forking.
 """
 
 from __future__ import annotations
@@ -38,277 +30,14 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from collections import OrderedDict
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any
 
-from ..core.tecore import TeCoRe
-from ..errors import TecoreError
-from ..kg.io import json_io
-from .batcher import MicroBatcher, RequestDeadlineExceeded, ServiceOverloadedError
-from .protocol import ProtocolError, decode_edits, decode_graph, encode_result
-from .recovery import decode_edit_record
-from .sessions import SessionPool, UnknownSessionError
-
-#: Internal status a worker answers when a resolve payload references a
-#: snapshot key it does not hold; the front-end re-sends the full document.
-#: Never client-visible.
-SNAPSHOT_MISS = 409
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.tecore import TeCoRe
 
 #: Handler threads per worker: enough concurrency for the worker's
 #: micro-batcher to actually form batches while session edits proceed.
 WORKER_THREADS = 8
-
-#: Documents kept in the per-worker snapshot LRU.
-SNAPSHOT_CACHE_SIZE = 32
-
-
-class WorkerRuntime:
-    """The serving state of one resolver worker.
-
-    A shard-local mirror of :class:`~repro.serve.server.ResolutionService`
-    minus the WAL (durability is the front-end's job): its own batcher over
-    a shared resolver, its own session pool, and the snapshot LRU.  Safe
-    for concurrent :meth:`dispatch` calls from the handler threads.
-    """
-
-    def __init__(
-        self,
-        system: TeCoRe,
-        config: Any,
-        index: int,
-        snapshot_cache: int = SNAPSHOT_CACHE_SIZE,
-    ) -> None:
-        self.system = system
-        self.config = config
-        self.index = index
-        self.batcher = MicroBatcher(
-            system.shared_resolver(),
-            max_batch=config.max_batch,
-            max_delay=config.batch_delay,
-            queue_limit=config.queue_limit,
-            coalesce=config.coalesce,
-            cache_size=config.response_cache,
-        )
-        self.sessions = SessionPool(system, max_sessions=config.max_sessions)
-        self._snap_lock = threading.Lock()
-        self._snapshots: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-        self._snapshot_cache = snapshot_cache
-        self.snapshot_hits = 0
-        self.snapshot_misses = 0
-        self.restores_total = 0
-
-    def close(self) -> None:
-        self.batcher.close()
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def dispatch(self, op: str, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        """Serve one pipe message; returns ``(status, response_payload)``.
-
-        The exception → status mapping mirrors ``ResolutionService.handle``
-        so the front-end can relay worker responses verbatim.
-        """
-        handler = self._OPS.get(op)
-        if handler is None:
-            return 500, {"error": f"unknown worker op {op!r}"}
-        try:
-            return handler(self, payload)
-        except ProtocolError as exc:
-            return 400, {"error": str(exc)}
-        except UnknownSessionError as exc:
-            return 404, {"error": str(exc)}
-        except ServiceOverloadedError as exc:
-            return 503, {"error": str(exc), "retry_after_seconds": 1}
-        except RequestDeadlineExceeded as exc:
-            return 504, {"error": str(exc), "retry_after_seconds": 1}
-        except TecoreError as exc:
-            return 500, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - a request must never kill the worker loop
-            return 500, {"error": f"internal error: {exc}"}
-
-    # ------------------------------------------------------------------ #
-    # Snapshot sharing
-    # ------------------------------------------------------------------ #
-    def _snapshot_document(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
-        """The resolve document: sent inline, or recalled by snapshot key.
-
-        Returns ``None`` on a cache miss (the caller answers
-        :data:`SNAPSHOT_MISS`); inline documents tagged with a key are
-        cached for later key-only requests.
-        """
-        document = payload.get("document")
-        key = payload.get("snapshot_key")
-        if document is None:
-            if not isinstance(key, str):
-                raise ProtocolError("resolve payload carries neither document nor key")
-            with self._snap_lock:
-                cached = self._snapshots.get(key)
-                if cached is None:
-                    self.snapshot_misses += 1
-                    return None
-                self._snapshots.move_to_end(key)
-                self.snapshot_hits += 1
-                return cached
-        if isinstance(key, str):
-            with self._snap_lock:
-                self._snapshots[key] = dict(document)
-                self._snapshots.move_to_end(key)
-                while len(self._snapshots) > self._snapshot_cache:
-                    self._snapshots.popitem(last=False)
-        return dict(document)
-
-    # ------------------------------------------------------------------ #
-    # Ops
-    # ------------------------------------------------------------------ #
-    def _op_resolve(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        document = self._snapshot_document(payload)
-        if document is None:
-            return SNAPSHOT_MISS, {"error": "unknown snapshot key"}
-        graph = decode_graph(document)
-        timeout = payload.get("timeout")
-        result = self.batcher.submit(
-            graph,
-            timeout=timeout if timeout is not None else self.config.request_timeout,
-            shed_depth=self.config.shed_resolve_at,
-        )
-        return 200, encode_result(
-            result, include_graphs=bool(document.get("include_graphs"))
-        )
-
-    def _op_create(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        document = dict(payload["document"])
-        graph = decode_graph(document, default_name="session")
-        cache_size = document.get("cache_size", 8192)
-        if not isinstance(cache_size, int) or cache_size < 1:
-            raise ProtocolError(
-                f"cache_size must be a positive integer, got {cache_size!r}"
-            )
-        entry = self.sessions.create(
-            graph,
-            warm_start=bool(document.get("warm_start")),
-            cache_size=cache_size,
-            session_id=payload["session_id"],
-        )
-        with entry.lock:
-            result = encode_result(
-                entry.session.result,
-                include_graphs=bool(document.get("include_graphs")),
-            )
-        return 201, {"session_id": entry.session_id, "result": result}
-
-    def _op_edit(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        document = dict(payload["document"])
-        adds, removes = decode_edits(document)
-        sid = payload["session_id"]
-        entry = self.sessions.get(sid)
-        with entry.lock:
-            if entry.closed:
-                raise UnknownSessionError(f"no session {sid!r}")
-            result = entry.session.apply(adds=adds, removes=removes)
-            entry.edits_applied += 1
-            encoded = encode_result(
-                result, include_graphs=bool(document.get("include_graphs"))
-            )
-        return 200, {"session_id": sid, "result": encoded}
-
-    def _op_read(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        sid = payload["session_id"]
-        entry = self.sessions.get(sid)
-        with entry.lock:
-            if entry.closed:
-                raise UnknownSessionError(f"no session {sid!r}")
-            encoded = encode_result(
-                entry.session.result,
-                include_graphs=bool(payload.get("include_graphs")),
-            )
-        return 200, {"session_id": sid, "result": encoded}
-
-    def _op_delete(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        sid = payload["session_id"]
-        entry = self.sessions.get(sid)
-        with entry.lock:
-            if entry.closed:
-                raise UnknownSessionError(f"no session {sid!r}")
-            entry.closed = True
-            facts = len(entry.session.graph)
-            edits = entry.edits_applied
-        self.sessions.discard(sid)
-        return 200, {
-            "session_id": sid,
-            "deleted": True,
-            "facts": facts,
-            "edits_applied": edits,
-        }
-
-    def _op_restore(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        """Replay one WAL session fold into this shard (crash recovery).
-
-        The graph document and edit records are exactly what
-        :func:`repro.serve.recovery.fold_records` produced from the
-        front-end's log; edits replay through ``session.apply`` — the same
-        delta path that served them live — so the restored result is
-        bit-identical per ``stable_view``.
-        """
-        graph_doc = dict(payload["graph"])
-        graph = json_io.from_dict(graph_doc, name=str(graph_doc.get("name", "session")))
-        sid = payload["session_id"]
-        entry = self.sessions.restore(
-            sid,
-            graph,
-            warm_start=bool(payload.get("warm_start")),
-            cache_size=int(payload.get("cache_size", 8192)),
-            edits_applied=int(payload.get("edits_applied", 0)),
-        )
-        replayed = skipped = 0
-        for record in payload.get("edits") or []:
-            try:
-                adds, removes = decode_edit_record(record)
-                with entry.lock:
-                    entry.session.apply(adds=adds, removes=removes)
-                    entry.edits_applied += 1
-            except TecoreError:
-                # The same edit failed the same validation when served live
-                # (validation precedes any mutation), so skipping keeps the
-                # replayed state aligned with the live history.
-                skipped += 1
-                continue
-            replayed += 1
-        self.restores_total += 1
-        return 200, {
-            "session_id": sid,
-            "edits_replayed": replayed,
-            "edits_skipped": skipped,
-        }
-
-    def _op_stats(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        with self._snap_lock:
-            snapshots = {
-                "cached": len(self._snapshots),
-                "hits": self.snapshot_hits,
-                "misses": self.snapshot_misses,
-            }
-        return 200, {
-            "pid": os.getpid(),
-            "restores": self.restores_total,
-            "batcher": self.batcher.snapshot(),
-            "sessions": self.sessions.snapshot(),
-            "snapshots": snapshots,
-        }
-
-    def _op_ping(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        return 200, {"pid": os.getpid(), "index": self.index}
-
-    _OPS = {
-        "resolve": _op_resolve,
-        "create": _op_create,
-        "edit": _op_edit,
-        "read": _op_read,
-        "delete": _op_delete,
-        "restore": _op_restore,
-        "stats": _op_stats,
-        "ping": _op_ping,
-    }
 
 
 def worker_main(
@@ -330,6 +59,10 @@ def worker_main(
     by one lock.  The loop exits on ``shutdown``, on pipe EOF, or when the
     front-end process disappears (orphan check once per idle second).
     """
+    # Imported here: repro.serve.server imports this module (through
+    # repro.serve.sharding) to fork its workers.
+    from .server import WorkerRuntime
+
     for other in inherited:
         try:
             other.close()

@@ -441,7 +441,7 @@ class ChaosConfig:
     solver: str = "nrockit"
     zipf_alpha: float = 1.1
     noise: str = "mixed"
-    #: Resolver worker processes of the served system (0 = in-process).
+    #: Forked resolver workers of the served system (0 = one in-process worker).
     workers: int = 0
     #: What the SIGKILL hits: "server" (the whole process, then restart)
     #: or "worker" (one resolver worker; the front-end stays up and must
@@ -535,7 +535,7 @@ def run_chaos(
     if config.kill not in ("server", "worker"):
         raise ValueError(f"kill must be 'server' or 'worker', got {config.kill!r}")
     if config.kill == "worker" and config.workers < 1:
-        raise ValueError("kill='worker' needs a sharded server (workers >= 1)")
+        raise ValueError("kill='worker' needs forked workers (workers >= 1)")
 
     workload = WorkloadConfig(
         seed=config.seed,
@@ -605,7 +605,7 @@ def run_chaos(
             health = server.healthz()
             pids = [pid for pid in health.get("worker_pids", []) if pid]
             if not pids:
-                raise TecoreError("sharded server reported no worker pids")
+                raise TecoreError("server reported no worker pids")
             os.kill(pids[config.seed % len(pids)], signal.SIGKILL)
             deadline = time.monotonic() + RECONNECT_SECONDS
             while time.monotonic() < deadline:

@@ -1,10 +1,12 @@
 """Executing traces against a live, instrumented resolution service.
 
 The harness drives a :class:`~repro.verify.workloads.Trace` through a real
-:class:`~repro.serve.server.ResolutionService` — the batcher, the session
-pool, the per-session locks, and the metrics all run exactly as in
-production — from one OS thread per trace client, and returns the
-:class:`~repro.verify.history.History` the attached recorder observed.
+:class:`~repro.serve.server.ResolutionService` — the one front-end
+``tecore serve`` runs, here over its in-process worker: routing, the
+response cache, the route and session locks, the batcher, the session pool
+and the metrics all run exactly as in production — from one OS thread per
+trace client, and returns the :class:`~repro.verify.history.History` the
+attached recorder observed.
 Requests go through ``service.handle`` directly rather than over a socket:
 the serving logic and its synchronisation are fully exercised (``handle``
 *is* what every HTTP connection thread calls) while the harness stays fast
@@ -120,8 +122,8 @@ def harness_server_config(trace: Trace, **overrides: Any) -> ServerConfig:
     """A :class:`ServerConfig` sized so the checker's assumptions hold.
 
     ``max_sessions`` must exceed the trace's logical session count —
-    otherwise LRU eviction makes unexplained 404s legal and the checker
-    would need ``lru_evictions=True``, weakening what a clean run proves.
+    otherwise admission answers some creates with 503, and the trace's
+    later operations on those sessions prove nothing.
     """
     sized: dict[str, Any] = {
         "max_sessions": max(64, trace.config.sessions + 1),

@@ -29,9 +29,13 @@ Recorded operation kinds (one per client-visible endpoint):
 Beyond the request/response pairs the history also captures two serving-tier
 decisions that carry correctness obligations of their own (see
 :mod:`repro.verify.checker`): the **coalesced groups** each batch flush
-collapsed onto a single solve, and which submissions were answered from the
-**response cache** — both reported through the
-:class:`~repro.serve.batcher.BatchObserver` seam with operation ids as tags.
+collapsed onto a single solve, reported through the
+:class:`~repro.serve.batcher.BatchObserver` seam of the in-process worker's
+batcher, and which requests the front-end answered from its **response
+cache**, reported through :meth:`HistoryRecorder.on_cache_hit` — both with
+operation ids as tags.  The recorder attaches to
+:class:`~repro.serve.server.ResolutionService`, the one front-end
+``tecore serve`` runs for every ``--workers`` value.
 
 The on-disk format (``History.save``/``History.load``) is plain JSON with a
 ``version`` field, so violating histories can be committed as regression
@@ -82,9 +86,10 @@ class Operation:
     completed: Optional[int] = None
     status: Optional[int] = None
     response: Optional[dict[str, Any]] = None
-    #: Resolver worker index that served the operation under sharded
-    #: serving (``tecore serve --workers N``); None in-process.  Purely
-    #: diagnostic provenance — the checker never reads it.
+    #: Index of the resolver worker that served the operation (0 for the
+    #: one in-process worker of ``--workers 0``); None when the request
+    #: never reached a worker.  Purely diagnostic provenance — the checker
+    #: never reads it.
     worker: Optional[int] = None
 
     @property
@@ -207,9 +212,11 @@ class HistoryRecorder:
     """Thread-safe recorder wired into :class:`~repro.serve.server.ResolutionService`.
 
     One instance serves simultaneously as the service's operation log
-    (``begin``/``complete`` around every dispatch) and as the batcher's
-    :class:`~repro.serve.batcher.BatchObserver` (coalesced-group and
-    cache-hit notifications arrive tagged with op-ids).  All mutation is
+    (``begin``/``complete`` around every dispatch, ``on_cache_hit`` for
+    requests the front-end answered from its response cache) and as the
+    in-process worker's batcher's :class:`~repro.serve.batcher.BatchObserver`
+    (coalesced groups); both notifications arrive tagged with op-ids.  All
+    mutation is
     under one lock; the logical clock ticks once per invocation and once
     per response, giving the total order the checker's happens-before
     relation is defined on.
@@ -250,7 +257,7 @@ class HistoryRecorder:
             operation.status = status
             operation.response = response
 
-    # -- BatchObserver seam ---------------------------------------------- #
+    # -- response-cache and BatchObserver seams --------------------------- #
     def on_cache_hit(self, tag: Any) -> None:
         with self._lock:
             self._cache_hits.append(tag)

@@ -56,19 +56,20 @@ class TestTermInterner:
         assert list(interner.keys(ids)) == [
             (0, "B"),
             (0, "A"),
-            (1, "integer:1"),
+            (1, "integer", "1"),
             (0, "B"),
         ]
 
-    def test_ranks_follow_term_keys_and_tie_equal_keys(self):
+    def test_ranks_follow_term_keys(self):
         interner = TermInterner()
-        # Two distinct literals whose term keys are both (1, "x:a:b").
+        # Two literals whose datatype and lexical form joined by a colon
+        # read alike ("x:a:b"); their keys still differ, by datatype first.
         terms = [BlankNode("n"), Literal("b", "x:a"), IRI("Z"), Literal("a:b", "x"), IRI("A")]
         ids = interner.intern_all(terms)
         ranks = interner.ranks()[ids].tolist()
-        assert ranks == [3, 2, 1, 2, 0]
+        assert ranks == [4, 3, 1, 2, 0]
         interner.intern(IRI("M"))  # falls between A and Z
-        assert interner.ranks()[ids].tolist() == [4, 3, 2, 3, 0]
+        assert interner.ranks()[ids].tolist() == [5, 4, 2, 3, 0]
 
 
 class TestColumnarFactStore:
@@ -132,8 +133,8 @@ class TestColumnarFactStore:
 # --------------------------------------------------------------------------- #
 # rank_array: the columns order rows as the facts' sort keys do
 # --------------------------------------------------------------------------- #
-#: IRIs, literals of several datatypes (two with colliding term keys) and
-#: blank nodes.
+#: IRIs, literals of several datatypes (two whose datatype and lexical form
+#: joined by a colon read alike) and blank nodes.
 TERMS = [
     IRI("A"),
     IRI("B"),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidFactError
-from repro.kg import IRI, TemporalKnowledgeGraph
+from repro.kg import IRI, Literal, TemporalFact, TemporalKnowledgeGraph
 from repro.temporal import TimeDomain, TimeInterval
 
 
@@ -28,6 +28,16 @@ class TestAddRemove:
         graph.add(("a", "p", "b", (1, 2), 0.6))
         assert len(graph) == 1
         assert graph.facts()[0].confidence == pytest.approx(0.8)
+
+    def test_literal_objects_that_read_alike_are_distinct_statements(self):
+        # Datatype and lexical form joined by a colon read "x:a:b" for both.
+        graph = TemporalKnowledgeGraph()
+        first = TemporalFact(IRI("a"), IRI("p"), Literal("a:b", "x"), TimeInterval(1, 2), 0.9)
+        second = TemporalFact(IRI("a"), IRI("p"), Literal("b", "x:a"), TimeInterval(1, 2), 0.9)
+        graph.add_all([first, second])
+        assert len(graph) == 2
+        assert first in graph and second in graph
+        assert first.statement_key != second.statement_key
 
     def test_contains(self, career_graph):
         assert ("CR", "coach", "Chelsea", (2000, 2004), 0.9) in career_graph

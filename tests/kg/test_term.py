@@ -53,6 +53,12 @@ class TestLiteral:
     def test_datatype_part_of_identity(self):
         assert Literal("1951", "integer") != Literal("1951", "string")
 
+    def test_term_key_keeps_datatype_and_lexical_form_apart(self):
+        # Joined by a colon, both would read "x:a:b".
+        first, second = Literal("a:b", "x"), Literal("b", "x:a")
+        assert term_key(first) != term_key(second)
+        assert term_key(first) == term_key(Literal("a:b", "x"))
+
 
 class TestBlankNode:
     def test_construction_and_str(self):

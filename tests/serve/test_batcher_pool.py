@@ -57,7 +57,7 @@ def submit_all(batcher, items, timeout=30.0):
 class TestMicroBatcher:
     def test_flush_on_size(self):
         resolver = StubResolver()
-        batcher = MicroBatcher(resolver, max_batch=3, max_delay=5.0, coalesce=False, cache_size=0)
+        batcher = MicroBatcher(resolver, max_batch=3, max_delay=5.0, coalesce=False)
         try:
             started = time.perf_counter()
             results, errors = submit_all(batcher, ["a", "b", "c"])
@@ -74,9 +74,7 @@ class TestMicroBatcher:
 
     def test_flush_on_deadline(self):
         resolver = StubResolver()
-        batcher = MicroBatcher(
-            resolver, max_batch=100, max_delay=0.05, coalesce=False, cache_size=0
-        )
+        batcher = MicroBatcher(resolver, max_batch=100, max_delay=0.05, coalesce=False)
         try:
             results, errors = submit_all(batcher, ["a", "b"])
             assert errors == [None, None]
@@ -121,7 +119,6 @@ class TestMicroBatcher:
             max_delay=0.5,
             queue_limit=2,
             coalesce=False,
-            cache_size=0,
         )
         try:
             # Hold the flush worker so the queue can only grow: backpressure
@@ -146,40 +143,11 @@ class TestMicroBatcher:
                 list(graphs)
                 raise RuntimeError("backend down")
 
-        batcher = MicroBatcher(
-            ExplodingResolver(), max_batch=2, max_delay=1.0, coalesce=False, cache_size=0
-        )
+        batcher = MicroBatcher(ExplodingResolver(), max_batch=2, max_delay=1.0, coalesce=False)
         try:
             results, errors = submit_all(batcher, ["a", "b"])
             assert results == [None, None]
             assert all(isinstance(error, RuntimeError) for error in errors)
-        finally:
-            batcher.close()
-
-    def test_response_cache_serves_repeats_without_resolving(self):
-        resolver = StubResolver()
-        batcher = MicroBatcher(resolver, max_batch=1, max_delay=0.01, coalesce=True, cache_size=8)
-        try:
-            graph = ranieri_graph()
-            first = batcher.submit(graph)
-            second = batcher.submit(ranieri_graph())  # same content, new object
-            assert second is first
-            assert len(resolver.batches) == 1
-            snapshot = batcher.snapshot()
-            assert snapshot["requests"] == 2
-            assert snapshot["response_cache_hits"] == 1
-            assert snapshot["response_cache_entries"] == 1
-        finally:
-            batcher.close()
-
-    def test_response_cache_disabled_resolves_every_repeat(self):
-        resolver = StubResolver()
-        batcher = MicroBatcher(resolver, max_batch=1, max_delay=0.01, coalesce=True, cache_size=0)
-        try:
-            batcher.submit(ranieri_graph())
-            batcher.submit(ranieri_graph())
-            assert len(resolver.batches) == 2
-            assert batcher.snapshot()["response_cache"] == "disabled"
         finally:
             batcher.close()
 

@@ -93,6 +93,21 @@ def parse_reply(write):
     return int(status_line.split()[1]), [name for name, _ in headers]
 
 
+def send_json(server, method, path, body=None, with_retry_after=False):
+    """One request on a new connection; returns the status and the JSON reply."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        reply = (response.status, json.loads(response.read()))
+        if with_retry_after:
+            reply += (response.getheader("Retry-After"),)
+        return reply
+    finally:
+        connection.close()
+
+
 #: The headers of every reply, in order; 503/504 add ``Retry-After`` and a
 #: reply that closes the connection adds ``Connection``.
 REPLY_HEADERS = ["Server", "Date", "Content-Type", "Content-Length"]
@@ -239,7 +254,7 @@ class TestReplyFraming:
     def test_503_leaves_in_one_write_with_retry_after(self, system, server_factory):
         server = server_factory(system, queue_limit=1, coalesce=False)
         sends = record_sends(server)
-        batcher = server.service.batcher
+        batcher = server.service.handles[0].runtime.batcher  # the in-process worker's
         batcher.pause()  # the occupant holds the one queue slot
         occupant = []
         thread = threading.Thread(
@@ -321,7 +336,7 @@ class TestResolveEndpoint:
         # Hold the flush worker so the single queue slot fills and *stays*
         # full: backpressure becomes deterministic instead of a race against
         # the batching window.
-        batcher = server.service.batcher
+        batcher = server.service.handles[0].runtime.batcher  # the in-process worker's
         batcher.pause()
         occupant = [None]
 
@@ -466,15 +481,23 @@ class TestSessionEndpoints:
         _, stats = client(server, "GET", "/stats")
         assert stats["sessions"]["edits_applied"] == len(added)
 
-    def test_lru_eviction_over_the_session_pool(self, system, server_factory, client):
+    def test_create_beyond_capacity_is_503_with_retry_after(self, system, server_factory):
         server = server_factory(system, max_sessions=2)
-        doc = {"graph": json_io.to_dict(ranieri_graph())}
-        sids = [client(server, "POST", "/sessions", doc)[1]["session_id"] for _ in range(3)]
-        assert client(server, "GET", f"/sessions/{sids[0]}/result")[0] == 404
-        assert client(server, "GET", f"/sessions/{sids[1]}/result")[0] == 200
-        assert client(server, "GET", f"/sessions/{sids[2]}/result")[0] == 200
-        _, stats = client(server, "GET", "/stats")
-        assert stats["sessions"]["evicted"] == 1
+        sids = []
+        for _ in range(2):
+            status, created = send_json(server, "POST", "/sessions", RANIERI_DOCUMENT)
+            assert status == 201
+            sids.append(created["session_id"])
+        status, payload, retry_after = send_json(
+            server, "POST", "/sessions", RANIERI_DOCUMENT, with_retry_after=True
+        )
+        assert status == 503 and "capacity" in payload["error"]
+        assert retry_after == "1"
+        # Admission, not eviction: every admitted session keeps serving.
+        for sid in sids:
+            assert send_json(server, "GET", f"/sessions/{sid}/result")[0] == 200
+        _, stats = send_json(server, "GET", "/stats")
+        assert stats["sessions"]["evicted"] == 0
         assert stats["sessions"]["active"] == 2
 
 

@@ -1,14 +1,19 @@
-"""Session lifecycle races: delete-vs-edit and eviction-under-concurrent-edit.
+"""Session lifecycle races and session admission at ``--workers 0``.
 
 The delete/edit interleaving here is the bug class the serializability
 harness (:mod:`repro.verify`) caught live: an edit that looked up its pool
 entry *before* a concurrent ``DELETE`` popped it used to mutate the orphaned
 session and answer 200, after the delete response had already reported the
 session's final fact and edit counts — no serial order explains both.  The
-fix is the :attr:`~repro.serve.sessions.SessionEntry.closed` flag; these
-tests pin its semantics deterministically, and
+fix has two guards: the front-end re-checks the session's route under the
+routes lock once it holds the route lock, and the worker re-checks
+:attr:`~repro.serve.sessions.SessionEntry.closed` under the session lock.
+These tests pin their semantics deterministically, and
 ``tests/verify/test_regression_fixtures.py`` keeps the checker-level
 evidence.
+
+Capacity is admission: a create beyond ``max_sessions`` answers 503 and
+logs nothing, and no served session is ever evicted.
 """
 
 import json
@@ -17,11 +22,11 @@ import threading
 import pytest
 
 from repro.datasets import ranieri_graph
-from repro.kg import make_fact
 from repro.kg.io import json_io
 from repro.serve import ServerConfig
 from repro.serve.server import ResolutionService
 from repro.serve.sessions import SessionPool, UnknownSessionError
+from repro.serve.wal import scan_wal_dir
 
 
 def _body(payload) -> bytes:
@@ -51,6 +56,11 @@ def service(system):
     service.close()
 
 
+def pool(service) -> SessionPool:
+    """The session pool of the in-process worker."""
+    return service.handles[0].runtime.sessions
+
+
 def _create_session(service) -> str:
     status, payload = service.handle(
         "POST", "/sessions", _body({"graph": json_io.to_dict(ranieri_graph())})
@@ -62,7 +72,7 @@ def _create_session(service) -> str:
 class TestDeleteVersusEdit:
     def test_delete_closes_the_entry_under_its_lock(self, service):
         sid = _create_session(service)
-        stale = service.sessions.get(sid)  # an in-flight handler's lookup
+        stale = pool(service).get(sid)  # an in-flight handler's lookup
         status, payload = service.handle("DELETE", f"/sessions/{sid}", b"")
         assert status == 200
         # The delete response pins the session's final state...
@@ -73,7 +83,7 @@ class TestDeleteVersusEdit:
 
     def test_operations_after_delete_are_404_and_do_not_mutate(self, service):
         sid = _create_session(service)
-        stale = service.sessions.get(sid)
+        stale = pool(service).get(sid)
         assert service.handle("DELETE", f"/sessions/{sid}", b"")[0] == 200
         facts_before = len(stale.session.graph)
         assert service.handle("POST", f"/sessions/{sid}/edits", _edit_body(0))[0] == 404
@@ -88,7 +98,7 @@ class TestDeleteVersusEdit:
         # final ``edits_applied`` and every uncounted edit must answer 404.
         for round_index in range(5):
             sid = _create_session(service)
-            entry = service.sessions.get(sid)
+            entry = pool(service).get(sid)
             barrier = threading.Barrier(3)
             statuses = [None, None]
 
@@ -123,73 +133,27 @@ class TestDeleteVersusEdit:
             assert deleted["edits_applied"] == succeeded == entry.edits_applied
 
 
-class TestEvictionUnderConcurrentEdit:
+class TestPoolBound:
     def test_evicted_entry_is_unroutable_but_not_closed(self, system):
         pool = SessionPool(system, max_sessions=1)
         first = pool.create(ranieri_graph())
         pool.create(ranieri_graph())  # evicts ``first``
         with pytest.raises(UnknownSessionError):
             pool.get(first.session_id)
-        # Eviction produces no client-visible final-state response, so an
-        # in-flight request holding the entry may still finish against it.
+        # The pool keeps its own bound as a guard behind the front-end's
+        # admission.  Eviction produces no client-visible final-state
+        # response, so an in-flight request may still finish against it.
         assert not first.closed
         assert pool.evicted_total == 1
 
-    def test_in_flight_edit_survives_eviction(self, service):
-        sid = _create_session(service)
-        stale = service.sessions.get(sid)
-        # Fill the pool (max_sessions=2) until ``sid`` is evicted.
-        _create_session(service)
-        _create_session(service)
-        assert service.handle("GET", f"/sessions/{sid}/result", b"")[0] == 404
-        # The orphaned session object still accepts the edit an in-flight
-        # handler would apply — no corruption, no close.
-        facts_before = len(stale.session.graph)
-        extra = make_fact("Marker", "editedAt", "post-evict", (2100, 2101), 0.5)
-        with stale.lock:
-            stale.session.apply(adds=[extra], removes=[])
-        assert not stale.closed
-        assert len(stale.session.graph) == facts_before + 1
 
-    def test_eviction_races_with_edit_storm(self, service):
-        # One writer hammers a session while another thread churns creates
-        # that will evict it.  Every edit must answer 200 (applied and
-        # counted) or 404 (post-eviction routing miss) — never a 5xx — and
-        # the entry's count must equal the number of 200s.
-        sid = _create_session(service)
-        entry = service.sessions.get(sid)
-        results = []
-        stop = threading.Event()
+class TestAdmission:
+    """A full service refuses creates; it never evicts a served session.
 
-        def writer():
-            for index in range(30):
-                status, _ = service.handle("POST", f"/sessions/{sid}/edits", _edit_body(index))
-                results.append(status)
-            stop.set()
-
-        def churner():
-            while not stop.is_set():
-                _create_session(service)
-
-        threads = [threading.Thread(target=writer), threading.Thread(target=churner)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert all(status in (200, 404) for status in results)
-        assert entry.edits_applied == sum(1 for status in results if status == 200)
-        assert not entry.closed
-
-
-class TestEvictionVersusWal:
-    """LRU eviction drops only the in-memory entry — never log history.
-
-    Eviction is a capacity decision, deletion a client decision; the WAL
-    records the latter and ignores the former.  So an evicted session is
-    recoverable from the log by a restart with more capacity, while an
-    explicitly deleted one must never come back (its ``delete`` record is
-    a tombstone replay honours unconditionally).
+    The front-end admits at most ``max_sessions`` sessions: a create beyond
+    that answers 503 with a retry hint before anything is logged, and a
+    DELETE frees a slot.  A restart with a smaller bound restores the most
+    recently active sessions from the log.
     """
 
     def _durable_service(self, system, wal_dir, max_sessions):
@@ -198,41 +162,48 @@ class TestEvictionVersusWal:
             ServerConfig(wal_dir=str(wal_dir), max_sessions=max_sessions, batch_delay=0.001),
         )
 
-    def test_evicted_session_is_recoverable_from_the_log(self, system, tmp_path):
+    def test_create_beyond_capacity_is_503_and_logs_nothing(self, system, tmp_path):
         service = self._durable_service(system, tmp_path, max_sessions=2)
-        first = _create_session(service)
-        assert (service.handle("POST", f"/sessions/{first}/edits", _edit_body(1))[0] == 200)
-        _create_session(service)
-        _create_session(service)  # evicts ``first`` from the pool...
-        assert service.handle("GET", f"/sessions/{first}/result", b"")[0] == 404
-        service.close()
-
-        # ...but not from the log: a restart with headroom replays it,
-        # edits included.
-        restarted = ResolutionService(system, ServerConfig(wal_dir=str(tmp_path), max_sessions=8))
         try:
-            assert restarted.recovery.sessions_restored == 3
-            status, payload = restarted.handle("GET", f"/sessions/{first}/result", b"")
-            assert status == 200
-            assert restarted.sessions.get(first).edits_applied == 1
+            sids = [_create_session(service) for _ in range(2)]
+            appended = service.wal.appended_total
+            body = _body({"graph": json_io.to_dict(ranieri_graph())})
+            status, payload = service.handle("POST", "/sessions", body)
+            assert status == 503
+            assert payload["retry_after_seconds"] >= 1
+            assert service.wal.appended_total == appended
+            # Nothing was evicted to make room: both sessions still serve.
+            for sid in sids:
+                assert service.handle("GET", f"/sessions/{sid}/result", b"")[0] == 200
+            assert pool(service).evicted_total == 0
         finally:
-            restarted.close()
+            service.close()
+        records, _, _ = scan_wal_dir(str(tmp_path))
+        assert [record["kind"] for record in records] == ["create", "create"]
 
-    def test_recovery_respects_the_pool_bound_by_recency(self, system, tmp_path):
-        service = self._durable_service(system, tmp_path, max_sessions=2)
-        oldest = _create_session(service)
-        newer = [_create_session(service) for _ in range(2)]
+    def test_delete_frees_a_slot(self, service):
+        first = _create_session(service)
+        _create_session(service)
+        body = _body({"graph": json_io.to_dict(ranieri_graph())})
+        assert service.handle("POST", "/sessions", body)[0] == 503
+        assert service.handle("DELETE", f"/sessions/{first}", b"")[0] == 200
+        assert service.handle("POST", "/sessions", body)[0] == 201
+
+    def test_restart_with_a_smaller_bound_restores_the_most_recently_active(self, system, tmp_path):
+        service = self._durable_service(system, tmp_path, max_sessions=3)
+        oldest, middle, newest = (_create_session(service) for _ in range(3))
+        # An edit makes the oldest session the most recently active one.
+        assert service.handle("POST", f"/sessions/{oldest}/edits", _edit_body(1))[0] == 200
         service.close()
 
         restarted = self._durable_service(system, tmp_path, max_sessions=2)
         try:
-            # Only the most recently logged sessions fit; the rest are
-            # skipped (recovery must not itself trigger evictions).
             assert restarted.recovery.sessions_restored == 2
             assert restarted.recovery.sessions_skipped == 1
-            assert restarted.handle("GET", f"/sessions/{oldest}/result", b"")[0] == 404
-            for sid in newer:
+            assert restarted.handle("GET", f"/sessions/{middle}/result", b"")[0] == 404
+            for sid in (oldest, newest):
                 assert restarted.handle("GET", f"/sessions/{sid}/result", b"")[0] == 200
+            assert pool(restarted).get(oldest).edits_applied == 1
         finally:
             restarted.close()
 

@@ -1,4 +1,4 @@
-"""Sharded serving: hash-ring routing, the in-process worker, and recovery.
+"""Forked workers: hash-ring routing, the worker wire protocol, and recovery.
 
 Three layers under test (see ``docs/serving.md``):
 
@@ -6,8 +6,8 @@ Three layers under test (see ``docs/serving.md``):
   affinity and the rebalance property (a node change moves only that node's
   arcs, about ``1/len(nodes)`` of the key space);
 * :func:`~repro.serve.worker.worker_main` driven on a plain thread over a
-  pipe — the worker wire protocol without forking (resolve, snapshot
-  sharing, the session ops, shard restore);
+  pipe — the worker wire protocol without forking (resolve, the session
+  ops, shard restore);
 * the full front-end + forked workers stack end to end — bit-identical
   responses vs the direct resolver, and SIGKILLed workers respawned with
   their shard replayed from the WAL.
@@ -26,7 +26,7 @@ from repro.datasets import ranieri_extended_graph, ranieri_graph
 from repro.kg.io import json_io
 from repro.serve import ServerConfig, encode_result, stable_view
 from repro.serve.sharding import ConsistentHashRing
-from repro.serve.worker import SNAPSHOT_MISS, worker_main
+from repro.serve.worker import worker_main
 
 
 def stable(payload):
@@ -88,6 +88,11 @@ class TestConsistentHashRing:
             ConsistentHashRing(replicas=0)
 
 
+def create_payload(session_id, document):
+    """A ``create`` op as the front-end sends it, with the body validated."""
+    return {"session_id": session_id, "document": document, "warm_start": False, "cache_size": 8192}
+
+
 @pytest.fixture
 def worker(system):
     """One resolver worker on a plain thread, driven over a real pipe."""
@@ -129,30 +134,9 @@ class TestWorkerInProcess:
         assert status == 200
         assert stable(payload) == stable(encode_result(system.resolve(graph)))
 
-    def test_snapshot_key_round_trip(self, worker):
-        document = json_io.to_dict(ranieri_graph())
-        status, inline = worker("resolve", {"document": document, "snapshot_key": "snap-1"})
-        assert status == 200
-        # Key-only request: served from the worker's snapshot LRU.
-        status, cached = worker("resolve", {"snapshot_key": "snap-1"})
-        assert status == 200
-        assert stable(cached) == stable(inline)
-        status, stats = worker("stats")
-        assert status == 200
-        assert stats["snapshots"]["cached"] == 1
-        assert stats["snapshots"]["hits"] == 1
-        assert stats["snapshots"]["misses"] == 0
-
-    def test_unknown_snapshot_key_answers_miss(self, worker):
-        status, payload = worker("resolve", {"snapshot_key": "never-sent"})
-        assert status == SNAPSHOT_MISS
-        assert "snapshot" in payload["error"]
-        status, _ = worker("ping")  # the worker survives the miss
-        assert status == 200
-
     def test_session_lifecycle_over_the_pipe(self, worker):
         document = json_io.to_dict(ranieri_graph())
-        status, created = worker("create", {"session_id": "s-pipe", "document": document})
+        status, created = worker("create", create_payload("s-pipe", document))
         assert status == 201
         assert created["session_id"] == "s-pipe"
         edit = {
@@ -200,9 +184,7 @@ class TestWorkerInProcess:
         assert restored["edits_skipped"] == 0
         # The restored state answers reads exactly like a live session that
         # was created and then served the same edit.
-        status, created = worker(
-            "create", {"session_id": "s-live", "document": json_io.to_dict(graph)}
-        )
+        status, created = worker("create", create_payload("s-live", json_io.to_dict(graph)))
         assert status == 201
         status, edited = worker("edit", {"session_id": "s-live", "document": edit})
         assert status == 200

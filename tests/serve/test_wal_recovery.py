@@ -249,7 +249,7 @@ class TestInjectedWalFaults:
         status, payload = service.handle("POST", f"/sessions/{sid}/edits", _body(EDIT))
         assert status == 503
         assert payload["retry_after_seconds"] >= 1
-        entry = service.sessions.get(sid)
+        entry = service.handles[0].runtime.sessions.get(sid)  # the in-process worker's
         assert entry.edits_applied == 0
         assert service.wal.append_errors_total == 1
         service.close()

@@ -126,6 +126,69 @@ class TestLockRecognition:
         assert [v.attr for v in found] == ["closed"]
 
 
+class TestFrontEndState:
+    """The front-end and the worker handles carry every request."""
+
+    def test_unlocked_front_end_counters_and_tables_are_flagged(self):
+        found = _violations(
+            """
+            class Service:
+                def drop(self, sid):
+                    self.dropped_connections_total += 1
+                    self.respawns_total += 1
+                    self._routes.pop(sid, None)
+                    self._responses.popitem(last=False)
+                    self.response_cache_hits += 1
+                    self.response_cache_misses += 1
+            """,
+            path="server.py",
+        )
+        assert [v.attr for v in found] == [
+            "dropped_connections_total",
+            "respawns_total",
+            "_routes",
+            "_responses",
+            "response_cache_hits",
+            "response_cache_misses",
+        ]
+
+    def test_routes_and_responses_locks_count(self):
+        assert not _violations(
+            """
+            class Service:
+                def route(self, sid, route):
+                    with self._routes_lock:
+                        self._routes[sid] = route
+                        self.dropped_connections_total += 1
+                def remember(self, key, payload):
+                    with self._responses_lock:
+                        self._responses[key] = payload
+                        self.response_cache_misses += 1
+            """,
+            path="server.py",
+        )
+
+    def test_worker_handle_bookkeeping_needs_its_lock(self):
+        source = """
+        class WorkerHandle:
+            def admit(self):
+                self.inflight += 1
+            def forget(self, request_id):
+                self._calls.pop(request_id, None)
+        """
+        assert [v.attr for v in _violations(source, path="sharding.py")] == ["inflight", "_calls"]
+        assert not _violations(
+            """
+            class WorkerHandle:
+                def admit(self):
+                    with self._lock:
+                        self.inflight += 1
+                        self._calls.pop(0, None)
+            """,
+            path="sharding.py",
+        )
+
+
 class TestExemptions:
     def test_init_is_exempt(self):
         assert not _violations(
@@ -194,3 +257,4 @@ class TestRealServeTree:
     def test_guarded_set_covers_the_serve_state(self):
         # Contract check: the attributes this PR's docs promise are guarded.
         assert {"_entries", "closed", "_handle", "_next_seq", "_queue"} <= GUARDED_ATTRS
+        assert {"_routes", "_responses", "_calls", "inflight"} <= GUARDED_ATTRS

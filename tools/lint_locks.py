@@ -11,7 +11,13 @@ mutation of shared serving state happens under the owning lock:
 * :class:`~repro.serve.wal.WriteAheadLog`'s handle, sequencing state and
   counters mutate under ``self._lock``;
 * :class:`~repro.serve.batcher.MicroBatcher`'s queue, flags and counters
-  mutate under ``self._wakeup`` / ``self._lock``.
+  mutate under ``self._wakeup`` / ``self._lock``;
+* the front-end (:class:`~repro.serve.server.ResolutionService`), which
+  carries every request: its routing table and failure counters mutate
+  under ``self._routes_lock``, its response cache and cache counters under
+  ``self._responses_lock``;
+* :class:`~repro.serve.sharding.WorkerHandle`'s pending calls and
+  in-flight count mutate under ``self._lock``.
 
 "Under the lock" means the mutation has an ancestor that is either a
 ``with <...>.lock / ._lock / ._wakeup:`` block or a ``try`` whose
@@ -79,11 +85,22 @@ GUARDED_ATTRS = frozenset(
         "resolves_total",
         "coalesced_total",
         "max_batch_seen",
+        # ResolutionService (the front-end) — under self._routes_lock …
+        "_routes",
+        "dropped_connections_total",
+        "respawns_total",
+        # … and under self._responses_lock.
+        "_responses",
+        "response_cache_hits",
+        "response_cache_misses",
+        # WorkerHandle — under self._lock.
+        "_calls",
+        "inflight",
     }
 )
 
 #: Final attribute (or bare name) of an expression that counts as a lock.
-LOCK_NAMES = frozenset({"lock", "_lock", "_wakeup"})
+LOCK_NAMES = frozenset({"lock", "_lock", "_wakeup", "_routes_lock", "_responses_lock"})
 
 #: Methods whose docstring contract is "caller holds the lock".
 CALLER_HOLDS_LOCK = frozenset({"_maybe_sync"})
@@ -118,9 +135,6 @@ ALLOWED_UNLOCKED = {
     # The entry was created this call and serving has not started routing
     # edits to it; the counter seed races with nothing.
     ("sessions.py", "restore", "edits_applied"),
-    # Crash recovery replays the log before the HTTP server accepts any
-    # connection — the whole module is single-threaded boot code.
-    ("recovery.py", "recover_sessions", "edits_applied"),
 }
 
 
