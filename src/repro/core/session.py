@@ -16,7 +16,8 @@ retractions into the state and re-resolve at a cost proportional to the
    :class:`~repro.solvers.MAPSolution` returned verbatim — without ever
    materialising their clauses.  Only *dirty* components are built as real
    sub-programs (bit-identical to the slices
-   :func:`repro.logic.decompose.decompose` would produce) and re-solved.
+   :func:`repro.logic.decompose.decompose` would produce) and re-solved, all
+   in one :meth:`~repro.solvers.MAPSolver.solve_components` call.
    The merged objective is evaluated by one arithmetic walk over the plan in
    global clause order, reproducing ``GroundProgram.objective`` float-for-
    float — so the merged solution is bit-identical to
@@ -251,25 +252,33 @@ class ResolutionSession:
         num_atoms = plan.num_atoms
         assignment = [False] * num_atoms
         truth_values = [0.0] * num_atoms
-        dirty = cached = warm_started = 0
+        warm_started = 0
         runtime_sum = 0.0
         iterations_sum = 0
         all_optimal = True
         inner_name = self._solver.name
-        for component in components:
-            solution = self.cache.get(component.key)
-            if solution is None:
-                subprogram = self._materialise(plan, component)
-                solution, warmed = self._solve_component(subprogram)
-                warm_started += warmed
-                self.cache.put(component.key, solution)
-                dirty += 1
+        solutions = [self.cache.get(component.key) for component in components]
+        misses = [index for index, solution in enumerate(solutions) if solution is None]
+        if misses:
+            subprograms = [self._materialise(plan, components[index]) for index in misses]
+            if self._warm_starts():
+                solved = [self._solve_warm(subprogram) for subprogram in subprograms]
+                warm_started = len(solved)
+            else:
+                # All cache misses in one call: a batching back-end pays its
+                # fixed cost once per apply.
+                solved = self._solver.solve_components(subprograms)
+            for index, solution in zip(misses, solved):
+                solutions[index] = solution
+                self.cache.put(components[index].key, solution)
                 # Only work actually performed this step counts as runtime
-                # (cached solutions carry their historical solve stats).
+                # (cached solutions carry their historical solve stats);
+                # the solutions of one call share its runtime.
                 runtime_sum += solution.stats.runtime_seconds
                 iterations_sum += solution.stats.iterations
-            else:
-                cached += 1
+        dirty = len(misses)
+        cached = len(components) - dirty
+        for component, solution in zip(components, solutions):
             soft = solution.truth_values or tuple(
                 1.0 if value else 0.0 for value in solution.assignment
             )
@@ -495,18 +504,18 @@ class ResolutionSession:
         return identities
 
     # ------------------------------------------------------------------ #
-    def _solve_component(self, program: GroundProgram) -> tuple[MAPSolution, int]:
-        """Solve one (sub-)program, warm-starting when enabled and possible."""
-        if (
+    def _warm_starts(self) -> bool:
+        """True when dirty components are seeded with the previous truth values."""
+        return bool(
             self.warm_start
             and self._previous_truth
             and getattr(self._solver, "supports_warm_start", False)
-        ):
-            warm = [
-                self._previous_truth.get(atom.fact.statement_key, 1.0) for atom in program.atoms
-            ]
-            return self._solver.solve(program, warm_start=warm), 1
-        return self._solver.solve(program), 0
+        )
+
+    def _solve_warm(self, program: GroundProgram) -> MAPSolution:
+        """Solve one (sub-)program from the previous solution's truth values."""
+        warm = [self._previous_truth.get(atom.fact.statement_key, 1.0) for atom in program.atoms]
+        return self._solver.solve(program, warm_start=warm)
 
     def _resolve_degraded(
         self, grounding_delta: GroundingDelta, started: float
@@ -520,7 +529,10 @@ class ResolutionSession:
         solution = self.cache.get(key)
         dirty = cached = warm_started = 0
         if solution is None:
-            solution, warm_started = self._solve_component(program)
+            if self._warm_starts():
+                solution, warm_started = self._solve_warm(program), 1
+            else:
+                solution = self._solver.solve(program)
             self.cache.put(key, solution)
             dirty = 1
         else:

@@ -13,7 +13,7 @@ from typing import Union
 
 from ..errors import InvalidFactError
 from ..temporal import TimeInterval
-from .term import IRI, SubjectTerm, Term, term_key, to_subject, to_term
+from .term import IRI, Literal, SubjectTerm, Term, term_key, to_subject, to_term
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -69,6 +69,8 @@ class TemporalFact:
             raise InvalidFactError(
                 f"fact interval must be a TimeInterval, got {type(self.interval).__name__}"
             )
+        if isinstance(self.subject, Literal):
+            raise InvalidFactError(f"literals may not appear in subject position: {self.subject}")
         check_confidence(self.confidence)
         # All fields are immutable, so the statement key can be computed once;
         # it is the hot lookup key of the grounding engine and atom table.

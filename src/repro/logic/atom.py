@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..errors import LogicError
-from ..kg import IRI, TemporalFact, Term
+from ..errors import InvalidFactError, LogicError
+from ..kg import IRI, Literal, TemporalFact, Term
 from ..temporal import CONSTRAINT_PREDICATES, TimeInterval, compare
 from .expressions import Expression
 from .substitution import Substitution
@@ -137,6 +137,9 @@ class QuadAtom:
         obj = resolve_term(self.object, "object")
         if not isinstance(predicate, IRI):
             raise LogicError(f"predicate resolved to non-IRI value {predicate!r}")
+        if isinstance(subject, Literal):
+            # The error TemporalFact raises, so every engine raises alike.
+            raise InvalidFactError(f"{self} puts the literal {subject} in subject position")
 
         if interval is None:
             if isinstance(self.interval, Variable):

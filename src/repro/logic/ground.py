@@ -287,6 +287,34 @@ class GroundProgram:
         self._literal_signs.frombytes(np.asarray(literal_signs, dtype=bool).tobytes())
         self._arrays = None
 
+    @classmethod
+    def stack(cls, programs: Sequence["GroundProgram"]) -> "GroundProgram":
+        """``programs`` side by side as one program, to be solved in one call.
+
+        Atom ``i`` of a program becomes atom ``offset + i`` of the stack,
+        where ``offset`` counts the atoms of the programs before it; clauses
+        follow in program order, their columns copied.  No clause links two
+        programs, so the stack's components are the programs' components.
+        Atoms are not registered by statement key (two programs may hold the
+        same fact), so :meth:`atom_for` finds none of them.
+        """
+        stacked = cls()
+        atoms = stacked.atoms
+        for program in programs:
+            offset = len(atoms)
+            atoms.extend(
+                GroundAtom(offset + atom.index, atom.fact, atom.is_evidence, atom.derived_by)
+                for atom in program.atoms
+            )
+            codes = [stacked.origin_code(kind, origin) for kind, origin in program._origins]
+            stacked._clause_lengths.extend(program._clause_lengths)
+            stacked._clause_weights.extend(program._clause_weights)
+            stacked._clause_codes.extend(codes[code] for code in program._clause_codes)
+            shifted = np.array(program._literal_atoms, dtype=np.int64) + offset
+            stacked._literal_atoms.frombytes(shifted.tobytes())
+            stacked._literal_signs.extend(program._literal_signs)
+        return stacked
+
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #

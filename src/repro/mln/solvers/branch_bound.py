@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ...errors import InfeasibleProgramError
 from ...logic.ground import GroundProgram
@@ -144,9 +143,14 @@ class BranchAndBoundSolver(MAPSolver):
     # Bounds and heuristics
     # ------------------------------------------------------------------ #
     def _bound(self, encoding: ILPEncoding, fixed: dict[int, int]) -> Optional[float]:
-        """Optimistic objective bound for a partial assignment (None ⇒ prune)."""
+        """Optimistic objective bound for a partial assignment (None ⇒ prune).
+
+        scipy's optimizer is imported here, so only an LP bound loads it.
+        """
         if not self.use_lp_bound:
             return float(np.maximum(encoding.objective, 0.0).sum()) + encoding.offset
+        from scipy.optimize import linprog
+
         lower = np.zeros(encoding.num_variables)
         upper = np.ones(encoding.num_variables)
         for index, value in fixed.items():

@@ -41,6 +41,7 @@ from ...errors import InfeasibleProgramError
 from ...logic.arrays import GroundProgramArrays, ragged_slices
 from ...logic.ground import GroundProgram
 from ...solvers import MAPSolution, SolverStats
+from ...solvers.base import split_stacked_solution
 from .maxwalksat import MaxWalkSATSolver
 
 
@@ -218,6 +219,17 @@ class ArrayMaxWalkSATSolver(MaxWalkSATSolver):
             stats=stats,
             truth_values=tuple(1.0 if value else 0.0 for value in final),
         )
+
+    def solve_components(self, programs: Sequence[GroundProgram]) -> list[MAPSolution]:
+        """Solve ``programs`` as one stack with one run of the kernel, then split.
+
+        The kernel already schedules one move per component per step, so
+        the stack costs one flip budget instead of one per program.
+        """
+        if len(programs) <= 1:
+            return [self.solve(program) for program in programs]
+        stacked = GroundProgram.stack(programs)
+        return split_stacked_solution(programs, stacked, self.solve(stacked))
 
     # ------------------------------------------------------------------ #
     def _batch_step(

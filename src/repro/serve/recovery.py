@@ -30,7 +30,10 @@ Replay semantics
   resolutions; they carry no session state and fold away.
 * When more live sessions survive in the log than ``max_sessions``, only
   the most recently active ones are restored (the admission bound the
-  front-end applies online); the rest are reported as ``sessions_skipped``.
+  front-end applies online); the rest are reported as ``sessions_skipped``
+  and the boot appends a ``delete`` record for each before it admits
+  traffic.  A skipped session therefore stays gone: compaction drops it,
+  and a later restart with a larger bound does not bring it back.
 
 Sessions are restored in last-activity order.
 

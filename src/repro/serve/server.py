@@ -70,7 +70,13 @@ from .protocol import (
     decode_json,
     encode_result,
 )
-from .recovery import RecoveryReport, compact_records, decode_edit_record, fold_records
+from .recovery import (
+    FoldState,
+    RecoveryReport,
+    compact_records,
+    decode_edit_record,
+    fold_records,
+)
 from .sessions import SessionEntry, SessionPool, UnknownSessionError
 from .sharding import (
     CALL_TIMEOUT_GRACE,
@@ -728,7 +734,13 @@ class ResolutionService(ServiceCore):
             self.last_replay = report.as_dict()
 
     def _replay_boot(self, records: list[dict[str, Any]], torn: bool) -> RecoveryReport:
-        """Start-up recovery: replay every shard into its owning worker."""
+        """Start-up recovery: replay every shard into its owning worker.
+
+        The sessions skipped over ``max_sessions`` get a ``delete`` record
+        before any traffic is admitted, so the skip is durable: a client
+        that saw such a session answer 404 never sees it again, neither
+        after a compaction nor after a restart with a larger bound.
+        """
         combined = RecoveryReport(
             wal_dir=self.config.wal_dir or "",
             records_scanned=len(records),
@@ -749,8 +761,18 @@ class ResolutionService(ServiceCore):
             combined.edits_skipped += report.edits_skipped
             combined.sessions_deleted = report.sessions_deleted
             combined.resolves_logged = report.resolves_logged
+        assert self.wal is not None  # a boot replay reads the log
+        for sid in self._skipped_sessions(fold_records(records)):
+            self.wal.append({"kind": "delete", "session_id": sid})
         combined.duration_seconds = time.perf_counter() - started
         return combined
+
+    def _skipped_sessions(self, state: FoldState) -> list[str]:
+        """The live sessions of a folded log beyond the ``max_sessions`` most
+        recently active, least recently active first."""
+        survivors = sorted(state.sessions.values(), key=lambda fold: fold.last_seq)
+        surplus = max(len(survivors) - self.config.max_sessions, 0)
+        return [fold.session_id for fold in survivors[:surplus]]
 
     def _replay_shard(
         self, handle: Any, records: list[dict[str, Any]], torn: bool
@@ -770,13 +792,12 @@ class ResolutionService(ServiceCore):
         state = fold_records(records)
         report.sessions_deleted = len(state.deleted)
         report.resolves_logged = state.resolves
-        survivors = sorted(state.sessions.values(), key=lambda fold: fold.last_seq)
-        surplus = len(survivors) - self.config.max_sessions
+        skipped = set(self._skipped_sessions(state))
         restored: set[str] = set()
-        for position, fold in enumerate(survivors):
+        for fold in sorted(state.sessions.values(), key=lambda fold: fold.last_seq):
             if self.ring.lookup(fold.session_id) != handle.node:
                 continue
-            if position < surplus:
+            if fold.session_id in skipped:
                 report.sessions_skipped += 1
                 continue
             try:

@@ -18,8 +18,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..errors import SolverError
 from ..kg import TemporalFact
+from ..logic.arrays import GroundProgramArrays, ordered_weight_sum
 from ..logic.ground import GroundProgram
 from .capabilities import SolverCapabilities
 
@@ -103,6 +106,17 @@ class MAPSolver(abc.ABC):
     def solve(self, program: GroundProgram) -> MAPSolution:
         """Compute the MAP state of ``program``."""
 
+    def solve_components(self, programs: Sequence[GroundProgram]) -> list[MAPSolution]:
+        """MAP states of independent programs, one solution per program, in order.
+
+        Callers that split a program into components (``DecomposedSolver``,
+        sessions) hand all of them over in one call.  This default solves
+        each in turn; a back-end with a fixed cost per call stacks them and
+        solves once (:func:`split_stacked_solution`).  Summing the runtime
+        and iterations of one call's solutions counts the call once.
+        """
+        return [self.solve(program) for program in programs]
+
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
@@ -124,3 +138,48 @@ class MAPSolver(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def split_stacked_solution(
+    programs: Sequence[GroundProgram], stacked: GroundProgram, solution: MAPSolution
+) -> list[MAPSolution]:
+    """Split a solution of ``GroundProgram.stack(programs)`` into one per program.
+
+    Each program gets its slice of the assignment and truth values, and its
+    own objective: its satisfied soft weights summed in its clause order, as
+    :meth:`GroundProgram.objective` sums them.  The stack's stats are
+    shared: runtime and iterations are divided evenly (so summing the
+    solutions counts the stacked solve once), ``optimal`` is the stack's,
+    and a program's bound is its objective plus the stack's gap.
+    """
+    stats = solution.stats
+    arrays = GroundProgramArrays.from_program(stacked)
+    soft = np.flatnonzero(arrays.satisfied_mask(solution.assignment) & ~arrays.is_hard)
+    atom_ends = np.cumsum([program.num_atoms for program in programs]).tolist()
+    clause_ends = np.cumsum([program.num_clauses for program in programs])
+    soft_ends = np.searchsorted(soft, clause_ends).tolist()
+    gap = None if stats.objective_bound is None else stats.objective_bound - solution.objective
+    share, remainder = divmod(stats.iterations, len(programs))
+    truth = solution.truth_values or tuple(1.0 if value else 0.0 for value in solution.assignment)
+    solutions = []
+    atom_start = soft_start = 0
+    for index, (program, atom_end, soft_end) in enumerate(zip(programs, atom_ends, soft_ends)):
+        objective = ordered_weight_sum(arrays.weight_list, soft[soft_start:soft_end])
+        solutions.append(
+            MAPSolution(
+                assignment=solution.assignment[atom_start:atom_end],
+                objective=objective,
+                stats=SolverStats(
+                    solver=stats.solver,
+                    runtime_seconds=stats.runtime_seconds / len(programs),
+                    iterations=share + (index < remainder),
+                    atoms=program.num_atoms,
+                    clauses=program.num_clauses,
+                    optimal=stats.optimal,
+                    objective_bound=None if gap is None else objective + gap,
+                ),
+                truth_values=truth[atom_start:atom_end],
+            )
+        )
+        atom_start, soft_start = atom_end, soft_end
+    return solutions

@@ -2,9 +2,9 @@
 
 :class:`DecomposedSolver` wraps any :class:`~repro.solvers.base.MAPSolver`:
 it splits the ground program into the connected components of its
-interaction graph (:mod:`repro.logic.decompose`), solves each component with
-the wrapped back-end in turn, and merges the per-component solutions into one
-global MAP state.
+interaction graph (:mod:`repro.logic.decompose`), hands all components to the
+wrapped back-end in one :meth:`~repro.solvers.base.MAPSolver.solve_components`
+call, and merges the per-component solutions into one global MAP state.
 
 The wrapper is exact for exact back-ends: components never share a clause,
 so the global optimum is the union of the component optima.  For stochastic
@@ -57,7 +57,9 @@ class DecomposedSolver(MAPSolver):
             # hand the untouched program straight to the back-end.
             return self._inner.solve(program)
 
-        solutions = [self._inner.solve(component.program) for component in decomposition.components]
+        solutions = self._inner.solve_components(
+            [component.program for component in decomposition.components]
+        )
         merged = decomposition.merge(solutions)
         self._check_feasibility(program, merged.assignment)
         # Report wall-clock time of the whole decomposed solve (the merged

@@ -153,6 +153,11 @@ TERMS = [
 LATE_TERMS = [IRI("M"), Literal("8", "integer"), BlankNode("m"), IRI("0")]
 
 terms = st.sampled_from(TERMS)
+#: Terms valid in subject position: a fact never has a literal subject.
+subjects = st.sampled_from([term for term in TERMS if not isinstance(term, Literal)])
+late_subjects = st.sampled_from(
+    [term for term in TERMS + LATE_TERMS if not isinstance(term, Literal)]
+)
 spans = st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda span: (span[0], sum(span)))
 
 
@@ -200,9 +205,9 @@ def append_by_id(store, facts, round_number):
 
 class TestRankArray:
     @given(
-        evidence=facts_over(terms, terms),
-        derived=facts_over(terms, terms),
-        late=facts_over(st.sampled_from(TERMS + LATE_TERMS), st.sampled_from(TERMS + LATE_TERMS)),
+        evidence=facts_over(subjects, terms),
+        derived=facts_over(subjects, terms),
+        late=facts_over(late_subjects, st.sampled_from(TERMS + LATE_TERMS)),
     )
     @settings(max_examples=150, deadline=None)
     def test_rank_array_orders_like_sort_keys(self, evidence, derived, late):

@@ -5,7 +5,16 @@ import math
 import pytest
 
 from repro.errors import InvalidFactError
-from repro.kg import CERTAIN_LOG_WEIGHT, IRI, TemporalFact, Triple, coerce_fact, make_fact
+from repro.kg import (
+    CERTAIN_LOG_WEIGHT,
+    IRI,
+    Literal,
+    TemporalFact,
+    TemporalKnowledgeGraph,
+    Triple,
+    coerce_fact,
+    make_fact,
+)
 from repro.temporal import TimeInterval
 
 
@@ -55,6 +64,15 @@ class TestTemporalFactValidation:
     def test_non_interval_rejected(self):
         with pytest.raises(InvalidFactError):
             TemporalFact(IRI("a"), IRI("p"), IRI("b"), (1, 2), 0.5)  # type: ignore[arg-type]
+
+    def test_literal_subject_rejected(self):
+        # As make_fact's subject coercion rejects one, so a graph never holds one.
+        with pytest.raises(InvalidFactError):
+            TemporalFact(Literal("x"), IRI("p"), IRI("o"), TimeInterval(1, 2), 0.9)
+        graph = TemporalKnowledgeGraph()
+        with pytest.raises(InvalidFactError):
+            graph.add(TemporalFact(Literal("x"), IRI("p"), IRI("o"), TimeInterval(1, 2), 0.9))
+        assert len(graph) == 0
 
 
 class TestFactProperties:

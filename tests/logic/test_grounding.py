@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import GroundingError
-from repro.kg import TemporalKnowledgeGraph, make_fact
+from repro.errors import GroundingError, InvalidFactError
+from repro.kg import Literal, TemporalKnowledgeGraph, make_fact
 from repro.logic import (
     DEFAULT_ENGINE,
     ClauseKind,
@@ -11,10 +11,12 @@ from repro.logic import (
     find_conflicts,
     ground,
     make_grounder,
+    parse_rule,
     running_example_constraints,
     running_example_rules,
 )
 from repro.logic.builder import ConstraintBuilder, disjoint, not_equal, quad
+from repro.logic.grounding import GROUNDING_ENGINES
 from repro.logic.library import constraint_c2, rule_f1
 
 
@@ -203,3 +205,25 @@ class TestFindConflicts:
         graph.add(("CR", "coach", "Napoli", (2001, 2003), 0.6))
         violations = find_conflicts(graph, [constraint_c2()])
         assert len(violations) == 1
+
+
+class TestLiteralHeadSubject:
+    """A rule whose head subject binds a literal derives no fact in any engine."""
+
+    @pytest.mark.parametrize("engine", sorted(GROUNDING_ENGINES))
+    def test_every_engine_raises_invalid_fact_error(self, engine):
+        rule = parse_rule("flip: quad(x, hasP, y, t) -> quad(y, hasQ, x, t) w=1.0")
+        graph = TemporalKnowledgeGraph()
+        graph.add(make_fact("a", "hasP", Literal("lit"), (1, 2), 0.9))
+        with pytest.raises(InvalidFactError, match="subject position"):
+            make_grounder(engine, graph, [rule]).ground()
+
+    @pytest.mark.parametrize("engine", sorted(GROUNDING_ENGINES))
+    def test_iri_objects_still_flip(self, engine):
+        rule = parse_rule("flip: quad(x, hasP, y, t) -> quad(y, hasQ, x, t) w=1.0")
+        graph = TemporalKnowledgeGraph()
+        graph.add(make_fact("a", "hasP", "b", (1, 2), 0.9))
+        program = make_grounder(engine, graph, [rule]).ground().program
+        assert make_fact("b", "hasQ", "a", (1, 2)).statement_key in {
+            atom.fact.statement_key for atom in program.atoms
+        }

@@ -24,6 +24,7 @@ import pytest
 from repro.datasets import ranieri_graph
 from repro.kg.io import json_io
 from repro.serve import ServerConfig
+from repro.serve.recovery import compact_records
 from repro.serve.server import ResolutionService
 from repro.serve.sessions import SessionPool, UnknownSessionError
 from repro.serve.wal import scan_wal_dir
@@ -206,6 +207,48 @@ class TestAdmission:
             assert pool(restarted).get(oldest).edits_applied == 1
         finally:
             restarted.close()
+
+    def test_a_skipped_session_stays_gone(self, system, tmp_path):
+        # Skipped at a restart with a smaller bound, then through a
+        # compaction and a restart with a larger bound: 404 every time.
+        service = self._durable_service(system, tmp_path, max_sessions=3)
+        skipped, kept, newest = (_create_session(service) for _ in range(3))
+        service.close()
+
+        restarted = self._durable_service(system, tmp_path, max_sessions=2)
+        try:
+            assert restarted.recovery.sessions_skipped == 1
+            assert restarted.handle("GET", f"/sessions/{skipped}/result", b"")[0] == 404
+            restarted.wal.compact(compact_records)
+        finally:
+            restarted.close()
+        records, _, _ = scan_wal_dir(str(tmp_path))
+        assert sorted(record["session_id"] for record in records) == sorted((kept, newest))
+
+        enlarged = self._durable_service(system, tmp_path, max_sessions=8)
+        try:
+            assert enlarged.recovery.sessions_restored == 2
+            assert enlarged.recovery.sessions_skipped == 0
+            assert enlarged.handle("GET", f"/sessions/{skipped}/result", b"")[0] == 404
+            for sid in (kept, newest):
+                assert enlarged.handle("GET", f"/sessions/{sid}/result", b"")[0] == 200
+        finally:
+            enlarged.close()
+
+    def test_skipped_sessions_are_deleted_in_the_log_before_traffic(self, system, tmp_path):
+        service = self._durable_service(system, tmp_path, max_sessions=3)
+        sids = [_create_session(service) for _ in range(3)]
+        service.close()
+        restarted = self._durable_service(system, tmp_path, max_sessions=1)
+        try:
+            assert restarted.recovery.sessions_skipped == 2
+        finally:
+            restarted.close()
+        records, _, _ = scan_wal_dir(str(tmp_path))
+        assert [(record["kind"], record["session_id"]) for record in records[3:]] == [
+            ("delete", sids[0]),
+            ("delete", sids[1]),
+        ]
 
     def test_deleted_session_is_never_resurrected(self, system, tmp_path):
         service = self._durable_service(system, tmp_path, max_sessions=2)
