@@ -130,6 +130,91 @@ class DeltaStatistics:
         }
 
 
+class ResultGraphs:
+    """The input, consistent and expanded graphs and the conflict table of a result.
+
+    A one-shot resolve hands all four over built.  A session result's are
+    built on first read from an immutable capture of the session state at
+    the apply (:class:`repro.core.session.ResolutionSession`): a subclass
+    leaves them ``None`` and implements the ``_build_*`` hooks.  A built
+    object is assigned only once complete, so a reader on another thread —
+    even one reading after the session's next apply — sees it whole or
+    builds an equal one itself.
+    """
+
+    __slots__ = ("_input_graph", "_consistent_graph", "_expanded_graph", "_violations")
+
+    def __init__(
+        self,
+        input_graph: TemporalKnowledgeGraph | None = None,
+        consistent_graph: TemporalKnowledgeGraph | None = None,
+        expanded_graph: TemporalKnowledgeGraph | None = None,
+        violations: ConflictTable | None = None,
+    ) -> None:
+        self._input_graph = input_graph
+        self._consistent_graph = consistent_graph
+        self._expanded_graph = expanded_graph
+        self._violations = violations
+
+    @property
+    def input_graph(self) -> TemporalKnowledgeGraph:
+        graph = self._input_graph
+        if graph is None:
+            graph = self._input_graph = self._build_input_graph()
+        return graph
+
+    @property
+    def consistent_graph(self) -> TemporalKnowledgeGraph:
+        graph = self._consistent_graph
+        if graph is None:
+            graph = self._consistent_graph = self._build_consistent_graph()
+        return graph
+
+    @property
+    def expanded_graph(self) -> TemporalKnowledgeGraph:
+        graph = self._expanded_graph
+        if graph is None:
+            graph = self._expanded_graph = self._build_expanded_graph()
+        return graph
+
+    @property
+    def violations(self) -> ConflictTable:
+        table = self._violations
+        if table is None:
+            table = self._violations = self._build_violations()
+        return table
+
+    @property
+    def name(self) -> str:
+        """The input graph's name."""
+        return self.input_graph.name
+
+    def by_constraint(self) -> dict[str, int]:
+        """Number of violations per constraint name, in order of first violation."""
+        return self.violations.by_constraint()
+
+    def renamed(self, name: str) -> "ResultGraphs":
+        """The same graphs under ``name`` (``{name}-consistent``, ``{name}-inferred``)."""
+        return ResultGraphs(
+            self.input_graph.copy(name=name),
+            self.consistent_graph.copy(name=f"{name}-consistent"),
+            self.expanded_graph.copy(name=f"{name}-inferred"),
+            self.violations,
+        )
+
+    def _build_input_graph(self) -> TemporalKnowledgeGraph:
+        raise NotImplementedError
+
+    def _build_consistent_graph(self) -> TemporalKnowledgeGraph:
+        raise NotImplementedError
+
+    def _build_expanded_graph(self) -> TemporalKnowledgeGraph:
+        raise NotImplementedError
+
+    def _build_violations(self) -> ConflictTable:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
 class ResolutionResult:
     """Everything produced by one TeCoRe resolution run.
@@ -155,6 +240,9 @@ class ResolutionResult:
         The raw MAP solution (assignment, objective, solver statistics).
     statistics:
         Aggregated numbers for the statistics panel.
+    graphs:
+        Where the three graphs and the violations come from
+        (:class:`ResultGraphs`); a session result builds them on first read.
     delta:
         For results produced by an incremental
         :class:`~repro.core.session.ResolutionSession`, the edit and cache
@@ -162,17 +250,36 @@ class ResolutionResult:
         one-shot resolutions.
     """
 
-    input_graph: TemporalKnowledgeGraph
-    consistent_graph: TemporalKnowledgeGraph
-    expanded_graph: TemporalKnowledgeGraph
     removed_facts: tuple[TemporalFact, ...]
     inferred_facts: tuple[TemporalFact, ...]
-    violations: ConflictTable
-    conflicting_facts: tuple[TemporalFact, ...]
     solution: MAPSolution
     statistics: ResolutionStatistics
+    graphs: ResultGraphs
     inferred_below_threshold: tuple[TemporalFact, ...] = field(default_factory=tuple)
     delta: DeltaStatistics | None = None
+
+    # ------------------------------------------------------------------ #
+    # Graphs and violations (see ResultGraphs)
+    # ------------------------------------------------------------------ #
+    @property
+    def input_graph(self) -> TemporalKnowledgeGraph:
+        return self.graphs.input_graph
+
+    @property
+    def consistent_graph(self) -> TemporalKnowledgeGraph:
+        return self.graphs.consistent_graph
+
+    @property
+    def expanded_graph(self) -> TemporalKnowledgeGraph:
+        return self.graphs.expanded_graph
+
+    @property
+    def violations(self) -> ConflictTable:
+        return self.graphs.violations
+
+    @property
+    def conflicting_facts(self) -> tuple[TemporalFact, ...]:
+        return self.graphs.violations.facts
 
     # ------------------------------------------------------------------ #
     # Convenience accessors
@@ -196,12 +303,12 @@ class ResolutionResult:
 
     def violations_by_constraint(self) -> dict[str, int]:
         """Number of grounded violations per constraint name."""
-        return self.violations.by_constraint()
+        return self.graphs.by_constraint()
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (used by the CLI and benchmark harnesses)."""
         summary = {
-            "graph": self.input_graph.name,
+            "graph": self.graphs.name,
             "statistics": self.statistics.as_dict(),
             "violations_by_constraint": self.violations_by_constraint(),
             "removed_facts": [str(fact) for fact in self.removed_facts],

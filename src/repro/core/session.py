@@ -3,31 +3,41 @@
 A :class:`ResolutionSession` is the serving shape of the paper's iterative
 debugging loop: resolve once, then fold streams of fact insertions and
 retractions into the state and re-resolve at a cost proportional to the
-*change*, not the graph.  Three layers cooperate:
+*change*, not the graph.  Four layers cooperate:
 
 1. :class:`~repro.logic.incremental.IncrementalGrounder` maintains the match
    state of the ground program under the edits (delta joins for insertions,
-   support-set retraction for removals) and exposes it as an
-   :class:`~repro.logic.incremental.EmissionPlan` — the program in semantic
-   form, ordered exactly as a from-scratch grounding would emit it.
-2. A **component-level solution cache**: the plan is split into the
-   connected components of its interaction graph *at the statement-key
-   level*, so untouched components are recognised — and their cached
-   :class:`~repro.solvers.MAPSolution` returned verbatim — without ever
-   materialising their clauses.  Only *dirty* components are built as real
-   sub-programs (bit-identical to the slices
-   :func:`repro.logic.decompose.decompose` would produce) and re-solved, all
-   in one :meth:`~repro.solvers.MAPSolver.solve_components` call.
-   The merged objective is evaluated by one arithmetic walk over the plan in
-   global clause order, reproducing ``GroundProgram.objective`` float-for-
-   float — so the merged solution is bit-identical to
+   support-set retraction for removals) split into connected components,
+   and names the components each edit dirtied and retired.
+2. Only dirty components are re-emitted
+   (:meth:`~repro.logic.incremental.IncrementalGrounder.emit_component`),
+   split into *solver components* (connected components of the emitted
+   clauses) and keyed by content.  A **component-level solution cache**
+   answers the keys it has seen; the misses are built as real sub-programs
+   (bit-identical to the slices :func:`repro.logic.decompose.decompose`
+   would produce) and solved in one
+   :meth:`~repro.solvers.MAPSolver.solve_components` call.  Every clean
+   component keeps what the last apply computed for it: its share of the
+   assignment and truth values, its exact objective partial, its clause
+   identities and its conflict counts.
+3. The objective is the correctly rounded exact sum of the satisfied soft
+   weights, as :meth:`~repro.logic.ground.GroundProgram.objective` defines
+   it.  Each component keeps its partial exactly, as an integer count of
+   ``2**-1074`` (:func:`~repro.logic.ground.exact_units`), and the session
+   rounds the running total once, so no step needs global clause order and
+   the merged solution is bit-identical to
    :class:`~repro.solvers.DecomposedSolver` over a from-scratch translation.
-3. Optional **warm starts**: dirty components can seed the back-end with the
-   previous solution's truth values (restricted to the component's atoms by
-   statement key) when the back-end advertises
-   :attr:`~repro.solvers.MAPSolver.supports_warm_start` — the previous
-   assignment for MaxWalkSAT, an incumbent for branch & bound, the initial
-   consensus vector for ADMM.
+4. Result graphs and the conflict table are built on first read from an
+   immutable capture taken at the apply; the statistics are eager, from
+   counters maintained per component.  Only plain list work stays
+   proportional to the graph: the assignment in global atom order and the
+   removed and inferred facts in order.
+
+Optional **warm starts** seed dirty components with the previous solution's
+truth values (restricted to the component's atoms by statement key) when the
+back-end advertises :attr:`~repro.solvers.MAPSolver.supports_warm_start` —
+the previous assignment for MaxWalkSAT, an incumbent for branch & bound, the
+initial consensus vector for ADMM.
 
 Sessions are created through :meth:`repro.core.tecore.TeCoRe.session`;
 ``tecore watch`` drives one from a change-stream file, and
@@ -37,25 +47,37 @@ into session edits.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import replace
+from itertools import chain, compress, islice
+from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..kg import TemporalKnowledgeGraph
+from ..kg import TemporalFact, TemporalKnowledgeGraph
 from ..kg.triple import FactLike
 from ..logic.decompose import _UnionFind
-from ..logic.ground import ClauseKind, GroundProgram, nonzero_weight
+from ..logic.ground import ClauseKind, GroundProgram, exact_units, units_to_float
 from ..logic.grounding import ConflictTable
-from ..logic.incremental import EmissionPlan, GroundingDelta, IncrementalGrounder
+from ..logic.incremental import (
+    ComponentEmission,
+    GroundingDelta,
+    IncrementalGrounder,
+    MaintainedComponent,
+    _FiringRecord,
+    _ViolationRecord,
+    violation_order,
+)
 from ..solvers import MAPSolution, SolverStats
 from .registry import make_solver, solver_capabilities, solver_family
 from .result import (
     DeltaStatistics,
     ResolutionResult,
     ResolutionStatistics,
-    conflict_statistics,
+    ResultGraphs,
 )
 from .threshold import ThresholdFilter
 
@@ -104,23 +126,12 @@ class ComponentSolutionCache:
         self.misses = 0
 
 
-class _Component:
-    """One connected component of the plan's interaction graph (semantic)."""
-
-    __slots__ = ("atom_indices", "firings", "violations", "key")
-
-    def __init__(self) -> None:
-        self.atom_indices: list[int] = []
-        self.firings: list = []  # (record, emit_prior) pairs, global order
-        self.violations: list = []  # records, global order
-        self.key: tuple = ()
-
-
 def component_content_key(program: GroundProgram) -> tuple:
     """Order-sensitive content identity of a materialised (sub-)program.
 
     Used by the degraded session path (and tests); the fast path computes
-    the equivalent identity from the emission plan without building clauses.
+    the equivalent identity from a component's emission without building
+    clauses (:meth:`ResolutionSession._emit`).
     A key collision implies content equality, which is what makes returning
     a cached solution for it sound.
     """
@@ -134,6 +145,178 @@ def component_content_key(program: GroundProgram) -> tuple:
             for clause in program.clauses
         ),
     )
+
+
+class _SolverComponent:
+    """One connected component of a dirty component's emitted clauses.
+
+    What gets keyed, cached and solved.  Atoms are ``(statement key, fact,
+    is_evidence, derived_by)`` in local order (the global atom order
+    restricted to the component, so an evidence atom comes first); firings
+    ``(record, emit_prior)`` and violations are in global emission order.
+    """
+
+    __slots__ = ("atoms", "firings", "violations", "key", "program", "solution")
+
+    def __init__(self) -> None:
+        self.atoms: list[tuple[tuple, TemporalFact, bool, Optional[str]]] = []
+        self.firings: list[tuple[_FiringRecord, bool]] = []
+        self.violations: list[_ViolationRecord] = []
+        self.key: tuple = ()
+        self.program: Optional[GroundProgram] = None
+        self.solution: Optional[MAPSolution] = None
+
+
+class _Part:
+    """What a session keeps for one maintained component between applies.
+
+    The component's emission, the exact objective partial of its solver
+    components' solutions (``units``, see :func:`exact_units`), how many of
+    those solutions are not optimal, its shares of the session's
+    :data:`_TOTALS` (``counts``) and its violations per constraint index.
+    Its solutions themselves live on in the session's assignment and truth
+    values, and in the cache under their content keys.
+    """
+
+    __slots__ = ("emission", "units", "suboptimal", "counts", "by_constraint")
+
+    def __init__(self, emission: ComponentEmission) -> None:
+        self.emission = emission
+        self.units = 0
+        self.suboptimal = 0
+        self.counts: tuple[int, ...] = ()
+        self.by_constraint: dict[int, int] = {}
+
+    def derived(self):
+        """``(order, statement key, fact)`` of each derived atom, in order."""
+        return [
+            (order, record.head_key, record.head)
+            for order, record, first in self.emission.firings
+            if first
+        ]
+
+    def atom_keys(self):
+        """Statement keys of the component's atoms."""
+        emission = self.emission
+        yield from (fact.statement_key for fact in emission.evidence)
+        yield from (record.head_key for _, record, first in emission.firings if first)
+
+    def clause_ids(self, emit_priors: bool) -> set:
+        """Content identities of the component's clauses (delta statistics)."""
+        emission = self.emission
+        ids = {("evidence", fact.statement_key, fact.confidence) for fact in emission.evidence}
+        for _, record, first in emission.firings:
+            ids.add(record.signature)
+            if first and emit_priors:
+                ids.add(("prior", record.head_key, record.rule_name))
+        ids.update(record.signature for record in emission.violations)
+        return ids
+
+
+#: The per-component counters a session sums, in :attr:`_Part.counts` order.
+_TOTALS = (
+    "atoms",
+    "clauses",
+    "solver_components",
+    "violations",
+    "hard_violations",
+    "conflicting_facts",
+)
+_CLAUSES = _TOTALS.index("clauses")
+
+
+class _CapturedGraphs(ResultGraphs):
+    """A session result's graphs and conflict table, built on first read.
+
+    The capture aliases no mutable session state: the evidence facts and
+    their insertion ticks are dict copies, the removed keys, inferred facts
+    and each component's violation records immutable tuples.  The
+    violations of the result, and their per-constraint counts, are those of
+    a from-scratch grounding of the captured graph.
+    """
+
+    __slots__ = (
+        "_name",
+        "_domain",
+        "_facts",
+        "_ticks",
+        "_tick",
+        "_removed_keys",
+        "_inferred",
+        "_records",
+        "_constraints",
+        "_counts",
+    )
+
+    def __init__(
+        self,
+        graph: TemporalKnowledgeGraph,
+        removed_keys: tuple[tuple, ...],
+        inferred: tuple[TemporalFact, ...],
+        records: tuple[tuple[_ViolationRecord, ...], ...],
+        constraints: tuple,
+        counts: tuple[int, ...],
+    ) -> None:
+        super().__init__()
+        self._name = graph.name
+        self._domain = graph.domain
+        self._facts = dict(graph._facts)
+        self._ticks = dict(graph._added_at)
+        self._tick = graph._tick
+        self._removed_keys = removed_keys
+        self._inferred = inferred
+        self._records = records
+        self._constraints = constraints
+        self._counts = counts
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def by_constraint(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for constraint, count in zip(self._constraints, self._counts):
+            if count:
+                counts[constraint.name] = counts.get(constraint.name, 0) + count
+        return counts
+
+    def renamed(self, name: str) -> "_CapturedGraphs":
+        clone = copy.copy(self)
+        clone._name = name
+        clone._input_graph = clone._consistent_graph = clone._expanded_graph = None
+        return clone
+
+    def _build_input_graph(self) -> TemporalKnowledgeGraph:
+        # As TemporalKnowledgeGraph.copy builds one: facts and ticks kept.
+        graph = TemporalKnowledgeGraph(name=self._name, domain=self._domain)
+        graph._facts = dict(self._facts)
+        graph._added_at = dict(self._ticks)
+        graph._tick = self._tick
+        return graph
+
+    def _build_consistent_graph(self) -> TemporalKnowledgeGraph:
+        return self.input_graph.without_statements(
+            self._removed_keys, name=f"{self._name}-consistent"
+        )
+
+    def _build_expanded_graph(self) -> TemporalKnowledgeGraph:
+        expanded = self.consistent_graph.copy(name=f"{self._name}-inferred")
+        expanded.add_all(self._inferred)
+        return expanded
+
+    def _build_violations(self) -> ConflictTable:
+        # Match-time fact snapshots give way to the captured evidence, so
+        # violations show the confidences the graph held at the apply.
+        facts = self._facts
+        constraints = self._constraints
+        return ConflictTable.from_violations(
+            (
+                constraints[record.constraint_index].name,
+                constraints[record.constraint_index].weight,
+                tuple(facts.get(fact.statement_key, fact) for fact in record.facts),
+            )
+            for record in sorted(chain.from_iterable(self._records), key=violation_order)
+        )
 
 
 class ResolutionSession:
@@ -176,7 +359,8 @@ class ResolutionSession:
         #: match state, the solution cache, and ``result`` all mutate on
         #: :meth:`apply`.  Concurrent callers (the serving session pool)
         #: must hold this lock around ``apply``/``result`` accesses; direct
-        #: single-threaded use can ignore it.
+        #: single-threaded use can ignore it.  A result's graphs may be
+        #: read without it, also after the next apply (see ResultGraphs).
         self.lock = threading.RLock()
         self._grounder = IncrementalGrounder(
             graph,
@@ -195,10 +379,21 @@ class ResolutionSession:
         self._family = solver_family(system.solver)
         self._threshold = ThresholdFilter(system.threshold)
         self.cache = ComponentSolutionCache(max_entries=cache_size)
-        self._previous_truth: dict[tuple, float] = {}
-        self._previous_clauses: set = set()
+        # What the last apply computed, per maintained component, and the
+        # sums over all of them.
+        self._parts: dict[MaintainedComponent, _Part] = {}
+        self._units = 0
+        self._suboptimal = 0
+        self._totals = dict.fromkeys(_TOTALS, 0)
+        self._constraint_counts = [0] * len(self._grounder.constraints)
+        # Assignment and truth value of every atom, by statement key (warm
+        # starts read the truth values), and the derived atoms in global
+        # order as (order, statement key, fact); see _Part.derived.
+        self._values: dict[tuple, bool] = {}
+        self._truth: dict[tuple, float] = {}
+        self._derived: list[tuple[tuple, tuple, TemporalFact]] = []
         self.steps = 0
-        self.result = self._resolve(GroundingDelta())
+        self.result = self._resolve(GroundingDelta(dirty=tuple(self._grounder.components())))
 
     # ------------------------------------------------------------------ #
     @property
@@ -225,15 +420,15 @@ class ResolutionSession:
             self._grounder.graph.name = graph_name
         if grounding_delta.is_empty:
             result = replace(self.result, delta=DeltaStatistics())
-            if graph_name is not None and result.input_graph.name != graph_name:
-                result = replace(result, input_graph=result.input_graph.copy(name=graph_name))
+            if graph_name is not None and result.graphs.name != graph_name:
+                result = replace(result, graphs=result.graphs.renamed(graph_name))
             self.result = result
             return self.result
         self.result = self._resolve(grounding_delta)
         return self.result
 
     # ------------------------------------------------------------------ #
-    # Resolution over the emission plan
+    # Resolution of the dirty components
     # ------------------------------------------------------------------ #
     def _resolve(self, grounding_delta: GroundingDelta) -> ResolutionResult:
         started = time.perf_counter()
@@ -244,190 +439,318 @@ class ResolutionSession:
             # component — correct, but without the incremental savings.
             return self._resolve_degraded(grounding_delta, started)
 
-        plan = grounder.emit_plan()
+        parts = self._parts
+        stale = [
+            part
+            for component in chain(grounding_delta.retired, grounding_delta.dirty)
+            if (part := parts.pop(component, None)) is not None
+        ]
+        fresh = [(component, *self._emit(component)) for component in grounding_delta.dirty]
         grounding_seconds = time.perf_counter() - started
         solve_started = time.perf_counter()
+        misses, warm_started, runtime_sum, iterations_sum = self._solve(
+            [component for _, _, components in fresh for component in components]
+        )
+        clauses_added, clauses_retracted = self._fold(stale, fresh)
 
-        components, unconstrained = self._split_components(plan)
-        num_atoms = plan.num_atoms
-        assignment = [False] * num_atoms
-        truth_values = [0.0] * num_atoms
-        warm_started = 0
-        runtime_sum = 0.0
-        iterations_sum = 0
-        all_optimal = True
-        inner_name = self._solver.name
-        solutions = [self.cache.get(component.key) for component in components]
-        misses = [index for index, solution in enumerate(solutions) if solution is None]
-        if misses:
-            subprograms = [self._materialise(plan, components[index]) for index in misses]
-            if self._warm_starts():
-                solved = [self._solve_warm(subprogram) for subprogram in subprograms]
-                warm_started = len(solved)
-            else:
-                # All cache misses in one call: a batching back-end pays its
-                # fixed cost once per apply.
-                solved = self._solver.solve_components(subprograms)
-            for index, solution in zip(misses, solved):
-                solutions[index] = solution
-                self.cache.put(components[index].key, solution)
-                # Only work actually performed this step counts as runtime
-                # (cached solutions carry their historical solve stats);
-                # the solutions of one call share its runtime.
-                runtime_sum += solution.stats.runtime_seconds
-                iterations_sum += solution.stats.iterations
-        dirty = len(misses)
-        cached = len(components) - dirty
-        for component, solution in zip(components, solutions):
-            soft = solution.truth_values or tuple(
-                1.0 if value else 0.0 for value in solution.assignment
-            )
-            for local, global_index in enumerate(component.atom_indices):
-                assignment[global_index] = solution.assignment[local]
-                truth_values[global_index] = soft[local]
-            all_optimal = all_optimal and solution.stats.optimal
-        for global_index in unconstrained:
-            keep = plan.atoms[global_index].fact.log_weight > 0
-            assignment[global_index] = keep
-            truth_values[global_index] = 1.0 if keep else 0.0
-
-        objective = self._objective(plan, assignment)
-        solve_seconds = time.perf_counter() - solve_started
-
+        # Plain list work over the graph: the assignment in global atom
+        # order (evidence in insertion order, then derived atoms).
+        graph = grounder.graph
+        evidence = graph._facts
+        derived = self._derived
+        atom_keys = [*evidence, *map(itemgetter(1), derived)]
+        assignment = tuple(map(self._values.__getitem__, atom_keys))
+        truth_values = tuple(map(self._truth.__getitem__, atom_keys))
+        totals = self._totals
+        components = totals["solver_components"]
         stats = SolverStats(
             # Mirror DecomposedSolver: a trivial decomposition is a bypass.
-            solver=inner_name if len(components) <= 1 and not unconstrained
-            else f"decomposed({inner_name})",
+            solver=self._solver.name if components <= 1 else f"decomposed({self._solver.name})",
             runtime_seconds=runtime_sum,
             iterations=iterations_sum,
-            atoms=num_atoms,
-            clauses=plan.num_clauses,
-            optimal=all_optimal if components else True,
+            atoms=totals["atoms"],
+            clauses=totals["clauses"],
+            optimal=self._suboptimal == 0,
             extra=(
-                ("components", float(len(components))),
-                ("components_cached", float(cached)),
-                ("unconstrained_atoms", float(len(unconstrained))),
+                ("components", float(components)),
+                ("components_cached", float(components - len(misses))),
+                ("unconstrained_atoms", 0.0),
             ),
         )
         solution = MAPSolution(
-            assignment=tuple(assignment),
-            objective=objective,
+            assignment=assignment,
+            objective=units_to_float(self._units),
             stats=stats,
-            truth_values=tuple(truth_values),
+            truth_values=truth_values,
         )
-
-        self._previous_truth = {
-            atom.fact.statement_key: truth_values[atom.index] for atom in plan.atoms
-        }
-        clause_ids = self._clause_identities(plan)
+        solve_seconds = time.perf_counter() - solve_started
         delta = DeltaStatistics(
             facts_added=grounding_delta.facts_added,
             facts_removed=grounding_delta.facts_removed,
             facts_updated=grounding_delta.facts_updated,
-            clauses_added=len(clause_ids - self._previous_clauses),
-            clauses_retracted=len(self._previous_clauses - clause_ids),
-            components_total=len(components),
-            components_dirty=dirty,
-            components_cached=cached,
+            clauses_added=clauses_added,
+            clauses_retracted=clauses_retracted,
+            components_total=components,
+            components_dirty=len(misses),
+            components_cached=components - len(misses),
             warm_started=warm_started,
             grounding_seconds=grounding_seconds,
             solve_seconds=solve_seconds,
         )
-        self._previous_clauses = clause_ids
         self.steps += 1
-        return self._assemble_result(plan, solution, delta, started)
+
+        evidence_count = len(evidence)
+        removed = tuple(compress(evidence.values(), map(not_, islice(assignment, evidence_count))))
+        inferred, below_threshold = self._threshold.split(
+            compress(map(itemgetter(2), derived), islice(assignment, evidence_count, None))
+        )
+        inferred = tuple(inferred)
+        graphs = _CapturedGraphs(
+            graph,
+            removed_keys=tuple(fact.statement_key for fact in removed),
+            inferred=inferred,
+            records=tuple(
+                part.emission.violations
+                for part in self._parts.values()
+                if part.emission.violations
+            ),
+            constraints=grounder.constraints,
+            counts=tuple(self._constraint_counts),
+        )
+        violations = totals["violations"]
+        hard = totals["hard_violations"]
+        statistics = ResolutionStatistics(
+            input_facts=evidence_count,
+            consistent_facts=evidence_count - len(removed),
+            removed_facts=len(removed),
+            inferred_facts=len(inferred),
+            conflicting_facts=totals["conflicting_facts"],
+            violations=violations,
+            hard_violations=hard,
+            soft_violations=violations - hard,
+            objective=solution.objective,
+            runtime_seconds=time.perf_counter() - started,
+            solver=self._system.solver,
+            ground_atoms=totals["atoms"],
+            ground_clauses=totals["clauses"],
+            threshold=self._system.threshold,
+            inferred_below_threshold=len(below_threshold),
+        )
+        return ResolutionResult(
+            removed_facts=removed,
+            inferred_facts=inferred,
+            solution=solution,
+            statistics=statistics,
+            graphs=graphs,
+            inferred_below_threshold=tuple(below_threshold),
+            delta=delta,
+        )
+
+    def _solve(
+        self, dirty: list[_SolverComponent]
+    ) -> tuple[list[_SolverComponent], int, float, int]:
+        """Materialise and look up every dirty solver component; solve the misses.
+
+        The misses go to the back-end in one call, in global atom order
+        (each solver component's first atom is evidence, so its insertion
+        tick orders it).  Returns the misses, the warm-start count and the
+        runtime and iterations spent.
+        """
+        ticks = self._grounder.graph._added_at
+        dirty = sorted(dirty, key=lambda component: ticks[component.atoms[0][0]])
+        misses = []
+        for component in dirty:
+            component.program = self._materialise(component)
+            component.solution = self.cache.get(component.key)
+            if component.solution is None:
+                misses.append(component)
+        warm_started = iterations = 0
+        runtime = 0.0
+        if not misses:
+            return misses, warm_started, runtime, iterations
+        subprograms = [component.program for component in misses]
+        if self._warm_starts():
+            solved = [self._solve_warm(subprogram) for subprogram in subprograms]
+            warm_started = len(solved)
+        else:
+            # All cache misses in one call: a batching back-end pays its
+            # fixed cost once per apply.
+            solved = self._solver.solve_components(subprograms)
+        for component, solution in zip(misses, solved):
+            component.solution = solution
+            self.cache.put(component.key, solution)
+            # Only work actually performed this step counts as runtime
+            # (cached solutions carry their historical solve stats); the
+            # solutions of one call share its runtime.
+            runtime += solution.stats.runtime_seconds
+            iterations += solution.stats.iterations
+        return misses, warm_started, runtime, iterations
+
+    def _fold(self, stale: list[_Part], fresh: list[tuple]) -> tuple[int, int]:
+        """Swap the stale parts for the fresh ones in every maintained sum.
+
+        Updates the objective units, the counters, the per-atom assignment
+        and truth values and the derived-atom order.  Returns the numbers of
+        clauses added and retracted.
+        """
+        values, truth, derived = self._values, self._truth, self._derived
+        for part in stale:
+            self._account(part, -1)
+            for key in part.atom_keys():
+                del values[key]
+                del truth[key]
+            for order, _, _ in part.derived():
+                del derived[bisect_left(derived, order, key=itemgetter(0))]
+        for component, part, solver_components in fresh:
+            self._settle(part, solver_components)
+            self._parts[component] = part
+            self._account(part, +1)
+            for entry in part.derived():
+                insort(derived, entry, key=itemgetter(0))
+        if not stale:  # clause identities are unique, and none was there before
+            return sum(part.counts[_CLAUSES] for _, part, _ in fresh), 0
+        emit_priors = self._grounder.derived_prior > 0
+        retracted = set().union(*(part.clause_ids(emit_priors) for part in stale))
+        added = set().union(*(part.clause_ids(emit_priors) for _, part, _ in fresh))
+        return len(added - retracted), len(retracted - added)
+
+    def _account(self, part: _Part, sign: int) -> None:
+        """Add (``sign`` = 1) or take away (-1) a part's share of the sums."""
+        self._units += sign * part.units
+        self._suboptimal += sign * part.suboptimal
+        totals = self._totals
+        for name, count in zip(_TOTALS, part.counts):
+            totals[name] += sign * count
+        counts = self._constraint_counts
+        for index, count in part.by_constraint.items():
+            counts[index] += sign * count
 
     # ------------------------------------------------------------------ #
-    def _split_components(self, plan: EmissionPlan):
-        """Connected components of the plan's interaction graph, keyed.
+    def _emit(self, component: MaintainedComponent) -> tuple[_Part, list[_SolverComponent]]:
+        """Emit a dirty component and split it into keyed solver components.
 
-        Mirrors :func:`repro.logic.decompose.decompose` — components ordered
-        by smallest atom index, atoms ascending, per-component clause lists
-        in global emission order — but works entirely on statement keys and
-        maintained records, so clean components cost a few appends each.
+        Mirrors :func:`repro.logic.decompose.decompose` on the component's
+        slice of the program: solver components ordered by their first
+        atom, atoms ascending, clause lists in global emission order.  The
+        key is the content identity :func:`component_content_key` stands
+        for — atom entries in local order, firing and violation signatures
+        in global order — computed without building clauses.
         """
-        num_atoms = plan.num_atoms
-        atom_index = plan.atom_index
-        union_find = _UnionFind(num_atoms)
-        in_clause = [False] * num_atoms
-        # Evidence unit clauses.
-        for index in range(plan.evidence_count):
-            in_clause[index] = True
-        # Rule clauses (and their derived-prior units) couple body and head.
-        for record, _ in plan.firings:
-            head = atom_index[record.head_key]
-            in_clause[head] = True
+        grounder = self._grounder
+        emission = grounder.emit_component(component)
+        emit_priors = grounder.derived_prior > 0
+        atoms = [(fact.statement_key, fact, True, None) for fact in emission.evidence]
+        atoms += [
+            (record.head_key, record.head, False, record.rule_name)
+            for _, record, first in emission.firings
+            if first
+        ]
+        firings = [(record, first and emit_priors) for _, record, first in emission.firings]
+        violations = emission.violations
+        if len(firings) == len(component.firings) and len(violations) == len(component.violations):
+            # Nothing was cut at max_rounds: the emitted clauses link the
+            # atoms as the maintained records link the keys, so all of them.
+            solver_component = _SolverComponent()
+            solver_component.atoms = atoms
+            solver_component.firings = firings
+            solver_component.violations = list(violations)
+            solver_components = [solver_component]
+        else:
+            solver_components = self._split(atoms, firings, violations)
+        for solver_component in solver_components:
+            solver_component.key = (
+                tuple(
+                    [
+                        (key, is_evidence, derived_by, fact.confidence)
+                        for key, fact, is_evidence, derived_by in solver_component.atoms
+                    ]
+                ),
+                tuple([record.signature for record, _ in solver_component.firings]),
+                tuple([record.signature for record in solver_component.violations]),
+            )
+
+        part = _Part(emission)
+        hard = conflicting = 0
+        if violations:
+            constraints = grounder.constraints
+            hard = sum(
+                1 for record in violations if constraints[record.constraint_index].weight is None
+            )
+            conflicting = len({key for record in violations for key in record.fact_keys})
+            for record in violations:
+                index = record.constraint_index
+                part.by_constraint[index] = part.by_constraint.get(index, 0) + 1
+        priors = len(atoms) - len(emission.evidence) if emit_priors else 0
+        part.counts = (
+            len(atoms),
+            len(emission.evidence) + len(firings) + priors + len(violations),
+            len(solver_components),
+            len(violations),
+            hard,
+            conflicting,
+        )
+        return part, solver_components
+
+    @staticmethod
+    def _split(atoms: list, firings: list, violations: tuple) -> list[_SolverComponent]:
+        """Connected components of the emitted clauses, ordered by first atom."""
+        position = {atom[0]: index for index, atom in enumerate(atoms)}
+        union_find = _UnionFind(len(atoms))
+        for record, _ in firings:
+            head = position[record.head_key]
             for key in record.body_keys:
-                body = atom_index[key]
-                in_clause[body] = True
-                union_find.union(head, body)
-        # Constraint clauses couple their conflict sets.
-        for record in plan.violations:
-            first = atom_index[record.fact_keys[0]]
-            in_clause[first] = True
+                union_find.union(position[key], head)
+        for record in violations:
+            first = position[record.fact_keys[0]]
             for key in record.fact_keys[1:]:
-                other = atom_index[key]
-                in_clause[other] = True
-                union_find.union(first, other)
-
+                union_find.union(position[key], first)
         find = union_find.find
-        components: dict[int, _Component] = {}
-        unconstrained: list[int] = []
-        for index in range(num_atoms):
-            if not in_clause[index]:
-                unconstrained.append(index)
-                continue
-            root = find(index)
-            component = components.get(root)
-            if component is None:
-                component = components[root] = _Component()
-            component.atom_indices.append(index)
-        for item in plan.firings:
-            components[find(atom_index[item[0].head_key])].firings.append(item)
-        for record in plan.violations:
-            components[find(atom_index[record.fact_keys[0]])].violations.append(record)
+        groups: dict[int, _SolverComponent] = {}
+        for index, atom in enumerate(atoms):
+            solver_component = groups.get(root := find(index))
+            if solver_component is None:
+                solver_component = groups[root] = _SolverComponent()
+            solver_component.atoms.append(atom)
+        for item in firings:
+            groups[find(position[item[0].head_key])].firings.append(item)
+        for record in violations:
+            groups[find(position[record.fact_keys[0]])].violations.append(record)
+        return list(groups.values())
 
-        atoms = plan.atoms
-        ordered = list(components.values())
-        for component in ordered:
-            atom_entries = tuple(
-                (
-                    atoms[index].fact.statement_key,
-                    atoms[index].is_evidence,
-                    atoms[index].derived_by,
-                    atoms[index].fact.confidence,
-                )
-                for index in component.atom_indices
+    def _settle(self, part: _Part, solver_components: list[_SolverComponent]) -> None:
+        """Take in a part's solved components: assignments, exact partial, optimality."""
+        values, truth = self._values, self._truth
+        units = suboptimal = 0
+        for component in solver_components:
+            solution = component.solution
+            assignment = solution.assignment
+            keys = [atom[0] for atom in component.atoms]
+            values.update(zip(keys, assignment))
+            truth.update(
+                zip(keys, solution.truth_values or [1.0 if value else 0.0 for value in assignment])
             )
-            component.key = (
-                atom_entries,
-                tuple(record.signature for record, _ in component.firings),
-                tuple(record.signature for record in component.violations),
-            )
-        return ordered, unconstrained
+            units += exact_units(component.program.satisfied_soft_weights(assignment))
+            suboptimal += not solution.stats.optimal
+        part.units = units
+        part.suboptimal = suboptimal
 
-    def _materialise(self, plan: EmissionPlan, component: _Component) -> GroundProgram:
-        """Build one component's sub-program, identical to a decompose slice."""
+    def _materialise(self, component: _SolverComponent) -> GroundProgram:
+        """Build one solver component's sub-program, identical to a decompose slice."""
         grounder = self._grounder
         sub = GroundProgram()
-        local = {}
-        atoms = plan.atoms
-        for global_index in component.atom_indices:
-            atom = atoms[global_index]
-            local[global_index] = sub.add_atom(atom.fact, atom.is_evidence, atom.derived_by).index
-        for global_index in component.atom_indices:
-            atom = atoms[global_index]
-            if atom.is_evidence:
+        for _, fact, is_evidence, derived_by in component.atoms:
+            sub.add_atom(fact, is_evidence, derived_by)
+        for index, (_, fact, is_evidence, _) in enumerate(component.atoms):
+            if is_evidence:
                 sub.add_clause(
-                    [(local[global_index], True)],
-                    weight=atom.fact.log_weight + grounder.keep_bias,
+                    [(index, True)],
+                    weight=fact.log_weight + grounder.keep_bias,
                     kind=ClauseKind.EVIDENCE,
                     origin="evidence",
                 )
-        atom_index = plan.atom_index
+        local = {atom[0]: index for index, atom in enumerate(component.atoms)}
         for record, emit_prior in component.firings:
-            rule = grounder.rules[record.rule_index]
-            head = local[atom_index[record.head_key]]
+            head = local[record.head_key]
             if emit_prior:
                 sub.add_clause(
                     [(head, True)],
@@ -435,86 +758,34 @@ class ResolutionSession:
                     kind=ClauseKind.PRIOR,
                     origin=f"prior:{record.rule_name}",
                 )
-            literals = [(local[atom_index[key]], False) for key in record.body_keys]
+            literals = [(local[key], False) for key in record.body_keys]
             literals.append((head, True))
             sub.add_clause(
-                literals, weight=rule.weight, kind=ClauseKind.RULE, origin=record.rule_name
+                literals,
+                weight=grounder.rules[record.rule_index].weight,
+                kind=ClauseKind.RULE,
+                origin=record.rule_name,
             )
         for record in component.violations:
             constraint = grounder.constraints[record.constraint_index]
             sub.add_clause(
-                [(local[atom_index[key]], False) for key in record.fact_keys],
+                [(local[key], False) for key in record.fact_keys],
                 weight=constraint.weight,
                 kind=ClauseKind.CONSTRAINT,
                 origin=constraint.name,
             )
         return sub
 
-    def _objective(self, plan: EmissionPlan, assignment: list[bool]) -> float:
-        """Satisfied soft weight, accumulated in global clause order.
-
-        Reproduces ``GroundProgram.objective`` on the materialised program
-        float-for-float: same clause order, same left-to-right summation,
-        same weight normalisation (negative unit clauses flip their literal,
-        zero weights get :data:`~repro.logic.ground.ZERO_WEIGHT_EPSILON` via
-        :func:`~repro.logic.ground.nonzero_weight`).
-        """
-        grounder = self._grounder
-        atom_index = plan.atom_index
-        atoms = plan.atoms
-        keep_bias = grounder.keep_bias
-        derived_prior = grounder.derived_prior
-        total = 0.0
-        for index in range(plan.evidence_count):
-            weight = atoms[index].fact.log_weight + keep_bias
-            if weight < 0:
-                if not assignment[index]:
-                    total += -weight
-            elif assignment[index]:
-                total += nonzero_weight(weight)
-        for record, emit_prior in plan.firings:
-            head = atom_index[record.head_key]
-            if emit_prior and not assignment[head]:
-                total += derived_prior  # the prior unit clause, flipped
-            weight = grounder.rules[record.rule_index].weight
-            if weight is None:
-                continue
-            if assignment[head] or any(not assignment[atom_index[key]] for key in record.body_keys):
-                total += nonzero_weight(weight)
-        for record in plan.violations:
-            weight = grounder.constraints[record.constraint_index].weight
-            if weight is None:
-                continue
-            if any(not assignment[atom_index[key]] for key in record.fact_keys):
-                total += nonzero_weight(weight)
-        return total
-
-    def _clause_identities(self, plan: EmissionPlan) -> set:
-        """Content identities of the emitted clauses (for delta statistics)."""
-        identities: set = set()
-        for index in range(plan.evidence_count):
-            fact = plan.atoms[index].fact
-            identities.add(("evidence", fact.statement_key, fact.confidence))
-        for record, emit_prior in plan.firings:
-            identities.add(record.signature)
-            if emit_prior:
-                identities.add(("prior", record.head_key, record.rule_name))
-        for record in plan.violations:
-            identities.add(record.signature)
-        return identities
-
     # ------------------------------------------------------------------ #
     def _warm_starts(self) -> bool:
         """True when dirty components are seeded with the previous truth values."""
         return bool(
-            self.warm_start
-            and self._previous_truth
-            and getattr(self._solver, "supports_warm_start", False)
+            self.warm_start and self._truth and getattr(self._solver, "supports_warm_start", False)
         )
 
     def _solve_warm(self, program: GroundProgram) -> MAPSolution:
         """Solve one (sub-)program from the previous solution's truth values."""
-        warm = [self._previous_truth.get(atom.fact.statement_key, 1.0) for atom in program.atoms]
+        warm = [self._truth.get(atom.fact.statement_key, 1.0) for atom in program.atoms]
         return self._solver.solve(program, warm_start=warm)
 
     def _resolve_degraded(
@@ -538,7 +809,7 @@ class ResolutionSession:
         else:
             cached = 1
         solve_seconds = time.perf_counter() - solve_started
-        self._previous_truth = {
+        self._truth = {
             atom.fact.statement_key: (
                 solution.truth_values[atom.index]
                 if solution.truth_values
@@ -571,74 +842,6 @@ class ResolutionSession:
         result = self._system._build_result(snapshot, translated, solution, started)
         return replace(result, delta=delta)
 
-    # ------------------------------------------------------------------ #
-    # Result assembly (mirrors TeCoRe._build_result over the plan)
-    # ------------------------------------------------------------------ #
-    def _assemble_result(
-        self,
-        plan: EmissionPlan,
-        solution: MAPSolution,
-        delta: DeltaStatistics,
-        started: float,
-    ) -> ResolutionResult:
-        grounder = self._grounder
-        assignment = solution.assignment
-        removed = tuple(
-            atom.fact for atom in plan.atoms if atom.is_evidence and not assignment[atom.index]
-        )
-        snapshot = self.graph.copy(name=self.graph.name)
-        consistent = snapshot.without_statements(
-            (fact.statement_key for fact in removed),
-            name=f"{snapshot.name}-consistent",
-        )
-
-        derived_kept = [
-            atom.fact for atom in plan.atoms if not atom.is_evidence and assignment[atom.index]
-        ]
-        inferred, below_threshold = self._threshold.split(derived_kept)
-        expanded = consistent.copy(name=f"{snapshot.name}-inferred")
-        expanded.add_all(inferred)
-
-        constraints = grounder.constraints
-        conflicts = ConflictTable.from_violations(
-            (
-                constraints[record.constraint_index].name,
-                constraints[record.constraint_index].weight,
-                grounder.fresh_facts(record.facts),
-            )
-            for record in plan.violations
-        )
-        runtime = time.perf_counter() - started
-
-        statistics = ResolutionStatistics(
-            input_facts=len(snapshot),
-            consistent_facts=len(consistent),
-            removed_facts=len(removed),
-            inferred_facts=len(inferred),
-            **conflict_statistics(conflicts),
-            objective=solution.objective,
-            runtime_seconds=runtime,
-            solver=self._system.solver,
-            ground_atoms=plan.num_atoms,
-            ground_clauses=plan.num_clauses,
-            threshold=self._system.threshold,
-            inferred_below_threshold=len(below_threshold),
-        )
-        return ResolutionResult(
-            input_graph=snapshot,
-            consistent_graph=consistent,
-            expanded_graph=expanded,
-            removed_facts=removed,
-            inferred_facts=tuple(inferred),
-            violations=conflicts,
-            conflicting_facts=conflicts.facts,
-            solution=solution,
-            statistics=statistics,
-            inferred_below_threshold=tuple(below_threshold),
-            delta=delta,
-        )
-
-    # ------------------------------------------------------------------ #
     def state_digest(self) -> tuple:
         """Content identity of the session's evidence graph.
 

@@ -37,6 +37,7 @@ from .result import (
     BatchResolution,
     ResolutionResult,
     ResolutionStatistics,
+    ResultGraphs,
     conflict_statistics,
 )
 from .threshold import ThresholdFilter
@@ -270,12 +271,13 @@ class TeCoRe:
         first is *diffed* against the previous one and applied as an edit, so
         near-duplicate graphs (the common case in tenant fan-out and replayed
         debugging sessions) only pay for the facts that actually differ.
-        A session's result equals :class:`~repro.solvers.DecomposedSolver`
-        over the translated program.  For exact back-ends its objective
-        equals the one-shot resolve's, though a tied component of more than
-        15 atoms may get another optimal assignment; anytime back-ends
-        (MaxWalkSAT, PSL) may settle in different (typically better) local
-        optima than a monolithic solve.
+        The edit leaves the session graph with the incoming graph's facts in
+        the incoming order, since evidence order decides exact ties.  A
+        session's result equals :class:`~repro.solvers.DecomposedSolver`
+        over the translated program; for ``nrockit``, whose answers depend
+        only on component content, that is the one-shot resolve bit for bit.
+        Anytime back-ends (MaxWalkSAT, PSL) may settle in different
+        (typically better) local optima than a monolithic solve.
         """
         if incremental:
             return self._resolve_batch_incremental(graphs)
@@ -284,7 +286,13 @@ class TeCoRe:
     def _resolve_batch_incremental(
         self, graphs: Iterable[TemporalKnowledgeGraph]
     ) -> BatchResolution:
-        """Serve a batch through one session, diffing consecutive graphs."""
+        """Serve a batch through one session, diffing consecutive graphs.
+
+        The session keeps the longest prefix of the incoming graph that it
+        holds in the same relative order and at the same confidence, removes
+        every other fact, and re-adds the incoming tail in order.  An
+        append-only next graph costs only its new facts.
+        """
         batch_started = time.perf_counter()
         session = None
         results = []
@@ -293,19 +301,24 @@ class TeCoRe:
                 session = self.session(graph)
                 results.append(session.result)
                 continue
-            current = {fact.statement_key: fact for fact in session.graph}
-            incoming = {fact.statement_key: fact for fact in graph}
-            removes = [
-                fact
-                for key, fact in current.items()
-                if key not in incoming or incoming[key].confidence != fact.confidence
-            ]
-            adds = [
-                fact
-                for key, fact in incoming.items()
-                if key not in current or current[key].confidence != fact.confidence
-            ]
-            results.append(session.apply(adds=adds, removes=removes, graph_name=graph.name))
+            current = session.graph
+            incoming = list(graph)
+            kept = 0
+            last_tick = -1
+            for fact in incoming:
+                held = current._facts.get(fact.statement_key)
+                if held is None or held.confidence != fact.confidence:
+                    break
+                tick = current._added_at[fact.statement_key]
+                if tick < last_tick:
+                    break
+                last_tick = tick
+                kept += 1
+            prefix = {fact.statement_key for fact in incoming[:kept]}
+            removes = [fact for fact in current if fact.statement_key not in prefix]
+            results.append(
+                session.apply(adds=incoming[kept:], removes=removes, graph_name=graph.name)
+            )
         return BatchResolution(
             results=tuple(results),
             runtime_seconds=time.perf_counter() - batch_started,
@@ -363,15 +376,11 @@ class TeCoRe:
             inferred_below_threshold=len(below_threshold),
         )
         return ResolutionResult(
-            input_graph=graph,
-            consistent_graph=consistent,
-            expanded_graph=expanded,
             removed_facts=removed,
             inferred_facts=tuple(inferred),
-            violations=conflicts,
-            conflicting_facts=conflicts.facts,
             solution=solution,
             statistics=statistics,
+            graphs=ResultGraphs(graph, consistent, expanded, conflicts),
             inferred_below_threshold=tuple(below_threshold),
         )
 

@@ -21,18 +21,17 @@ that only a full garbage collection frees.  The view holds:
 * lazily-labelled connected components (:attr:`components`), which
   ``nrockit`` solves apart and the batched WalkSAT kernel schedules by.
 
-Float contract: :meth:`objective` is **bit-identical** to
-:meth:`GroundProgram.objective`.  The satisfied mask is computed vectorized,
-but the selected soft weights are summed left-to-right in clause order over
-the original Python floats — numpy's pairwise summation would produce a
-different (better-conditioned, but unequal) float, and the exact solvers,
-the decomposition equivalence suite, and the session cache all compare
-objectives for equality with the object path's.
+Float contract: :meth:`objective` is the correctly rounded exact sum of the
+satisfied soft weights (:func:`math.fsum`), as :meth:`GroundProgram.objective`
+is.  It does not depend on clause order, so a program's objective equals the
+exact sum of its components' parts, and sessions, :class:`Decomposition`
+merges and stacked solves all report the float a one-shot solve reports.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import is_
@@ -64,15 +63,6 @@ def ragged_slices(offsets: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(starts - seg_begin, lengths)
 
 
-def ordered_weight_sum(weights: Sequence[Optional[float]], indices: np.ndarray) -> float:
-    """Left-to-right sum of ``weights[i]`` for ascending ``indices``.
-
-    Matches the sequential ``sum()`` in :meth:`GroundProgram.objective`
-    float-for-float; do not replace with ``np.sum`` (pairwise summation).
-    """
-    return float(sum(weights[int(i)] for i in indices))
-
-
 @dataclass
 class GroundProgramArrays:
     """Columnar (CSR) view of a ground program for array solver kernels."""
@@ -89,8 +79,7 @@ class GroundProgramArrays:
     #: Soft weights, ``0.0`` where hard (mask with ``is_hard``).
     weights: np.ndarray
     is_hard: np.ndarray
-    #: Original per-clause Python weights (``None`` for hard), in clause
-    #: order — the bit-identity source for :meth:`objective`.
+    #: Original per-clause Python weights (``None`` for hard), in clause order.
     weight_list: list[Optional[float]]
 
     _occurrence: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
@@ -224,11 +213,10 @@ class GroundProgramArrays:
         return self.satisfied_counts(assignment) > 0
 
     def objective(self, assignment: Sequence[bool]) -> float:
-        """Sum of satisfied soft-clause weights — bit-identical to the
-        object path (see module docstring for why the final sum is ordered)."""
+        """Sum of satisfied soft-clause weights, correctly rounded (see the
+        module docstring)."""
         mask = self.satisfied_mask(assignment)
-        soft_satisfied = np.flatnonzero(mask & ~self.is_hard)
-        return ordered_weight_sum(self.weight_list, soft_satisfied)
+        return math.fsum(self.weights[mask & ~self.is_hard].tolist())
 
     def repair_hard_violations(
         self, assignment: Sequence[bool], atoms: Sequence[GroundAtom]

@@ -122,10 +122,10 @@ class Decomposition:
 
         The merged assignment is the union of the component assignments;
         unconstrained atoms are closed by the sign of their log-odds weight.
-        The objective is the sum of the component objectives — evaluated in
-        one pass over the full program so the float is summed in the same
-        clause order a monolithic solver uses (bit-identical results for
-        exact back-ends).  Stats are aggregated: iterations sum, runtime is
+        The objective is :meth:`GroundProgram.objective` of the merged
+        assignment: the correctly rounded exact sum, which is the exact sum
+        of the component objectives rounded once, so exact back-ends report
+        the monolithic solve's float.  Stats are aggregated: iterations sum, runtime is
         the sum of component solve times, and ``optimal`` holds only when
         every component was solved to optimality.
         """

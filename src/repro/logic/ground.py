@@ -25,6 +25,7 @@ sessions, lint, listings and tests.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -53,9 +54,35 @@ def nonzero_weight(weight: Optional[float]) -> Optional[float]:
 
     ``None`` (hard) and non-zero weights pass through unchanged.  This is the
     single definition of the zero-weight rewrite used by every grounding
-    engine, the incremental session's objective walk, and the array lowering.
+    engine and the array lowering.
     """
     return ZERO_WEIGHT_EPSILON if weight == 0 else weight
+
+
+#: Every finite double is an integer multiple of ``2**-1074``, the least
+#: subnormal, so sums of weights counted in that unit are exact integers.
+_UNIT_BITS = 1074
+_UNIT = 1 << _UNIT_BITS
+
+
+def exact_units(weights: Iterable[float]) -> int:
+    """The exact sum of ``weights`` as an integer count of ``2**-1074``.
+
+    Partial sums in this form add up exactly in any order;
+    :func:`units_to_float` rounds a total once.
+    """
+    total = 0
+    for weight in weights:
+        numerator, denominator = weight.as_integer_ratio()  # denominator = 2**k
+        total += numerator << (_UNIT_BITS + 1 - denominator.bit_length())
+    return total
+
+
+def units_to_float(units: int) -> float:
+    """``units * 2**-1074`` correctly rounded: what :func:`math.fsum` returns
+    for the weights the units were counted from (integer true division
+    rounds once, half to even)."""
+    return units / _UNIT
 
 
 class ClauseKind(str, Enum):
@@ -394,16 +421,35 @@ class GroundProgram:
     # Evaluation
     # ------------------------------------------------------------------ #
     def objective(self, assignment: Sequence[bool]) -> float:
-        """Sum of satisfied soft-clause weights under ``assignment``."""
+        """Sum of satisfied soft-clause weights under ``assignment``.
+
+        The correctly rounded exact sum (:func:`math.fsum`), so it does not
+        depend on clause order and equals the exact sum of any split of the
+        program into parts.
+        """
+        return math.fsum(self.satisfied_soft_weights(assignment))
+
+    def satisfied_soft_weights(self, assignment: Sequence[bool]) -> list[float]:
+        """Weights of the soft clauses ``assignment`` satisfies, in clause order.
+
+        Read from the clause columns, building no clause object.
+        """
         if len(assignment) != len(self.atoms):
             raise GroundingError(
                 f"assignment has {len(assignment)} values for {len(self.atoms)} atoms"
             )
-        return sum(
-            clause.weight
-            for clause in self.clauses
-            if clause.weight is not None and clause.satisfied_by(assignment)
-        )
+        atoms, signs = self._literal_atoms, self._literal_signs
+        satisfied = []
+        start = 0
+        for length, weight in zip(self._clause_lengths, self._clause_weights):
+            stop = start + length
+            if weight is not None:
+                for position in range(start, stop):
+                    if assignment[atoms[position]] == (signs[position] == 1):
+                        satisfied.append(weight)
+                        break
+            start = stop
+        return satisfied
 
     def hard_violations(self, assignment: Sequence[bool]) -> list[GroundClause]:
         """Hard clauses violated by ``assignment`` (empty list ⇒ feasible)."""

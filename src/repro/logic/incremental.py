@@ -13,43 +13,59 @@ with the size of the change, not the size of the graph:
   exactly the rule firings and constraint violations that involve at least
   one new fact (chaining to the rule fix point, so cascading derivations are
   found too).
+* **Components.**  The maintained firings and violations link the statement
+  keys they mention (a firing its body and head, a violation its facts); the
+  engine keeps the connected components of that interaction graph
+  (:class:`MaintainedComponent`).  An insertion merges the components its new
+  records touch, smaller into larger.
 * **Retractions** use support-set bookkeeping: every maintained firing
-  records the statement keys of its body.  Removing a fact re-derives the set
-  of *live* statements (evidence plus anything still derivable through the
-  maintained firings — a least fix point, so cyclic derivations with no
-  remaining evidence support die correctly), drops dead firings, violations,
-  and working-graph facts, and leaves everything else untouched.  A retracted
+  records the statement keys of its body.  Removing a fact re-derives the
+  *live* statements of its component only (evidence plus anything still
+  derivable through the component's firings — a least fix point, so cyclic
+  derivations with no remaining evidence support die correctly), drops dead
+  firings, violations and working-graph facts, and re-splits that component
+  by walking its own records.  Everything else is untouched.  A retracted
   fact that is later re-added gets a fresh tick, so the delta join rebuilds
   exactly the matches that were dropped.
-* **Emission** rebuilds the :class:`~repro.logic.ground.GroundProgram` from
-  the maintained state in the exact order the from-scratch engines use
-  (evidence in insertion order, then firings layered into semi-naive rounds —
-  rule order, then lexicographic body order inside a round — then constraint
-  clauses per constraint in lexicographic order).  The emitted program is
-  therefore *identical* to a from-scratch grounding of the current graph:
-  same atoms, same clause order, same floats.  Emission is a linear pass with
-  no joins; the joins — the expensive part — only ever run against deltas.
+* **Emission** is per component (:meth:`IncrementalGrounder.emit_component`),
+  and a component's emission is exactly its slice of the emission the
+  from-scratch engines make: a firing's body and head share a component, so
+  derivation rounds and the ``max_rounds`` filter depend only on firings
+  inside it; evidence keeps graph insertion order; derived atoms are ordered
+  by ``(round, rule index, body keys)`` of their first firing; violations by
+  ``(constraint index, match order)``.  :meth:`IncrementalGrounder.emit_plan`
+  merges every component's emission in that global order and
+  :meth:`IncrementalGrounder.ground` materialises it, so the emitted program
+  is *identical* to a from-scratch grounding of the current graph: same
+  atoms, same clause order, same floats.  Emission is a pass with no joins;
+  the joins — the expensive part — only ever run against deltas.  Each
+  :meth:`~IncrementalGrounder.apply` names the components it dirtied and
+  retired (:class:`GroundingDelta`), so a session re-emits only those.
 
 The engine deliberately maintains a *superset* of the matches the bounded
 (``max_rounds``) from-scratch chaining would emit: firings are chained to the
 true fix point and filtered to ``max_rounds`` derivation layers at emission
 time.  That keeps the state closed under future deltas (a new fact that
 shortens a derivation chain can pull an existing deep firing inside the round
-bound without any re-join).  Rule sets that do not reach a fix point within
-``fixpoint_rounds`` flip the engine into a degraded-but-correct mode where
-:meth:`ground` delegates to a fresh :class:`IndexedGrounder` pass.
+bound without any re-join).  It also means a maintained component can hold
+several components of the emitted clauses.  Rule sets that do not reach a
+fix point within ``fixpoint_rounds`` flip the engine into a
+degraded-but-correct mode where :meth:`ground` delegates to a fresh
+:class:`IndexedGrounder` pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from ..errors import InvalidFactError
 from ..kg import TemporalFact, TemporalKnowledgeGraph
 from ..kg.triple import FactLike, coerce_fact
 from .constraint import TemporalConstraint
-from .ground import ClauseKind, GroundAtom, GroundProgram
+from .ground import ClauseKind, GroundProgram
 from .grounding import (
     GROUNDING_ENGINES,
     ConstraintViolation,
@@ -63,7 +79,7 @@ from .grounding import (
 from .rule import TemporalRule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _FiringRecord:
     """One maintained rule firing (a ground match of a rule body)."""
 
@@ -76,7 +92,7 @@ class _FiringRecord:
     signature: tuple  # (rule name, body keys, head key) — content identity
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _ViolationRecord:
     """One maintained constraint violation (a conflict set)."""
 
@@ -87,40 +103,91 @@ class _ViolationRecord:
     signature: tuple  # (constraint name, sorted fact keys) — content identity
 
 
+def violation_order(record: _ViolationRecord) -> tuple:
+    """Emission order of violations: constraint index, then match order."""
+    return (record.constraint_index, record.order_key)
+
+
+class MaintainedComponent:
+    """One connected component of the maintained interaction graph.
+
+    Its vertices are the statement keys of working facts (evidence and
+    derived); a firing links its body and head keys, a violation its fact
+    keys.  Records are held by identity.  Every live component holds at
+    least one evidence key, since its derived keys are derivable from
+    evidence through its own firings.
+    """
+
+    __slots__ = ("keys", "firings", "violations")
+
+    def __init__(self) -> None:
+        self.keys: set[tuple] = set()
+        self.firings: set[_FiringRecord] = set()
+        self.violations: set[_ViolationRecord] = set()
+
+    @property
+    def size(self) -> int:
+        """Keys plus records: the work a pass over the component does."""
+        return len(self.keys) + len(self.firings) + len(self.violations)
+
+    def __repr__(self) -> str:
+        return (
+            f"MaintainedComponent(keys={len(self.keys)}, firings={len(self.firings)}, "
+            f"violations={len(self.violations)})"
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class ComponentEmission:
+    """One maintained component's slice of the emitted program.
+
+    Each order is the global emission's restricted to the component:
+    evidence facts in graph insertion order; firings as ``(order, record,
+    first)`` in ``order`` = ``(round, rule index, body keys)``, where
+    ``first`` marks the firing that introduces its (non-evidence) head atom —
+    derived atoms follow their first firings, and a derived-prior unit clause
+    precedes a first firing's rule clause; violations by
+    :func:`violation_order`.  Firings beyond ``max_rounds`` layers, and
+    violations touching facts only they derive, are left out.
+    """
+
+    evidence: tuple[TemporalFact, ...]
+    firings: tuple[tuple[tuple, _FiringRecord, bool], ...]
+    violations: tuple[_ViolationRecord, ...]
+    rounds: int
+
+
 @dataclass(frozen=True, slots=True)
 class EmissionPlan:
     """The maintained state filtered and ordered for program emission.
 
-    The plan *is* the ground program, represented semantically: the atom
-    table in from-scratch order, the emitted firings in round → rule →
+    The plan *is* the ground program, represented semantically: the evidence
+    facts in graph insertion order, the emitted firings in round → rule →
     lexicographic-body order (paired with whether a derived-prior unit clause
-    precedes the firing's rule clause), and the emitted violations in
-    constraint-major lexicographic order.  :meth:`IncrementalGrounder.ground`
-    materialises it into a :class:`~repro.logic.ground.GroundProgram`;
-    :class:`repro.core.session.ResolutionSession` consumes it directly so
-    only *dirty* components ever pay for object construction.
+    precedes the firing's rule clause; a firing that introduces its head
+    atom comes first among that head's firings), and the emitted violations
+    in constraint-major lexicographic order.
+    :meth:`IncrementalGrounder.ground` materialises it into a
+    :class:`~repro.logic.ground.GroundProgram`.
     """
 
-    atoms: list[GroundAtom]
-    atom_index: dict[tuple, int]
-    evidence_count: int
+    evidence: tuple[TemporalFact, ...]
     firings: list[tuple[_FiringRecord, bool]]  # (record, emit_prior_clause)
     violations: list[_ViolationRecord]
     rounds: int
 
-    @property
-    def num_atoms(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def num_clauses(self) -> int:
-        priors = sum(1 for _, emit_prior in self.firings if emit_prior)
-        return self.evidence_count + len(self.firings) + priors + len(self.violations)
-
 
 @dataclass(frozen=True, slots=True)
 class GroundingDelta:
-    """What one :meth:`IncrementalGrounder.apply` call changed."""
+    """What one :meth:`IncrementalGrounder.apply` call changed.
+
+    ``touched_keys`` are the statement keys the edit touched: evidence that
+    was added, removed or had its confidence raised, and the keys of the
+    firings and violations that were added or retracted.  ``dirty`` are the
+    live components holding any of them — the only ones whose emission can
+    have changed — and ``retired`` the components the edit merged away or
+    split (a session drops what it kept for those).
+    """
 
     facts_added: int = 0
     facts_removed: int = 0
@@ -129,6 +196,9 @@ class GroundingDelta:
     firings_retracted: int = 0
     violations_added: int = 0
     violations_retracted: int = 0
+    touched_keys: frozenset = frozenset()
+    dirty: tuple[MaintainedComponent, ...] = ()
+    retired: tuple[MaintainedComponent, ...] = ()
 
     @property
     def facts_changed(self) -> int:
@@ -138,6 +208,43 @@ class GroundingDelta:
     def is_empty(self) -> bool:
         """True when the apply was a no-op (nothing to re-ground or re-solve)."""
         return self.facts_changed == 0
+
+
+def _partition(
+    keys: Iterable[tuple],
+    firings: Iterable[_FiringRecord],
+    violations: Iterable[_ViolationRecord],
+) -> list[MaintainedComponent]:
+    """The connected components of ``keys`` linked by the records."""
+    keys = list(keys)
+    index = {key: position for position, key in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(position: int) -> int:
+        while (up := parent[position]) != position:
+            parent[position] = position = parent[up]  # path halving
+        return position
+
+    firings = [(record, index[record.head_key], record.body_keys) for record in firings]
+    violations = [(record, index[record.fact_keys[0]], record.fact_keys) for record in violations]
+    for _, first, linked in chain(firings, violations):
+        root = find(first)
+        for key in linked:
+            other = find(index[key])
+            if other != root:
+                parent[other] = root
+    components: dict[int, MaintainedComponent] = {}
+    for position, key in enumerate(keys):
+        root = find(position)
+        component = components.get(root)
+        if component is None:
+            component = components[root] = MaintainedComponent()
+        component.keys.add(key)
+    for record, first, _ in firings:
+        components[find(first)].firings.add(record)
+    for record, first, _ in violations:
+        components[find(first)].violations.add(record)
+    return list(components.values())
 
 
 class IncrementalGrounder(_GrounderBase):
@@ -195,6 +302,17 @@ class IncrementalGrounder(_GrounderBase):
         self._constraint_plans = [_compile_body(c.body) for c in self.constraints]
         self._chain(0)
         self._match_constraints(0)
+        #: Component of every working key, and the live components in
+        #: creation order.
+        self._component_of: dict[tuple, MaintainedComponent] = {}
+        self._components: dict[MaintainedComponent, None] = {}
+        for component in _partition(
+            self._working._facts, self._firings.values(), self._violations.values()
+        ):
+            self._adopt(component)
+        # What the running apply touched and retired.
+        self._touched: set[tuple] = set()
+        self._retired: list[MaintainedComponent] = []
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -208,7 +326,8 @@ class IncrementalGrounder(_GrounderBase):
         gets a fresh insertion tick).  Re-adding an existing statement with a
         *higher* confidence is a pure weight update — no re-matching happens
         because the statement key, the only thing joins see, is unchanged.
-        Returns a :class:`GroundingDelta` summarising the state change.
+        Returns a :class:`GroundingDelta` summarising the state change and
+        naming the components it dirtied and retired.
 
         The whole edit is validated before any state is touched (coercion
         and time-domain checks), so a malformed fact raises without leaving
@@ -225,15 +344,13 @@ class IncrementalGrounder(_GrounderBase):
                         f"[{domain.start}, {domain.end}]"
                     )
 
-        removed = 0
-        removed_any = False
-        for fact in removes:
-            if self.graph.remove(fact):
-                removed += 1
-                removed_any = True
+        touched = self._touched = set()
+        self._retired = []
+        removed_keys = [fact.statement_key for fact in removes if self.graph.remove(fact)]
+        touched.update(removed_keys)
         firings_retracted = violations_retracted = 0
-        if removed_any:
-            firings_retracted, violations_retracted = self._retract()
+        if removed_keys:
+            firings_retracted, violations_retracted = self._retract(removed_keys)
 
         added = updated = 0
         mark = self._working.mark()
@@ -245,10 +362,13 @@ class IncrementalGrounder(_GrounderBase):
             stored = self.graph.add(item)
             if not existing:
                 added += 1
+                touched.add(key)
             elif stored.confidence != before:
                 updated += 1
+                touched.add(key)
             if key not in self._working._facts:
                 self._working.add(stored)  # fresh tick ⇒ the delta join sees it
+                self._adopt_key(key)
                 fresh = True
             else:
                 # Already live (as evidence or derived): at most a confidence
@@ -257,80 +377,161 @@ class IncrementalGrounder(_GrounderBase):
 
         firings_added = violations_added = 0
         if fresh:
-            firings_added = self._chain(mark)
-            violations_added = self._match_constraints(mark)
+            new_firings = self._chain(mark)
+            new_violations = self._match_constraints(mark)
+            firings_added, violations_added = len(new_firings), len(new_violations)
+            for record in new_firings:
+                self._join((record.head_key, *record.body_keys)).firings.add(record)
+                touched.add(record.head_key)
+                touched.update(record.body_keys)
+            for record in new_violations:
+                self._join(record.fact_keys).violations.add(record)
+                touched.update(record.fact_keys)
 
-        return GroundingDelta(
+        component_of = self._component_of
+        dirty = dict.fromkeys(component_of[key] for key in touched if key in component_of)
+        delta = GroundingDelta(
             facts_added=added,
-            facts_removed=removed,
+            facts_removed=len(removed_keys),
             facts_updated=updated,
             firings_added=firings_added,
             firings_retracted=firings_retracted,
             violations_added=violations_added,
             violations_retracted=violations_retracted,
+            touched_keys=frozenset(touched),
+            dirty=tuple(dirty),
+            retired=tuple(self._retired),
         )
+        self._touched = set()
+        self._retired = []
+        return delta
 
     # ------------------------------------------------------------------ #
-    def _live_keys(self) -> set[tuple]:
-        """Least fix point of derivability: evidence plus supported heads.
+    # Components
+    # ------------------------------------------------------------------ #
+    def components(self) -> list[MaintainedComponent]:
+        """The live components, in creation order."""
+        return list(self._components)
 
-        Computed over the *maintained* firing set only — no joins.  Derived
-        facts whose every support chain lost an evidence fact (including
-        mutually-supporting cycles) fall out of the result.
+    def _adopt(self, component: MaintainedComponent) -> MaintainedComponent:
+        self._components[component] = None
+        component_of = self._component_of
+        for key in component.keys:
+            component_of[key] = component
+        return component
+
+    def _adopt_key(self, key: tuple) -> MaintainedComponent:
+        component = MaintainedComponent()
+        component.keys.add(key)
+        return self._adopt(component)
+
+    def _retire(self, component: MaintainedComponent) -> None:
+        del self._components[component]
+        self._retired.append(component)
+
+    def _join(self, keys: tuple[tuple, ...]) -> MaintainedComponent:
+        """The component holding all of ``keys``: theirs merged, smaller into larger.
+
+        A key without a component (a head not yet in the working graph) gets
+        a new one first.
         """
-        live = set(self.graph._facts)
-        pending = [record for record in self._firings.values() if record.head_key not in live]
-        changed = True
-        while changed and pending:
-            changed = False
-            remaining = []
-            for record in pending:
-                if record.head_key in live:
-                    continue
-                if all(key in live for key in record.body_keys):
-                    live.add(record.head_key)
-                    changed = True
-                else:
-                    remaining.append(record)
-            pending = remaining
-        return live
+        component_of = self._component_of
+        target = None
+        for key in keys:
+            component = component_of.get(key)
+            if component is None:
+                component = self._adopt_key(key)
+            if target is None:
+                target = component
+            elif component is not target:
+                if component.size > target.size:
+                    target, component = component, target
+                target.keys |= component.keys
+                for moved in component.keys:
+                    component_of[moved] = target
+                target.firings |= component.firings
+                target.violations |= component.violations
+                self._retire(component)
+        return target
 
-    def _retract(self) -> tuple[int, int]:
-        """Drop firings, violations, and working facts no longer supported."""
-        live = self._live_keys()
-        dead_firings = [
-            signature
-            for signature, record in self._firings.items()
-            if any(key not in live for key in record.body_keys)
-        ]
-        for signature in dead_firings:
-            del self._firings[signature]
-        dead_violations = [
-            signature
-            for signature, record in self._violations.items()
-            if any(key not in live for key in record.fact_keys)
-        ]
-        for signature in dead_violations:
-            del self._violations[signature]
-        dead_facts = [fact for fact in self._working if fact.statement_key not in live]
-        for fact in dead_facts:
-            self._working.remove(fact)
-        return len(dead_firings), len(dead_violations)
+    def _retract(self, removed_keys: list[tuple]) -> tuple[int, int]:
+        """Drop what the removed facts supported, inside their components only.
 
-    def _chain(self, delta_since: int) -> int:
+        Per component: the least fix point of derivability over its own
+        firings (its evidence plus supported heads — derived facts whose
+        every support chain lost an evidence fact, including
+        mutually-supporting cycles, fall out), then its dead firings,
+        violations and working facts, then a re-split of what is left.
+        A firing's body and head share its component, so no other
+        component's liveness can change.
+        """
+        component_of = self._component_of
+        evidence = self.graph._facts
+        working = self._working
+        touched = self._touched
+        firings_retracted = violations_retracted = 0
+        for component in dict.fromkeys(component_of[key] for key in removed_keys):
+            live = {key for key in component.keys if key in evidence}
+            pending = [record for record in component.firings if record.head_key not in live]
+            changed = True
+            while changed and pending:
+                changed = False
+                remaining = []
+                for record in pending:
+                    if record.head_key in live:
+                        continue
+                    if live.issuperset(record.body_keys):
+                        live.add(record.head_key)
+                        changed = True
+                    else:
+                        remaining.append(record)
+                pending = remaining
+            dead_firings = [
+                record for record in component.firings if not live.issuperset(record.body_keys)
+            ]
+            dead_violations = [
+                record for record in component.violations if not live.issuperset(record.fact_keys)
+            ]
+            if not dead_firings and not dead_violations and len(live) == len(component.keys):
+                continue  # still derivable: at most an evidence → derived flip
+            for record in dead_firings:
+                del self._firings[record.signature]
+                touched.add(record.head_key)
+                touched.update(record.body_keys)
+            for record in dead_violations:
+                del self._violations[record.signature]
+                touched.update(record.fact_keys)
+            for key in component.keys - live:
+                working.remove(working._facts[key])
+                del component_of[key]
+            firings_retracted += len(dead_firings)
+            violations_retracted += len(dead_violations)
+            self._retire(component)
+            for piece in _partition(
+                live,
+                component.firings.difference(dead_firings),
+                component.violations.difference(dead_violations),
+            ):
+                self._adopt(piece)
+        return firings_retracted, violations_retracted
+
+    # ------------------------------------------------------------------ #
+    # Matching
+    # ------------------------------------------------------------------ #
+    def _chain(self, delta_since: int) -> list[_FiringRecord]:
         """Semi-naive forward chaining of the rules against a delta window.
 
         Matches every rule body against matches using at least one working
         fact with insertion tick ≥ ``delta_since``, records the firings, adds
         genuinely new heads to the working graph, and repeats on the new
         heads until the fix point (or ``fixpoint_rounds``, which flips the
-        engine into degraded mode).  Returns the number of new firings.
+        engine into degraded mode).  Returns the new firings.
         """
         if not self.derive_facts or not self.rules:
-            return 0
+            return []
         firings = self._firings
         working = self._working
-        added_firings = 0
+        added: list[_FiringRecord] = []
         rounds = 0
         while True:
             rounds += 1
@@ -355,7 +556,7 @@ class IncrementalGrounder(_GrounderBase):
                     signature = (rule.name, body_keys, head_fact.statement_key)
                     if signature in firings:
                         continue
-                    firings[signature] = _FiringRecord(
+                    record = firings[signature] = _FiringRecord(
                         rule_index=rule_index,
                         rule_name=rule.name,
                         body=tuple(body_facts),
@@ -364,7 +565,7 @@ class IncrementalGrounder(_GrounderBase):
                         head_key=head_fact.statement_key,
                         signature=signature,
                     )
-                    added_firings += 1
+                    added.append(record)
                     new_heads.append(head_fact)
             grew = False
             for head in new_heads:
@@ -374,9 +575,9 @@ class IncrementalGrounder(_GrounderBase):
             if not grew:
                 break
             delta_since = round_mark
-        return added_firings
+        return added
 
-    def _match_constraints(self, delta_since: int) -> int:
+    def _match_constraints(self, delta_since: int) -> list[_ViolationRecord]:
         """Record constraint violations using at least one delta fact.
 
         A *new* violation signature necessarily contains a delta fact, so
@@ -385,10 +586,11 @@ class IncrementalGrounder(_GrounderBase):
         match the from-scratch engines keep after sorting and deduplicating.
         Ordering compares statement keys only: the engines' sort keys add a
         confidence tie-break, but equal keys always mean the same stored
-        fact, so the tie-break never decides an order.
+        fact, so the tie-break never decides an order.  Returns the new
+        violations.
         """
         violations = self._violations
-        added = 0
+        created: dict[tuple, _ViolationRecord] = {}
         for constraint_index, (constraint, plan) in enumerate(
             zip(self.constraints, self._constraint_plans)
         ):
@@ -400,96 +602,93 @@ class IncrementalGrounder(_GrounderBase):
                     continue
                 signature = (constraint.name, tuple(sorted(keys)))
                 record = violations.get(signature)
-                if record is None:
-                    violations[signature] = _ViolationRecord(
+                # Only a record of this pass can be replaced: a live older
+                # violation holds no delta fact, so no delta match finds it.
+                if record is None or keys < record.order_key:
+                    violations[signature] = created[signature] = _ViolationRecord(
                         constraint_index=constraint_index,
                         facts=tuple(facts),
                         fact_keys=keys,
                         order_key=keys,
                         signature=signature,
                     )
-                    added += 1
-                elif keys < record.order_key:
-                    violations[signature] = _ViolationRecord(
-                        constraint_index=constraint_index,
-                        facts=tuple(facts),
-                        fact_keys=keys,
-                        order_key=keys,
-                        signature=signature,
-                    )
-        return added
+        return list(created.values())
 
     # ------------------------------------------------------------------ #
     # Emission
     # ------------------------------------------------------------------ #
-    def emit_plan(self) -> EmissionPlan:
-        """Filter and order the maintained state for emission.
+    def emit_component(self, component: MaintainedComponent) -> ComponentEmission:
+        """One component's slice of the emission (see :class:`ComponentEmission`).
 
         Firings are layered into semi-naive rounds (a firing belongs to round
         ``1 + max(availability round of its body facts)``) and ordered
         round → rule → lexicographic-body; firings deeper than ``max_rounds``
         layers — and violations touching facts only derivable beyond the
         bound — are filtered out, reproducing the from-scratch engines'
-        truncation semantics exactly.  The atom table is built here (evidence
-        in graph insertion order, then derived atoms in first-firing order),
-        so plan consumers share one numbering.  Requires :attr:`saturated`.
+        truncation semantics exactly.  Requires :attr:`saturated`.
         """
-        atoms: list[GroundAtom] = []
-        atom_index: dict[tuple, int] = {}
-        for fact in self.graph:
-            atom_index[fact.statement_key] = len(atoms)
-            atoms.append(GroundAtom(len(atoms), fact, True, None))
-        evidence_count = len(atoms)
-
-        ordered_firings: list[tuple[_FiringRecord, bool]] = []
-        available: set[tuple] = set(atom_index)
-        pending = list(self._firings.values())
+        facts = self.graph._facts
+        evidence_keys = sorted(
+            [key for key in component.keys if key in facts], key=self.graph._added_at.__getitem__
+        )
+        available = set(evidence_keys)
+        registered = set(available)
+        firings: list[tuple[tuple, _FiringRecord, bool]] = []
+        pending = list(component.firings)
         rounds = 0
-        emit_priors = self.derived_prior > 0
         for round_number in range(1, self.max_rounds + 1):
+            if not pending:
+                break
             ready: list[_FiringRecord] = []
             remaining: list[_FiringRecord] = []
             for record in pending:
-                if all(key in available for key in record.body_keys):
-                    ready.append(record)
-                else:
-                    remaining.append(record)
+                (ready if available.issuperset(record.body_keys) else remaining).append(record)
             if not ready:
                 break
             pending = remaining
             rounds = round_number
             ready.sort(key=lambda record: (record.rule_index, record.body_keys))
             for record in ready:
-                # Body atoms are always present already: every body fact is
+                # Body atoms are always registered already: every body fact is
                 # available, i.e. evidence or the head of an earlier firing.
-                existing = atom_index.get(record.head_key)
-                if existing is None:
-                    atom_index[record.head_key] = len(atoms)
-                    atoms.append(GroundAtom(len(atoms), record.head, False, record.rule_name))
-                    ordered_firings.append((record, emit_priors))
-                else:
-                    ordered_firings.append((record, False))
-            for record in ready:
-                available.add(record.head_key)
-
-        buckets: dict[int, list[_ViolationRecord]] = {}
-        for record in self._violations.values():
-            if all(key in available for key in record.fact_keys):
-                buckets.setdefault(record.constraint_index, []).append(record)
-        ordered_violations: list[_ViolationRecord] = []
-        for constraint_index in range(len(self.constraints)):
-            records = buckets.get(constraint_index)
-            if records:
-                records.sort(key=lambda record: record.order_key)
-                ordered_violations.extend(records)
-
-        return EmissionPlan(
-            atoms=atoms,
-            atom_index=atom_index,
-            evidence_count=evidence_count,
-            firings=ordered_firings,
-            violations=ordered_violations,
+                first = record.head_key not in registered
+                if first:
+                    registered.add(record.head_key)
+                firings.append(((round_number, record.rule_index, record.body_keys), record, first))
+            available.update([record.head_key for record in ready])
+        violations = [
+            record for record in component.violations if available.issuperset(record.fact_keys)
+        ]
+        violations.sort(key=violation_order)
+        return ComponentEmission(
+            evidence=tuple(map(facts.__getitem__, evidence_keys)),
+            firings=tuple(firings),
+            violations=tuple(violations),
             rounds=rounds,
+        )
+
+    def emit_plan(self) -> EmissionPlan:
+        """Every component's emission, merged in global emission order.
+
+        Evidence comes in graph insertion order; firings are merged by
+        ``(round, rule index, body keys)``, so derived atoms come in
+        first-firing order, and violations by :func:`violation_order`.
+        Requires :attr:`saturated`.
+        """
+        emissions = [self.emit_component(component) for component in self._components]
+        emit_priors = self.derived_prior > 0
+        firings = sorted(
+            (entry for emission in emissions for entry in emission.firings), key=itemgetter(0)
+        )
+        violations = sorted(
+            (record for emission in emissions for record in emission.violations),
+            key=violation_order,
+        )
+        return EmissionPlan(
+            evidence=tuple(self.graph),
+            firings=[(record, first and emit_priors) for _, record, first in firings],
+            violations=violations,
+            rounds=max((emission.rounds for emission in emissions), default=0),
         )
 
     def fresh_facts(self, facts: Iterable[TemporalFact]) -> tuple[TemporalFact, ...]:
@@ -527,11 +726,11 @@ class IncrementalGrounder(_GrounderBase):
         program = GroundProgram()
         result = GroundingResult(program=program, rounds=plan.rounds)
 
-        for atom in plan.atoms[: plan.evidence_count]:
-            added = program.add_atom(atom.fact, is_evidence=True)
+        for fact in plan.evidence:
+            added = program.add_atom(fact, is_evidence=True)
             program.add_clause(
                 [(added.index, True)],
-                weight=atom.fact.log_weight + self.keep_bias,
+                weight=fact.log_weight + self.keep_bias,
                 kind=ClauseKind.EVIDENCE,
                 origin="evidence",
             )
@@ -587,6 +786,7 @@ class IncrementalGrounder(_GrounderBase):
             "working_facts": len(self._working),
             "firings": len(self._firings),
             "violations": len(self._violations),
+            "components": len(self._components),
             "saturated": int(self.saturated),
         }
 

@@ -21,9 +21,10 @@ connected component of the clause CSR
 Every component's answer is thus a function of its own content.  The
 eliminated ones get the lexicographically largest assignment among those
 with the maximal *exact* satisfied weight (:func:`eliminate_components`
-states how sums are made exact).  The reported objective is still
-:meth:`GroundProgram.objective`'s clause-order float, bit for bit, and
-``stats.solver`` is ``"nrockit-ilp"`` on every path.
+states how sums are made exact).  The reported objective is
+:meth:`GroundProgram.objective`'s, the correctly rounded exact sum of the
+satisfied soft weights, bit for bit, and ``stats.solver`` is
+``"nrockit-ilp"`` on every path.
 :meth:`ILPMapSolver.solve_components` solves many programs as one stack.
 """
 
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ...errors import InfeasibleProgramError, SolverError
-from ...logic.arrays import GroundProgramArrays, ordered_weight_sum, ragged_slices
+from ...logic.arrays import GroundProgramArrays, ragged_slices
 from ...logic.ground import GroundProgram
 from ...solvers import MAPSolution, MAPSolver, MLN_CAPABILITIES, SolverCapabilities, SolverStats
 from ...solvers.base import split_stacked_solution
@@ -538,7 +539,7 @@ class ILPMapSolver(MAPSolver):
                 f"{violated.size} hard clause(s); first: {program.clause(int(violated[0]))}"
             )
         soft_satisfied = satisfied & ~arrays.is_hard
-        objective = ordered_weight_sum(arrays.weight_list, np.flatnonzero(soft_satisfied))
+        objective = math.fsum(arrays.weights[soft_satisfied].tolist())
         bound = objective
         if wide.size:
             # The bound is not compared bit for bit, so numpy's sum will do.

@@ -15,6 +15,7 @@ input fits the solver's expressivity.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..kg import TemporalFact
-from ..logic.arrays import GroundProgramArrays, ordered_weight_sum
+from ..logic.arrays import GroundProgramArrays
 from ..logic.ground import GroundProgram
 from .capabilities import SolverCapabilities
 
@@ -146,8 +147,8 @@ def split_stacked_solution(
     """Split a solution of ``GroundProgram.stack(programs)`` into one per program.
 
     Each program gets its slice of the assignment and truth values, and its
-    own objective: its satisfied soft weights summed in its clause order, as
-    :meth:`GroundProgram.objective` sums them.  The stack's stats are
+    own objective: the correctly rounded sum of its satisfied soft weights,
+    as :meth:`GroundProgram.objective` reports it.  The stack's stats are
     shared: runtime and iterations are divided evenly (so summing the
     solutions counts the stacked solve once), ``optimal`` is the stack's,
     and a program's bound is its objective plus the stack's gap.
@@ -155,6 +156,7 @@ def split_stacked_solution(
     stats = solution.stats
     arrays = GroundProgramArrays.from_program(stacked)
     soft = np.flatnonzero(arrays.satisfied_mask(solution.assignment) & ~arrays.is_hard)
+    soft_weights = arrays.weights[soft].tolist()
     atom_ends = np.cumsum([program.num_atoms for program in programs]).tolist()
     clause_ends = np.cumsum([program.num_clauses for program in programs])
     soft_ends = np.searchsorted(soft, clause_ends).tolist()
@@ -164,7 +166,7 @@ def split_stacked_solution(
     solutions = []
     atom_start = soft_start = 0
     for index, (program, atom_end, soft_end) in enumerate(zip(programs, atom_ends, soft_ends)):
-        objective = ordered_weight_sum(arrays.weight_list, soft[soft_start:soft_end])
+        objective = math.fsum(soft_weights[soft_start:soft_end])
         solutions.append(
             MAPSolution(
                 assignment=solution.assignment[atom_start:atom_end],

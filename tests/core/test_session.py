@@ -6,6 +6,7 @@ from repro import TeCoRe
 from repro.core import make_solver
 from repro.core.session import ComponentSolutionCache, component_content_key
 from repro.datasets import ranieri_graph
+from repro.kg import TemporalKnowledgeGraph
 from repro.logic import ground, running_example_constraints, running_example_rules
 from repro.solvers import DecomposedSolver
 
@@ -227,3 +228,133 @@ class TestIncrementalBatch:
         assert batch[1].objective == reference.objective
         assert batch[1].delta.facts_removed == 1
         assert batch[1].delta.facts_added == 1
+
+    @staticmethod
+    def _football(seed):
+        from repro.datasets import FootballDBConfig, generate_footballdb
+
+        return generate_footballdb(FootballDBConfig(scale=0.02, noise_ratio=0.5, seed=seed)).graph
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reordered_graph_is_resolved_in_its_own_order(self, seed):
+        """The next graph drops five facts and rotates the rest by half."""
+        system = TeCoRe.from_pack("sports", solver="nrockit")
+        first = self._football(seed)
+        facts = first.facts()[5:]
+        half = len(facts) // 2
+        second = TemporalKnowledgeGraph(facts[half:] + facts[:half], name=f"{first.name}-rotated")
+        batch = system.resolve_batch([first, second], incremental=True)
+        for graph, result in zip([first, second], batch):
+            reference = system.resolve(graph)
+            assert result.solution.assignment == reference.solution.assignment
+            assert repr(result.objective) == repr(reference.objective)
+            assert result.removed_facts == reference.removed_facts
+            assert result.inferred_facts == reference.inferred_facts
+            assert list(result.input_graph) == list(graph)
+            assert result.input_graph.name == graph.name
+
+    def test_append_only_graph_costs_only_its_diff(self):
+        system = TeCoRe.from_pack("sports", solver="nrockit")
+        first = self._football(7)
+        extra = [
+            ("NewPlayer1", "playsFor", "NewTeam", (1990, 1994), 0.7),
+            ("NewPlayer2", "playsFor", "NewTeam", (1992, 1996), 0.6),
+        ]
+        second = first.copy(name="appended")
+        second.add_all(extra)
+        batch = system.resolve_batch([first, second], incremental=True)
+        delta = batch[1].delta
+        assert (delta.facts_added, delta.facts_removed, delta.facts_updated) == (2, 0, 0)
+        reference = system.resolve(second)
+        assert batch[1].solution.assignment == reference.solution.assignment
+        assert repr(batch[1].objective) == repr(reference.objective)
+        assert list(batch[1].input_graph) == list(second)
+
+
+class TestResultGraphs:
+    """Session results build their graphs and conflict table on first read."""
+
+    @staticmethod
+    def _session():
+        from repro.datasets import FootballDBConfig, generate_footballdb
+
+        system = TeCoRe.from_pack("sports", solver="nrockit")
+        graph = generate_footballdb(FootballDBConfig(scale=0.01, noise_ratio=0.5, seed=8)).graph
+        return system, system.session(graph)
+
+    def test_an_edit_reply_builds_no_graph(self, monkeypatch):
+        from repro.serve.protocol import encode_result
+
+        system, session = self._session()
+        built = []
+        init = TemporalKnowledgeGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalKnowledgeGraph, "__init__", counting)
+        facts = session.graph.facts()
+        result = session.apply(removes=facts[:3])
+        payload = encode_result(result)
+        assert built == []
+        assert payload["violations_by_constraint"] == result.violations.by_constraint()
+        assert payload["graph"] == result.input_graph.name == session.graph.name
+        assert len(built) == 1  # reading the violations built none; the input graph one
+
+    def test_a_result_keeps_its_graphs_after_later_edits(self):
+        system, session = self._session()
+        facts = session.graph.facts()
+        result = session.apply(removes=facts[:3])
+        reference = system.resolve(session.graph.copy(name=session.graph.name))
+        for step in range(1, 4):
+            session.apply(
+                adds=facts[3 * step - 3 : 3 * step], removes=facts[3 * step : 3 * step + 3]
+            )
+        assert list(result.input_graph) == list(reference.input_graph)
+        assert list(result.consistent_graph) == list(reference.consistent_graph)
+        assert list(result.expanded_graph) == list(reference.expanded_graph)
+        assert list(result.violations) == list(reference.violations)
+        assert result.conflicting_facts == reference.conflicting_facts
+
+    def test_concurrent_first_reads_see_whole_graphs(self):
+        import sys
+        import threading
+
+        system, session = self._session()
+        facts = session.graph.facts()
+        result = session.apply(removes=facts[:3])
+        reference = system.resolve(session.graph.copy(name=session.graph.name))
+        expected = (
+            list(reference.consistent_graph),
+            list(reference.expanded_graph),
+            list(reference.violations),
+        )
+        seen, errors = [], []
+
+        def read():
+            try:
+                seen.append(
+                    (
+                        list(result.consistent_graph),
+                        list(result.expanded_graph),
+                        list(result.violations),
+                    )
+                )
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            session.apply(adds=facts[:3], removes=facts[3:6])  # the next apply, meanwhile
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen == [expected] * 8

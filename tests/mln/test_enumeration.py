@@ -397,7 +397,9 @@ class TestTieRule:
     @staticmethod
     def _float_broken_tie():
         """Two conflicting facts whose unit weights have equal exact sums, but
-        whose clause-order float sums differ by an ulp in favour of the second."""
+        whose clause-order float sums differ by an ulp in favour of the second.
+
+        Atom 0's units come as ``a, b, c`` and atom 1's as ``a, c, b``."""
         rng = random.Random(0)
         while True:
             a, b, c = (rng.uniform(0.5, 2.0) for _ in range(3))
@@ -415,10 +417,16 @@ class TestTieRule:
         program = self._float_broken_tie()
         first, second = (True, False), (False, True)
         assert _exact_objective(program, first) == _exact_objective(program, second)
-        assert program.objective(first) < program.objective(second)
+        # Summed left to right in clause order the second fact would win by
+        # an ulp; the objective is the exact sum, rounded once, so it ties.
+        (a, b, c), (_, c2, b2) = (
+            [clause.weight for clause in program.clauses[3 * atom : 3 * atom + 3]]
+            for atom in (0, 1)
+        )
+        assert (a + b) + c < (a + c2) + b2
+        assert program.objective(first) == program.objective(second)
         solution = ILPMapSolver().solve(program)
         assert solution.assignment == first == product_map(program)
-        # The reported objective is still the clause-order float sum.
         assert solution.objective == program.objective(first)
         assert highs_encodings == []
 

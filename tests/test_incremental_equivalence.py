@@ -13,6 +13,7 @@ after every step.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -382,3 +383,264 @@ class TestSessionEquivalence:
         ).resolve(ranieri_extended_graph())
         assert incremental.objective == reference.objective
         assert incremental.solution.assignment == reference.solution.assignment
+
+
+# --------------------------------------------------------------------------- #
+# Maintained components: edit streams against from-scratch resolution
+# --------------------------------------------------------------------------- #
+def clause_identities(grounding) -> set:
+    """From-scratch clause identities, as a session counts added/retracted clauses."""
+    program = grounding.program
+    identities = {
+        ("evidence", atom.fact.statement_key, atom.fact.confidence)
+        for atom in program.atoms
+        if atom.is_evidence
+    }
+    identities |= {
+        ("prior", atom.fact.statement_key, atom.derived_by)
+        for atom in program.atoms
+        if not atom.is_evidence
+    }
+    identities |= {
+        (firing.rule, tuple(fact.statement_key for fact in firing.body), firing.head.statement_key)
+        for firing in grounding.firings
+    }
+    identities |= {
+        (violation.constraint, tuple(sorted(fact.statement_key for fact in violation.facts)))
+        for violation in grounding.violations
+    }
+    return identities
+
+
+def assert_result_matches(result, reference):
+    """Bit for bit: assignment, objective, facts and violations in order, statistics."""
+    assert result.solution.assignment == reference.solution.assignment
+    assert repr(result.objective) == repr(reference.objective)
+    assert result.removed_facts == reference.removed_facts
+    assert result.inferred_facts == reference.inferred_facts
+    assert result.inferred_below_threshold == reference.inferred_below_threshold
+    assert list(result.violations) == list(reference.violations)
+    assert result.conflicting_facts == reference.conflicting_facts
+    assert replace(result.statistics, runtime_seconds=0.0) == replace(
+        reference.statistics, runtime_seconds=0.0
+    )
+    assert result.violations_by_constraint() == reference.violations_by_constraint()
+    assert list(result.input_graph) == list(reference.input_graph)
+    assert list(result.consistent_graph) == list(reference.consistent_graph)
+    assert list(result.expanded_graph) == list(reference.expanded_graph)
+    assert result.expanded_graph.name == reference.expanded_graph.name
+
+
+def edit_stream(rng: random.Random, session, removed_pool: list) -> tuple[list, list]:
+    """One edit mixing every kind of change a session must track.
+
+    Retractions split components and can flip evidence that stays derivable
+    to derived; new facts merge components; re-adds move a fact to the end
+    of insertion order; confidence raises only change weights; adding a
+    derived fact as evidence flips it the other way.
+    """
+    adds, removes = [], []
+    facts = session.graph.facts()
+    derived = [fact for fact in session.result.inferred_facts if fact not in session.graph]
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.3 and facts:
+            victim = rng.choice(facts)
+            removes.append(victim)
+            removed_pool.append(victim)
+        elif roll < 0.45 and removed_pool:
+            adds.append(removed_pool.pop(rng.randrange(len(removed_pool))))
+        elif roll < 0.6 and facts:
+            fact = rng.choice(facts)
+            adds.append(fact.with_confidence(min(0.99, round(fact.confidence + 0.07, 2))))
+        elif roll < 0.75 and derived:
+            adds.append(rng.choice(derived).with_confidence(round(rng.uniform(0.3, 0.95), 2)))
+        else:
+            adds.append(make_fact(*random_fact(rng)))
+    return adds, removes
+
+
+class TestMaintainedComponents:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_sessions_equal_one_shot_resolves_under_edit_streams(self, seed, audited_seed):
+        seed = audited_seed(seed)
+        rng = random.Random(seed)
+        system = TeCoRe(
+            rules=running_example_rules(),
+            constraints=running_example_constraints(),
+            solver="nrockit",
+        )
+        graph = random_sports_graph(seed, facts=70)
+        session = system.session(graph)
+        assert_result_matches(session.result, system.resolve(graph.copy(name=graph.name)))
+        rules, constraints = system.rules, system.constraints
+        before = clause_identities(IndexedGrounder(session.graph, rules, constraints).ground())
+        removed_pool: list = []
+        for _ in range(8):
+            adds, removes = edit_stream(rng, session, removed_pool)
+            result = session.apply(adds=adds, removes=removes)
+            replica = session.graph.copy(name=session.graph.name)
+            assert_state_matches(session._grounder, replica, system.rules, system.constraints)
+            assert_result_matches(result, system.resolve(replica))
+            now = clause_identities(IndexedGrounder(replica, rules, constraints).ground())
+            if result.delta.facts_changed:
+                assert result.delta.clauses_added == len(now - before)
+                assert result.delta.clauses_retracted == len(before - now)
+            before = now
+
+    def test_the_delta_names_touched_keys_and_their_components(self):
+        rules, constraints = running_example_rules(), running_example_constraints()
+        graph = random_sports_graph(15, facts=60)
+        grounder = IncrementalGrounder(graph, rules=rules, constraints=constraints)
+        facts = graph.facts()
+        removed = facts[0]
+        raised = next(fact for fact in facts[1:] if fact.confidence < 0.9)
+        fresh = make_fact("Player1", "coach", "Team2", (1971, 1975), 0.7)
+        delta = grounder.apply(
+            adds=[raised.with_confidence(raised.confidence + 0.05), fresh], removes=[removed]
+        )
+        keys = {removed.statement_key, raised.statement_key, fresh.statement_key}
+        assert keys <= delta.touched_keys
+        live = grounder.components()
+        component_of = {key: component for component in live for key in component.keys}
+        assert set(delta.dirty) == {
+            component_of[key] for key in delta.touched_keys if key in component_of
+        }
+        assert set(delta.dirty) <= set(live)
+        assert not set(delta.retired) & set(live)
+        # An edit that changes nothing names nothing.
+        assert grounder.apply(adds=[fresh]) == type(delta)()
+
+    def test_components_cross_the_round_bound(self):
+        """Shortcuts pull truncated firings in; retracting them pushes them out."""
+        predicates = [f"hopD{index}" for index in range(7)]
+        rules = chain_rules(predicates)
+        system = TeCoRe(rules=rules, solver="nrockit", max_rounds=3)
+        graph = TemporalKnowledgeGraph(name="bound")
+        graph.add(("X", "hopD0", "Y", (2000, 2001), 0.9))
+        graph.add(("Z", "hopD0", "W", (2000, 2001), 0.8))
+        session = system.session(graph)
+        shortcut = make_fact("X", "hopD3", "Y", (2000, 2001), 0.8)
+        steps = [
+            ([shortcut], []),
+            ([], [shortcut]),
+            ([make_fact("Z", "hopD2", "W", (2000, 2001), 0.7)], []),
+            ([shortcut], [("Z", "hopD0", "W", (2000, 2001))]),
+            ([make_fact("Z", "hopD0", "W", (2000, 2001), 0.85)], [shortcut]),
+        ]
+        for adds, removes in steps:
+            result = session.apply(adds=adds, removes=removes)
+            replica = session.graph.copy(name=session.graph.name)
+            assert_state_matches(session._grounder, replica, rules, (), max_rounds=3)
+            assert_result_matches(result, system.resolve(replica))
+        # The maintained state still holds the firings beyond the bound.
+        assert session._grounder.state_summary()["firings"] > len(
+            system.translate(session.graph).grounding.firings
+        )
+
+    def test_npsl_sessions_equal_the_decomposed_solver(self, audited_seed):
+        seed = audited_seed(14)
+        rng = random.Random(seed)
+        pack = sports_pack()
+        system = TeCoRe(rules=list(pack.rules), constraints=list(pack.constraints), solver="npsl")
+        session = system.session(random_sports_graph(seed, facts=60))
+        removed_pool: list = []
+        for _ in range(5):
+            adds, removes = edit_stream(rng, session, removed_pool)
+            result = session.apply(adds=adds, removes=removes)
+            program, reference = decomposed_solve(system, session.graph.copy(name="x"))
+            assert result.solution.assignment == reference.assignment
+            assert result.solution.truth_values == reference.truth_values
+            assert repr(result.objective) == repr(reference.objective)
+
+
+class TestWorkBound:
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.core.session import ComponentSolutionCache, ResolutionSession
+
+        calls = {"emitted": [], "solver_components": 0, "lookups": 0, "materialised": 0}
+        emit, get, materialise = (
+            ResolutionSession._emit,
+            ComponentSolutionCache.get,
+            ResolutionSession._materialise,
+        )
+
+        def spy_emit(self, component):
+            calls["emitted"].append(component)
+            part, solver_components = emit(self, component)
+            calls["solver_components"] += len(solver_components)
+            return part, solver_components
+
+        def spy_get(self, key):
+            calls["lookups"] += 1
+            return get(self, key)
+
+        def spy_materialise(self, component):
+            calls["materialised"] += 1
+            return materialise(self, component)
+
+        monkeypatch.setattr(ResolutionSession, "_emit", spy_emit)
+        monkeypatch.setattr(ComponentSolutionCache, "get", spy_get)
+        monkeypatch.setattr(ResolutionSession, "_materialise", spy_materialise)
+        return calls
+
+    def test_an_apply_keys_and_materialises_only_dirty_components(self, monkeypatch):
+        from repro.datasets import FootballDBConfig, generate_footballdb
+
+        system = TeCoRe.from_pack("sports", solver="nrockit")
+        graph = generate_footballdb(FootballDBConfig(scale=0.02, noise_ratio=0.5, seed=3)).graph
+        session = system.session(graph)
+        calls = self._spy(monkeypatch)
+        deltas = []
+        grounder_apply = session._grounder.apply
+
+        def recording(*args, **kwargs):
+            deltas.append(grounder_apply(*args, **kwargs))
+            return deltas[-1]
+
+        monkeypatch.setattr(session._grounder, "apply", recording)
+        facts = graph.facts()
+        previous: list = []
+        for step in range(6):
+            calls.update(emitted=[], solver_components=0, lookups=0, materialised=0)
+            chosen = facts[3 * step : 3 * step + 3]
+            result = session.apply(adds=previous, removes=chosen)
+            previous = chosen
+            dirty = deltas[-1].dirty
+            assert calls["emitted"] == list(dirty)
+            solver_components = calls["solver_components"]
+            assert calls["lookups"] == calls["materialised"] == solver_components
+            assert result.delta.components_dirty <= solver_components
+            assert solver_components < result.delta.components_total / 10
+
+    def test_one_fact_edit_visits_the_same_records_at_any_scale(self, monkeypatch):
+        from repro.datasets import FootballDBConfig, generate_footballdb
+        from repro.logic import incremental
+
+        system = TeCoRe.from_pack("sports", solver="nrockit")
+        fact = make_fact("FreshPlayer", "playsFor", "FreshTeam", (1990, 1995), 0.8)
+        visited = []
+        for scale in (0.02, 0.08):
+            config = FootballDBConfig(scale=scale, noise_ratio=0.5, seed=4)
+            graph = generate_footballdb(config).graph
+            session = system.session(graph)
+            counted = {"records": 0}
+            emit, partition = IncrementalGrounder.emit_component, incremental._partition
+
+            def spy_emit(self, component):
+                counted["records"] += component.size
+                return emit(self, component)
+
+            def spy_partition(keys, firings, violations):
+                keys, firings, violations = list(keys), list(firings), list(violations)
+                counted["records"] += len(keys) + len(firings) + len(violations)
+                return partition(keys, firings, violations)
+
+            monkeypatch.setattr(IncrementalGrounder, "emit_component", spy_emit)
+            monkeypatch.setattr(incremental, "_partition", spy_partition)
+            session.apply(adds=[fact])
+            session.apply(removes=[fact])
+            monkeypatch.undo()
+            visited.append(counted["records"])
+        assert visited[0] == visited[1] > 0

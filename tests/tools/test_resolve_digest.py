@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,42 @@ def test_digest_covers_the_served_payload_key_order(monkeypatch):
 
     monkeypatch.setattr(ResolutionResult, "violations_by_constraint", reordered)
     assert resolve_digest(system, graph) != digest
+
+
+def _session_lines(*extra: str) -> list[str]:
+    return _run_script(
+        "--dataset", "footballdb", "--scale", "0.01", "--pack", "sports", "--edits", "4", *extra
+    ).splitlines()
+
+
+def test_session_digest_repeats_across_processes():
+    lines = _session_lines()
+    assert lines == _session_lines()
+    assert [line.split()[2] for line in lines] == [f"step={step}" for step in range(5)]
+    assert len({line.split()[3] for line in lines}) == 5
+
+
+def test_a_changed_edit_changes_its_step_and_every_later_one(monkeypatch):
+    import resolve_digest
+
+    system = TeCoRe.from_pack("sports", solver="nrockit")
+    graph = generate_footballdb(FootballDBConfig(scale=0.01, noise_ratio=0.5, seed=6)).graph
+    digests = resolve_digest.session_digests(system, graph, edits=5, seed=6)
+    assert digests == resolve_digest.session_digests(system, graph, edits=5, seed=6)
+
+    class OtherThirdEdit(random.Random):
+        """Retracts other facts in the third edit only."""
+
+        draws = 0
+
+        def sample(self, population, k):
+            chosen = super().sample(population, k)
+            OtherThirdEdit.draws += 1
+            if OtherThirdEdit.draws == 3:
+                chosen = [item for item in population if item not in chosen][:k]
+            return chosen
+
+    monkeypatch.setattr(resolve_digest.random, "Random", OtherThirdEdit)
+    changed = resolve_digest.session_digests(system, graph, edits=5, seed=6)
+    assert changed[:3] == digests[:3]
+    assert all(new != old for new, old in zip(changed[3:], digests[3:]))
