@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--warm-start",
         action="store_true",
-        help="seed dirty-component solves from the previous solution (anytime back-ends)",
+        help="seed dirty-component solves from the previous solution (npsl; nrockit ignores it)",
     )
     watch.add_argument("--json", action="store_true", help="emit one JSON object per step (JSONL)")
 

@@ -14,13 +14,7 @@ from typing import Callable
 
 from ..errors import SolverNotAvailableError
 from ..logic.ground import GroundProgram
-from ..mln import (
-    ArrayMaxWalkSATSolver,
-    BranchAndBoundSolver,
-    CuttingPlaneSolver,
-    ILPMapSolver,
-    MaxWalkSATSolver,
-)
+from ..mln import ILPMapSolver
 from ..psl import ADMMSolver
 from ..solvers import MAPSolution, MAPSolver, check_expressivity, instantiate_solver
 
@@ -112,30 +106,14 @@ def solve_map(
 
 
 # --------------------------------------------------------------------------- #
-# Built-in registrations.  "nrockit" and "npsl" are the two reasoners the demo
-# runs on; the rest are the ablation back-ends.
+# Built-in registrations: the two reasoners the paper runs.
 # --------------------------------------------------------------------------- #
 register_solver(
     "nrockit",
     "mln",
-    "MLN with numerical constraints, exact MAP via HiGHS ILP (enumeration up to 15 atoms)",
+    "MLN with numerical constraints, exact MAP by bucket elimination (HiGHS ILP when wide)",
     ILPMapSolver,
 )
 register_solver(
-    "nrockit-cpa", "mln", "MLN MAP via RockIt-style cutting-plane aggregation", CuttingPlaneSolver
-)
-register_solver(
-    "nrockit-bnb", "mln", "MLN MAP via pure-Python branch & bound", BranchAndBoundSolver
-)
-register_solver(
-    "maxwalksat", "mln", "approximate MLN MAP via stochastic local search", MaxWalkSATSolver
-)
-register_solver(
     "npsl", "psl", "PSL/nPSL MAP via consensus ADMM over the hinge-loss MRF", ADMMSolver
-)
-register_solver(
-    "maxwalksat-array",
-    "mln",
-    "approximate MLN MAP via batched local search, one move per component per step",
-    ArrayMaxWalkSATSolver,
 )

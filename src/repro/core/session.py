@@ -35,9 +35,9 @@ retractions into the state and re-resolve at a cost proportional to the
 
 Optional **warm starts** seed dirty components with the previous solution's
 truth values (restricted to the component's atoms by statement key) when the
-back-end advertises :attr:`~repro.solvers.MAPSolver.supports_warm_start` —
-the previous assignment for MaxWalkSAT, an incumbent for branch & bound, the
-initial consensus vector for ADMM.
+back-end advertises :attr:`~repro.solvers.MAPSolver.supports_warm_start`:
+``npsl`` starts ADMM from them as its consensus vector.  ``nrockit`` does
+not, so its sessions ignore the flag.
 
 Sessions are created through :meth:`repro.core.tecore.TeCoRe.session`;
 ``tecore watch`` drives one from a change-stream file, and
@@ -332,10 +332,9 @@ class ResolutionSession:
         mutated by the session).
     warm_start:
         Seed dirty-component solves with the previous solution's truth
-        values when the back-end supports it.  Off by default: warm starts
-        keep exact back-ends exact but can steer *anytime* back-ends to a
-        different (usually better) local optimum than a cold solve, which
-        breaks bit-for-bit reproducibility against one-shot resolution.
+        values when the back-end supports it (``npsl``).  Off by default: a
+        warm ADMM start can settle on another state than a cold solve, so a
+        warm session's answers depend on its edit history.
     cache_size:
         Maximum number of component solutions kept in the LRU cache.
 

@@ -233,8 +233,9 @@ class TeCoRe:
         :meth:`~repro.core.session.ResolutionSession.apply`, which re-grounds
         only the delta and re-solves only the dirty components of the ground
         program.  ``warm_start`` seeds dirty-component solves from the
-        previous solution on back-ends that support it (MaxWalkSAT, branch &
-        bound, ADMM); ``cache_size`` bounds the component solution cache.
+        previous solution on back-ends that support it (``npsl``'s ADMM;
+        ``nrockit`` ignores it); ``cache_size`` bounds the component solution
+        cache.
         """
         from .session import ResolutionSession
 
@@ -276,8 +277,8 @@ class TeCoRe:
         session's result equals :class:`~repro.solvers.DecomposedSolver`
         over the translated program; for ``nrockit``, whose answers depend
         only on component content, that is the one-shot resolve bit for bit.
-        Anytime back-ends (MaxWalkSAT, PSL) may settle in different
-        (typically better) local optima than a monolithic solve.
+        ``npsl``'s ADMM stops per component there, so its answers may differ
+        from a monolithic solve's.
         """
         if incremental:
             return self._resolve_batch_incremental(graphs)

@@ -15,11 +15,11 @@ that only a full garbage collection frees.  The view holds:
   "literals of clause c" slices and one-shot gathers over all literals;
 * per-clause ``weights`` / ``is_hard`` vectors for masked objective sums;
 * a lazily-built atom→occurrence CSR (``occurrence_offsets`` /
-  ``occurrence_clauses`` / ``occurrence_signs``) for WalkSAT flip deltas,
-  the hard repair (:meth:`GroundProgramArrays.repair_hard_violations`) and
-  PSL re-insertion;
+  ``occurrence_clauses`` / ``occurrence_signs``) for the hard repair
+  (:meth:`GroundProgramArrays.repair_hard_violations`) and PSL
+  re-insertion;
 * lazily-labelled connected components (:attr:`components`), which
-  ``nrockit`` solves apart and the batched WalkSAT kernel schedules by.
+  ``nrockit`` solves apart.
 
 Float contract: :meth:`objective` is the correctly rounded exact sum of the
 satisfied soft weights (:func:`math.fsum`), as :meth:`GroundProgram.objective`
@@ -144,7 +144,7 @@ class GroundProgramArrays:
 
         Row ``a`` lists, in clause order (stable sort), every clause that
         mentions atom ``a`` together with the literal's sign.  Built lazily
-        for the WalkSAT kernel, the hard repair and re-insertion.
+        for the hard repair and re-insertion.
         """
         if self._occurrence is None:
             order = np.argsort(self.literal_atoms, kind="stable")
@@ -170,9 +170,7 @@ class GroundProgramArrays:
         component of its own with no clauses.  Built lazily by
         ``scipy.sparse.csgraph.connected_components`` over an edge between
         each pair of adjacent literals of a clause (enough to connect every
-        atom a clause mentions).  ``nrockit`` solves the components apart;
-        the batched WalkSAT kernel uses them to schedule conflict-free
-        simultaneous moves (at most one clause repair per component).
+        atom a clause mentions).  ``nrockit`` solves the components apart.
         """
         if self._components is None:
             adjacent = self.literal_clauses[1:] == self.literal_clauses[:-1]

@@ -5,8 +5,8 @@ Grounding a UTKG together with its inference rules and constraints produces a
 derived) and a set of weighted ground clauses.  MAP inference over this
 program is exactly weighted MaxSAT, which is how both back-ends consume it:
 
-* the MLN path solves it exactly (ILP / branch & bound) or approximately
-  (MaxWalkSAT);
+* the MLN path solves it exactly (bucket elimination, HiGHS ILP for wide
+  components);
 * the PSL path relaxes the Boolean variables to ``[0, 1]`` and replaces each
   clause by its Łukasiewicz hinge loss.
 
@@ -15,12 +15,12 @@ literal count, the weight (``None`` when hard) and a code into a table of
 ``(kind, origin)`` pairs; per literal the atom index and the sign.
 :meth:`GroundProgram.add_clause` appends one normalised clause;
 :meth:`GroundProgram.extend_clauses` appends many straight from arrays (the
-vectorized grounder's path, which builds no clause object).  The solver
+vectorized grounder's path).  Neither builds a clause object.  The solver
 kernels read the columns as a CSR
 (:meth:`~repro.logic.arrays.GroundProgramArrays.from_program`), and
 :attr:`GroundProgram.clauses` is a read-only list of :class:`GroundClause`
-objects built from the columns on first access, for the object solvers,
-sessions, lint, listings and tests.
+objects built from the columns on first access, for the object PSL
+construction, decomposition, lint, listings and tests.
 """
 
 from __future__ import annotations
@@ -147,10 +147,6 @@ class GroundClause:
     def is_hard(self) -> bool:
         return self.weight is None
 
-    @property
-    def is_unit(self) -> bool:
-        return len(self.literals) == 1
-
     def satisfied_by(self, assignment: Sequence[bool]) -> bool:
         """Evaluate the clause under a Boolean assignment (indexed by atom)."""
         return any(assignment[index] == positive for index, positive in self.literals)
@@ -253,15 +249,17 @@ class GroundProgram:
         weight: Optional[float],
         kind: ClauseKind,
         origin: str = "",
-    ) -> GroundClause:
-        """Add a weighted clause over existing atom indexes.
+    ) -> None:
+        """Append a weighted clause over existing atom indexes to the columns.
 
         Soft unit clauses with negative weight are normalised by flipping the
         literal (``w·sat(l) ≡ const + (−w)·sat(¬l)``), so downstream encoders
-        only ever see positive soft weights.  When the clause view is fully
-        built, the returned clause object is appended to it.
+        only ever see positive soft weights.  No clause object is built: the
+        next read of :attr:`clauses` builds it with the view.
         """
         items = tuple(literals)
+        if not items:
+            raise GroundingError(f"empty ground clause from {origin!r}")
         for index, _ in items:
             if index < 0 or index >= len(self.atoms):
                 raise GroundingError(f"clause references unknown atom index {index}")
@@ -276,10 +274,6 @@ class GroundProgram:
         # Zero-weight clauses carry no information; substitute the shared
         # epsilon so they stay soft (see ZERO_WEIGHT_EPSILON).
         weight = nonzero_weight(weight)
-        clause = GroundClause(items, weight, kind, origin)
-        if len(self._view) == len(self._clause_weights):
-            list.append(self._view, clause)
-            self._view_literals += len(items)
         code = self._origin_codes.get((kind, origin))
         self._clause_lengths.append(len(items))
         self._clause_weights.append(weight)
@@ -289,7 +283,6 @@ class GroundProgram:
             literal_atoms.append(index)
             literal_signs.append(positive)
         self._arrays = None
-        return clause
 
     def extend_clauses(
         self,
@@ -465,7 +458,7 @@ class GroundProgram:
         Lowers the program to :class:`~repro.logic.arrays.GroundProgramArrays`
         and runs :meth:`~repro.logic.arrays.GroundProgramArrays.repair_hard_violations`,
         which documents the flip rule.  Callers that already hold the arrays
-        (PSL rounding, ``maxwalksat-array``) call that method directly.
+        (the rounding of an ADMM state) call that method directly.
 
         Returns the repaired copy, or ``None`` when ``num_clauses + 1`` flips
         leave a hard clause violated.

@@ -1,27 +1,12 @@
 """Markov Logic Network engine with numerical constraints (the nRockIt path)."""
 
-from .ilp import ILPEncoding, encode
-from .marginal import GibbsSampler, MarginalResult, marginals
+from .ilp import ILPEncoding
 from .model import MarkovLogicNetwork, WeightedFormula
-from .solvers import (
-    ArrayMaxWalkSATSolver,
-    BranchAndBoundSolver,
-    CuttingPlaneSolver,
-    ILPMapSolver,
-    MaxWalkSATSolver,
-)
+from .solvers import ILPMapSolver
 
 __all__ = [
-    "ArrayMaxWalkSATSolver",
-    "BranchAndBoundSolver",
-    "CuttingPlaneSolver",
-    "GibbsSampler",
     "ILPEncoding",
     "ILPMapSolver",
-    "MarginalResult",
     "MarkovLogicNetwork",
-    "MaxWalkSATSolver",
     "WeightedFormula",
-    "encode",
-    "marginals",
 ]

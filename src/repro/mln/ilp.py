@@ -2,8 +2,7 @@
 
 MAP inference in an MLN is equivalent to weighted MaxSAT over the ground
 clauses, which has the standard integer-linear-programming formulation used
-by RockIt/nRockIt (there solved by Gurobi; here by HiGHS through scipy, or by
-the pure-Python branch & bound):
+by RockIt/nRockIt (there solved by Gurobi; here by HiGHS through scipy):
 
 * one binary variable ``xᵢ`` per ground atom;
 * one binary variable ``z_c`` per *non-unit* soft clause;
@@ -12,10 +11,11 @@ the pure-Python branch & bound):
   contributing ``w·z_c`` to the objective;
 * unit soft clauses fold directly into the objective coefficient of their atom.
 
-The encoding records a constant offset so the reported objective matches
-:meth:`GroundProgram.objective` exactly.  It is built from the clause→literal
-CSR of :class:`~repro.logic.arrays.GroundProgramArrays`, for a whole program
-(:func:`encode`) or for some of its components (:func:`encode_arrays`).
+The encoding records a constant offset so the ILP objective matches
+:meth:`GroundProgram.objective`.  :func:`encode_arrays` builds it from the
+clause→literal CSR of :class:`~repro.logic.arrays.GroundProgramArrays` for
+some of a program's components: ``nrockit`` encodes each component too wide
+to eliminate on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from scipy import sparse
 
 from ..errors import GroundingError
 from ..logic.arrays import GroundProgramArrays, ragged_slices
-from ..logic.ground import GroundProgram
 
 
 @dataclass
@@ -72,20 +71,6 @@ class ILPEncoding:
         """Round the atom block of an ILP solution vector to booleans."""
         return tuple(bool(round(float(value))) for value in values[: self.num_atoms])
 
-    def objective_value(self, values: Sequence[float]) -> float:
-        """Objective (satisfied soft weight) of a full ILP solution vector."""
-        return float(np.dot(self.objective, np.asarray(values, dtype=float))) + self.offset
-
-
-def encode(program: GroundProgram) -> ILPEncoding:
-    """Build the MAP ILP for ``program``."""
-    arrays = GroundProgramArrays.from_program(program)
-    return encode_arrays(
-        arrays,
-        np.arange(arrays.num_atoms, dtype=np.int64),
-        np.arange(arrays.num_clauses, dtype=np.int64),
-    )
-
 
 def encode_arrays(
     arrays: GroundProgramArrays, atoms: np.ndarray, clauses: np.ndarray
@@ -94,8 +79,8 @@ def encode_arrays(
 
     ``atoms`` (ascending global indexes) become variables ``0 … len(atoms) − 1``
     in that order and must include every atom ``clauses`` (ascending) mention;
-    ``aux_clauses`` holds global clause indexes.  ``nrockit`` passes the
-    components too large to enumerate, so they share one HiGHS call.
+    ``aux_clauses`` holds global clause indexes.  ``nrockit`` passes one
+    component too wide to eliminate at a time, for a HiGHS call of its own.
 
     The rows come from the clauses' CSR slices in a few numpy passes, and
     unit weights fold into the objective in clause order, so for a whole

@@ -1,15 +1,5 @@
-"""MAP back-ends for the MLN path."""
+"""MAP back-end for the MLN path."""
 
-from .branch_bound import BranchAndBoundSolver
-from .cutting_plane import CuttingPlaneSolver
-from .maxwalksat import MaxWalkSATSolver
-from .maxwalksat_array import ArrayMaxWalkSATSolver
 from .milp_backend import ILPMapSolver
 
-__all__ = [
-    "ArrayMaxWalkSATSolver",
-    "BranchAndBoundSolver",
-    "CuttingPlaneSolver",
-    "ILPMapSolver",
-    "MaxWalkSATSolver",
-]
+__all__ = ["ILPMapSolver"]

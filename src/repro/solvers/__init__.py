@@ -2,7 +2,6 @@
 
 from .base import MAPSolution, MAPSolver, SolverStats
 from .capabilities import (
-    LOCAL_SEARCH_CAPABILITIES,
     MLN_CAPABILITIES,
     PSL_CAPABILITIES,
     SolverCapabilities,
@@ -13,7 +12,6 @@ from .factory import instantiate_solver
 
 __all__ = [
     "DecomposedSolver",
-    "LOCAL_SEARCH_CAPABILITIES",
     "MAPSolution",
     "MAPSolver",
     "MLN_CAPABILITIES",

@@ -93,9 +93,8 @@ class MAPSolver(abc.ABC):
 
     #: True when :meth:`solve` accepts a ``warm_start`` keyword — a sequence
     #: of soft truth values in ``[0, 1]`` (one per atom) used to seed the
-    #: search (initial assignment, incumbent, or consensus vector).  Warm
-    #: starts never change what a solver *accepts*, only where it starts;
-    #: exact back-ends still return an optimum.
+    #: search (``npsl``: the initial consensus vector).  Warm starts never
+    #: change what a solver *accepts*, only where it starts.
     supports_warm_start: bool = False
 
     @property

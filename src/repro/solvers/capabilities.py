@@ -34,7 +34,7 @@ class SolverCapabilities:
     description: str = ""
 
 
-#: nRockIt-style MLN back-ends: fully expressive, exact, not scalable.
+#: The nRockIt MLN back-end: fully expressive, exact, not scalable.
 MLN_CAPABILITIES = SolverCapabilities(
     name="mln",
     exact=True,
@@ -60,16 +60,6 @@ PSL_CAPABILITIES = SolverCapabilities(
     description="Probabilistic Soft Logic over hinge-loss MRFs (convex MAP, rounded)",
 )
 
-#: Local-search back-ends: anytime, approximate, no optimality guarantee.
-LOCAL_SEARCH_CAPABILITIES = SolverCapabilities(
-    name="local-search",
-    exact=False,
-    supports_hard_constraints=True,
-    supports_negative_clauses=True,
-    scalable=True,
-    description="stochastic local search (MaxWalkSAT) over the ground program",
-)
-
 
 def check_expressivity(program: GroundProgram, capabilities: SolverCapabilities) -> None:
     """Raise :class:`ExpressivityError` when ``program`` exceeds ``capabilities``.
@@ -82,7 +72,7 @@ def check_expressivity(program: GroundProgram, capabilities: SolverCapabilities)
       bodies, so their clausal form has at most one positive literal);
     * overall clause length, when bounded.
 
-    When the capabilities bound none of these (the MLN back-ends), every
+    When the capabilities bound none of these (the MLN back-end), every
     check is vacuous and returns at once.  Otherwise the bounds are tested
     on the program's CSR, and only the first offending clause is built as an
     object, to word the error.

@@ -7,13 +7,13 @@ wrapped back-end in one :meth:`~repro.solvers.base.MAPSolver.solve_components`
 call, and merges the per-component solutions into one global MAP state.
 
 The wrapper is exact for exact back-ends: components never share a clause,
-so the global optimum is the union of the component optima.  For stochastic
-or continuous back-ends (MaxWalkSAT, PSL) the decomposition typically
-*improves* solution quality, because each subproblem is tiny.
+so the global optimum is the union of the component optima.  For the
+approximate PSL back-end the merged answer need not equal a whole-program
+solve's, since ADMM then stops per component.
 
-No default path uses it: ``nrockit`` and ``maxwalksat-array`` already work
-per component, and sessions solve per component through their own cache.
-It is the reference the session and enumeration suites compare against.
+No default path uses it: ``nrockit`` already works per component, and
+sessions solve per component through their own cache.  It is the reference
+the session and enumeration suites compare against.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ class TestTeCoReFacade:
 
     @pytest.mark.parametrize(
         "old, options, new",
-        [("nrockit-bnb", {"time_limit": 5.0}, "npsl"), ("maxwalksat", {"seed": 3}, "nrockit")],
+        [("nrockit", {"time_limit": 5.0}, "npsl"), ("npsl", {"rho": 2.0}, "nrockit")],
     )
     def test_with_solver_drops_the_old_back_ends_options(self, ranieri, old, options, new):
         system = TeCoRe.from_pack("running-example", solver=old, solver_options=options)
@@ -97,10 +97,10 @@ class TestTeCoReFacade:
         assert {str(fact.object) for fact in other.resolve(ranieri).removed_facts} == {"Napoli"}
 
     def test_with_solver_takes_exactly_the_given_options(self):
-        system = TeCoRe.from_pack("running-example", solver="maxwalksat", solver_options={"seed": 3})
+        system = TeCoRe.from_pack("running-example", solver="npsl", solver_options={"rho": 2.0})
         other = system.with_solver("nrockit", time_limit=5.0)
         assert other.solver_options == {"time_limit": 5.0}
-        assert system.solver_options == {"seed": 3}
+        assert system.solver_options == {"rho": 2.0}
 
     def test_add_rule_and_constraint(self):
         system = TeCoRe()
@@ -135,7 +135,7 @@ class TestTeCoReFacade:
 
     def test_solver_options_forwarded(self, ranieri):
         system = TeCoRe.from_pack(
-            "running-example", solver="maxwalksat", solver_options={"seed": 5, "max_flips": 500}
+            "running-example", solver="npsl", solver_options={"rho": 2.0, "max_iterations": 300}
         )
         result = system.resolve(ranieri)
         assert result.statistics.removed_facts == 1

@@ -62,7 +62,8 @@ class TestGroundProgram:
     def test_negative_unit_weight_normalised(self):
         program = GroundProgram()
         atom = program.add_atom(make_fact("a", "p", "b", (1, 2), 0.2), is_evidence=True)
-        clause = program.add_clause([(atom.index, True)], -1.5, ClauseKind.EVIDENCE, "evidence")
+        program.add_clause([(atom.index, True)], -1.5, ClauseKind.EVIDENCE, "evidence")
+        clause = program.clauses[-1]
         assert clause.weight == pytest.approx(1.5)
         assert clause.literals == ((0, False),)
 

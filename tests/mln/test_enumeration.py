@@ -38,9 +38,9 @@ from repro.core import available_solvers, make_solver
 from repro.datasets import FootballDBConfig, WikidataConfig, generate_footballdb, generate_wikidata
 from repro.errors import GroundingError, InfeasibleProgramError
 from repro.kg import make_fact
-from repro.logic import ClauseKind, GroundProgram, decompose
+from repro.logic import ClauseKind, GroundProgram, GroundProgramArrays, decompose
 from repro.mln import ILPMapSolver
-from repro.mln.ilp import ILPEncoding, encode
+from repro.mln.ilp import ILPEncoding, encode_arrays
 from repro.mln.solvers.milp_backend import ELIMINATION_MAX_WIDTH
 from repro.solvers.decomposed import DecomposedSolver
 
@@ -127,7 +127,7 @@ def _object_encode(program):
     aux_clauses = [
         index
         for index, clause in enumerate(program.clauses)
-        if not clause.is_hard and not clause.is_unit
+        if not clause.is_hard and len(clause.literals) > 1
     ]
     num_aux = len(aux_clauses)
     aux_position = {clause: num_atoms + offset for offset, clause in enumerate(aux_clauses)}
@@ -143,7 +143,7 @@ def _object_encode(program):
         bounds.append(lower)
 
     for clause_index, clause in enumerate(program.clauses):
-        if not clause.is_hard and clause.is_unit:
+        if not clause.is_hard and len(clause.literals) == 1:
             index, positive = clause.literals[0]
             if positive:
                 objective[index] += clause.weight
@@ -176,6 +176,13 @@ def _object_encode(program):
         num_aux=num_aux,
         aux_clauses=aux_clauses,
     )
+
+
+def whole_program_ilp(program):
+    """``encode_arrays`` over every atom and clause, as ``nrockit`` calls it
+    for a program that is one wide component."""
+    arrays = GroundProgramArrays.from_program(program)
+    return encode_arrays(arrays, np.arange(arrays.num_atoms), np.arange(arrays.num_clauses))
 
 
 def _assert_same_encoding(actual, expected, aux_clauses=None):
@@ -696,13 +703,13 @@ class TestCsrEncoding:
     )
     def test_equals_the_object_walk(self, name):
         program = _program(name)
-        _assert_same_encoding(encode(program), _object_encode(program))
+        _assert_same_encoding(whole_program_ilp(program), _object_encode(program))
 
     def test_equals_the_object_walk_on_edge_cases(self):
         quirky = self._quirky_program()
-        _assert_same_encoding(encode(quirky), _object_encode(quirky))
+        _assert_same_encoding(whole_program_ilp(quirky), _object_encode(quirky))
         units_only = _chain(1)
-        _assert_same_encoding(encode(units_only), _object_encode(units_only))
+        _assert_same_encoding(whole_program_ilp(units_only), _object_encode(units_only))
 
     def test_quirky_program_is_solved_exactly(self):
         quirky = self._quirky_program()
@@ -710,7 +717,7 @@ class TestCsrEncoding:
 
     def test_empty_program_rejected(self):
         with pytest.raises(GroundingError):
-            encode(GroundProgram())
+            whole_program_ilp(GroundProgram())
 
 
 class TestObjectiveBound:

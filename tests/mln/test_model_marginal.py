@@ -1,13 +1,9 @@
-"""Unit tests for the MLN template model and Gibbs marginal inference."""
+"""Unit tests for the MLN template model."""
 
 import math
 
-import pytest
-
-from repro.errors import InfeasibleProgramError, SolverError
-from repro.kg import make_fact
-from repro.logic import ClauseKind, GroundProgram, constraint_c2, rule_f1
-from repro.mln import GibbsSampler, MarkovLogicNetwork, marginals
+from repro.logic import constraint_c2, rule_f1
+from repro.mln import MarkovLogicNetwork
 
 
 class TestMarkovLogicNetwork:
@@ -55,55 +51,3 @@ class TestMarkovLogicNetwork:
         ratio = mln.world_probability_ratio(program, without_napoli, without_chelsea)
         assert ratio > 1.0  # dropping the weaker fact is the more probable world
 
-
-class TestGibbsSampler:
-    def _program(self):
-        program = GroundProgram()
-        a = program.add_atom(make_fact("x", "coach", "A", (1, 5), 0.95), is_evidence=True)
-        b = program.add_atom(make_fact("x", "coach", "B", (2, 4), 0.55), is_evidence=True)
-        program.add_clause([(a.index, True)], a.fact.log_weight, ClauseKind.EVIDENCE, "e")
-        program.add_clause([(b.index, True)], b.fact.log_weight, ClauseKind.EVIDENCE, "e")
-        program.add_clause([(a.index, False), (b.index, False)], None, ClauseKind.CONSTRAINT, "c")
-        return program, a, b
-
-    def test_marginals_respect_relative_confidence(self):
-        program, a, b = self._program()
-        result = marginals(program, samples=600, burn_in=100, seed=3)
-        assert result.probabilities[a.index] > result.probabilities[b.index]
-        assert 0.0 <= result.probabilities[b.index] <= 1.0
-
-    def test_probability_of_lookup(self):
-        program, a, _ = self._program()
-        result = marginals(program, samples=200, burn_in=50)
-        assert result.probability_of(program, a.fact) == result.probabilities[a.index]
-        with pytest.raises(SolverError):
-            result.probability_of(program, make_fact("nobody", "p", "x", (1, 2)))
-
-    def test_deterministic_given_seed(self):
-        program, _, _ = self._program()
-        first = marginals(program, samples=200, burn_in=50, seed=11)
-        second = marginals(program, samples=200, burn_in=50, seed=11)
-        assert first.probabilities == second.probabilities
-
-    def test_invalid_parameters(self):
-        with pytest.raises(SolverError):
-            GibbsSampler(samples=0)
-
-    def test_initial_state_size_checked(self):
-        program, _, _ = self._program()
-        with pytest.raises(SolverError):
-            GibbsSampler(samples=10, burn_in=0).run(program, initial=[True])
-
-    def test_feasible_start_does_not_ping_pong(self, coupled_hard_program):
-        # Regression: the cheapest-atom repair ping-ponged the shared atom
-        # and started the chain from the infeasible [False, True].
-        program, _, _ = coupled_hard_program
-        assert GibbsSampler()._make_feasible(program, [True, True]) == [True, False]
-
-    def test_infeasible_program_raises(self):
-        program = GroundProgram()
-        atom = program.add_atom(make_fact("x", "p", "A", (1, 5), 0.9), is_evidence=True)
-        program.add_clause([(atom.index, True)], None, ClauseKind.CONSTRAINT, "must-be-true")
-        program.add_clause([(atom.index, False)], None, ClauseKind.CONSTRAINT, "must-be-false")
-        with pytest.raises(InfeasibleProgramError):
-            GibbsSampler(samples=10, burn_in=0).run(program)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kg import TemporalKnowledgeGraph, make_fact
 from repro.logic import ClauseKind, GroundProgram, constraint_c2, find_conflicts
-from repro.mln import ILPMapSolver, MaxWalkSATSolver
+from repro.mln import ILPMapSolver
 from repro.psl import ADMMSolver
 from repro.temporal import (
     ALL_RELATIONS,
@@ -170,9 +170,10 @@ class TestSolverProperties:
         program = _random_program(data)
         exact = ILPMapSolver().solve(program)
         assert program.is_feasible(exact.assignment)
-        local = MaxWalkSATSolver(max_flips=2000, max_restarts=2, seed=0).solve(program)
-        assert program.is_feasible(local.assignment)
-        assert exact.objective >= local.objective - 1e-6
+        # npsl, the approximate back-end, as the heuristic.
+        heuristic = ADMMSolver(max_iterations=200).solve(program)
+        assert program.is_feasible(heuristic.assignment)
+        assert exact.objective >= heuristic.objective - 1e-6
 
     @given(program_data)
     @settings(max_examples=25, deadline=None)

@@ -8,7 +8,6 @@ from repro.errors import ExpressivityError
 from repro.kg import make_fact
 from repro.logic import ClauseKind, GroundProgram
 from repro.solvers import (
-    LOCAL_SEARCH_CAPABILITIES,
     MLN_CAPABILITIES,
     PSL_CAPABILITIES,
     SolverCapabilities,
@@ -33,9 +32,6 @@ class TestBuiltinCapabilities:
         assert PSL_CAPABILITIES.scalable
         assert not PSL_CAPABILITIES.exact
         assert PSL_CAPABILITIES.max_positive_literals_per_clause == 1
-
-    def test_local_search_not_exact(self):
-        assert not LOCAL_SEARCH_CAPABILITIES.exact
 
 
 class TestCheckExpressivity:

@@ -10,9 +10,9 @@ from repro.errors import SolverNotAvailableError
 class TestRejectedKwargs:
     def test_mln_factory_names_backend_and_kwargs(self):
         with pytest.raises(SolverNotAvailableError) as excinfo:
-            registry_make_solver("nrockit-bnb", time_limit=5, frobnicate=True)
+            registry_make_solver("nrockit", time_limit=5, frobnicate=True)
         message = str(excinfo.value)
-        assert "'nrockit-bnb'" in message
+        assert "'nrockit'" in message
         assert "frobnicate" in message
 
     def test_psl_factory_names_backend_and_kwargs(self):

@@ -24,6 +24,7 @@ from repro.errors import ExpressivityError
 from repro.kg import make_fact
 from repro.logic import (
     ClauseKind,
+    GroundClause,
     GroundProgram,
     VectorizedGrounder,
     running_example_constraints,
@@ -141,6 +142,22 @@ class TestOneShotPathBuildsNoClause:
         assert len(program.clauses) == program.num_clauses
         assert len(built_clauses) == program.num_clauses
 
+    def test_add_clause_appends_to_the_columns_only(self, built_clauses):
+        program = object_built()
+        assert program.add_clause([(1, True)], -0.5, ClauseKind.PRIOR, "prior") is None
+        assert built_clauses == []
+        flipped = ([(1, False)], 0.5, ClauseKind.PRIOR, "prior")
+        assert program.clauses == column_built([*CLAUSES, flipped]).clauses
+
+    def test_session_edits_build_no_clause_object(self, built_clauses):
+        graph = generate_footballdb(FootballDBConfig(scale=0.02, noise_ratio=0.5, seed=2017)).graph
+        session = TeCoRe.from_pack("sports", solver="nrockit").session(graph)
+        facts = graph.facts()[:6]
+        session.apply(removes=facts)
+        result = session.apply(adds=facts)
+        assert result.delta.components_dirty > 0
+        assert built_clauses == []
+
 
 class TestClauseView:
     def test_view_equals_the_added_objects(self):
@@ -164,9 +181,12 @@ class TestClauseView:
         first = view[0]
         arrays = GroundProgramArrays.from_program(program)
         count = program.num_clauses
-        added = program.add_clause([(0, False), (1, False)], None, ClauseKind.CONSTRAINT, "late")
+        program.add_clause([(0, False), (1, False)], None, ClauseKind.CONSTRAINT, "late")
         assert program.clauses is view and len(view) == count + 1
-        assert view[-1] is added and view[0] is first  # extended, not rebuilt
+        assert view[0] is first  # extended, not rebuilt
+        assert view[-1] == GroundClause(
+            ((0, False), (1, False)), None, ClauseKind.CONSTRAINT, "late"
+        )
         after = GroundProgramArrays.from_program(program)
         assert after is not arrays and after.num_clauses == count + 1
         assert arrays.num_clauses == count  # the old CSR is a snapshot
@@ -176,8 +196,9 @@ class TestClauseView:
         program = column_built()
         arrays = GroundProgramArrays.from_program(program)
         assert GroundProgramArrays.from_program(program) is arrays  # kept
-        added = program.add_clause([(2, True)], -0.5, ClauseKind.PRIOR, "prior:f1")
-        assert program.clauses[-1] == added and len(program.clauses) == len(CLAUSES) + 1
+        program.add_clause([(2, True)], -0.5, ClauseKind.PRIOR, "prior:f1")
+        assert program.clauses[-1] == GroundClause(((2, False),), 0.5, ClauseKind.PRIOR, "prior:f1")
+        assert len(program.clauses) == len(CLAUSES) + 1
         after = GroundProgramArrays.from_program(program)
         assert after.num_clauses == len(CLAUSES) + 1
         assert after.literal_atoms[-1] == 2 and not after.literal_signs[-1]

@@ -132,6 +132,15 @@ class TestResolve:
                 ]
             )
 
+    @pytest.mark.parametrize("solver", ["maxwalksat", "nrockit-bnb"])
+    def test_resolve_rejects_a_removed_ablation_solver(self, capsys, solver):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["resolve", "--dataset", "ranieri", "--pack", "running-example", "--solver", solver]
+            )
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{solver}'" in capsys.readouterr().err
+
 
 class TestResolveBatch:
     def test_resolve_batch_text_output(self, capsys, ranieri_file, program_file):
@@ -240,7 +249,7 @@ class TestWatch:
                 "watch", str(stream_file),
                 "--graph", str(ranieri_file),
                 "--pack", "running-example",
-                "--solver", "maxwalksat",
+                "--solver", "npsl",
                 "--warm-start",
                 "--json",
             ]

@@ -1,11 +1,11 @@
 """Differential suite: decomposed MAP solve versus monolithic solve.
 
 MAP inference factorises over the connected components of the ground
-program's interaction graph, so for every *exact* MLN back-end the
-decomposed objective must equal the monolithic one bit-for-bit (both sides
-evaluate ``program.objective`` over the same clause order).  The approximate
-paths — MaxWalkSAT and the PSL relaxation — only promise closeness, pinned
-here by tolerances against the exact optimum.
+program's interaction graph, so for the *exact* MLN back-end the decomposed
+objective must equal the monolithic one bit-for-bit (both sides are the
+exact sum of the satisfied soft weights).  The approximate PSL relaxation
+only promises closeness, pinned here by tolerances against the exact
+optimum.
 
 The randomized programs come from the seeded generator in
 ``tests/properties/program_generators.py``; seeds are fixed, so every run
@@ -22,11 +22,7 @@ from repro.solvers import DecomposedSolver
 SEEDS = range(10)
 
 #: Registered exact MLN solvers, keyed by the algorithm each runs (the test ids).
-EXACT_MLN_BACKENDS = {
-    "ilp": "nrockit",
-    "cutting-plane": "nrockit-cpa",
-    "branch-and-bound": "nrockit-bnb",
-}
+EXACT_MLN_BACKENDS = {"ilp": "nrockit"}
 #: Registered PSL solvers, keyed the same way.
 PSL_BACKENDS = {"admm": "npsl"}
 
@@ -77,17 +73,6 @@ class TestExactBackends:
 
 
 class TestApproximateBackends:
-    @pytest.mark.parametrize("backend", ["maxwalksat", "maxwalksat-array"])
-    def test_maxwalksat_within_tolerance(self, backend, suite):
-        for program, optimum in suite:
-            monolithic = solve_map(program, backend, seed=0)
-            decomposed = solve_decomposed(program, backend, seed=0)
-            assert program.is_feasible(decomposed.assignment)
-            # Local search on these programs reaches the optimum; keep a thin
-            # tolerance so the assertion survives flip-order changes.
-            assert decomposed.objective >= optimum * (1 - 1e-3)
-            assert abs(decomposed.objective - monolithic.objective) <= optimum * 1e-3
-
     @pytest.mark.parametrize("backend", list(PSL_BACKENDS.values()), ids=list(PSL_BACKENDS))
     def test_psl_path_within_tolerance(self, backend, suite):
         for program, optimum in suite:
